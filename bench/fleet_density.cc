@@ -6,22 +6,16 @@
 //
 //   fleet_density [--vms=4000] [--nodes=4] [--concurrency=8] [--seed=1]
 //                 [--policy=all|first-fit|least-loaded|memory-balance]
-//                 [--shards=N] [--json=<file>] [--flight-out=<file>]
+//                 [--json=<file>] [--flight-out=<file>]
 //
 // Runs are deterministic: the same seed gives byte-identical output
-// (placement hash included, so any divergence is loud). With --shards=N the
-// control plane runs on a sharded engine group — one time domain per node
-// plus a control domain, spread over N cores — and the binary re-runs the
-// same seed single-sharded first to prove the parallel placement is
-// byte-identical before reporting per-shard utilization and speedup.
+// (placement hash included, so any divergence is loud).
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "bench/common.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
-#include "src/sim/shard.h"
 
 namespace {
 
@@ -132,122 +126,6 @@ void RunPolicy(const std::string& policy_name, int vms, int nodes, int concurren
                            {"jobs_failed", static_cast<double>(jobs_failed)}});
 }
 
-// One fleet pass on a sharded engine group: per-node time domains plus a
-// control domain, synchronized by conservative lookahead. Returns the
-// placement hash so the caller can difference shard counts against each
-// other. When `emit` is false nothing is printed and no points are recorded
-// (the silent single-shard reference pass).
-//
-// The shell pool is deliberately not prefilled here: PrefillShellPool()
-// free-runs each node engine standalone, which advances the shared clock
-// under shards=1 but per-node clocks under shards>1 — the one setup step
-// that would make shard counts diverge.
-uint64_t RunShardedPolicy(const std::string& policy_name, int vms, int nodes,
-                          int concurrency, uint64_t seed, int shards,
-                          bool emit, double* wall_s) {
-  metrics::Registry::Get().ResetAll();
-  obs::FlightRecorder::Get().Reset();
-  obs::SetOpIdPolicy(obs::OpIdPolicy::kPerNode, nodes);
-  sim::ShardGroup group(seed, nodes + 1, shards, lv::Duration::Micros(50));
-  cluster::ClusterSpec spec;
-  spec.num_nodes = nodes;
-  spec.node = lightvm::HostSpec::Amd64Core();
-  spec.mechanisms = lightvm::Mechanisms::LightVm();
-  auto policy = cluster::MakePolicy(policy_name);
-  if (policy == nullptr) {
-    bench::FailRun("unknown placement policy: " + policy_name);
-  }
-  cluster::Cluster cl(&group, spec, std::move(policy));
-  for (int n = 0; n < nodes; ++n) {
-    cl.host(n).AddShellFlavor(guests::DaytimeUnikernel().memory, true, 8);
-  }
-
-  FleetState st;
-  st.engine = &cl.control_engine();
-  st.cl = &cl;
-  st.total = vms;
-  st.node.assign(static_cast<size_t>(vms), -1);
-  st.deploy_ms.assign(static_cast<size_t>(vms), 0.0);
-
-  lv::TimePoint start = cl.control_engine().now();
-  for (int w = 0; w < concurrency; ++w) {
-    cl.control_engine().Spawn(Worker(&st));
-  }
-  bool finished = group.RunUntil([&] { return st.done >= st.total; },
-                                 lv::Duration::Seconds(7200));
-  if (!finished) {
-    bench::FailRun(lv::StrFormat("%s: sharded fleet stalled at %d/%d VMs",
-                                 policy_name.c_str(), st.done, st.total));
-  }
-  group.RunToQuiescence(lv::Duration::Seconds(60));
-  // Each engine's clock rests on its own last event, which depends on the
-  // domain→shard mapping; the global last event time does not.
-  double makespan_s = (group.max_now() - start).secs();
-  *wall_s = group.run_wall_s();
-
-  std::vector<int64_t> per_node(static_cast<size_t>(nodes), 0);
-  lv::Samples lat;
-  uint64_t placement_hash = 1469598103934665603ull;  // FNV offset basis.
-  for (int i = 0; i < vms; ++i) {
-    ++per_node[static_cast<size_t>(st.node[static_cast<size_t>(i)])];
-    lat.Add(st.deploy_ms[static_cast<size_t>(i)]);
-    placement_hash ^= static_cast<uint64_t>(st.node[static_cast<size_t>(i)]) +
-                      static_cast<uint64_t>(i) * 31ull;
-    placement_hash *= 1099511628211ull;  // FNV prime.
-    if (emit) {
-      bench::Point(policy_name,
-                   {{"i", static_cast<double>(i)},
-                    {"node", static_cast<double>(st.node[static_cast<size_t>(i)])},
-                    {"deploy_ms", st.deploy_ms[static_cast<size_t>(i)]}});
-    }
-  }
-  if (!emit) {
-    return placement_hash;
-  }
-
-  uint64_t processed = 0;
-  for (const sim::ShardStats& s : group.shard_stats()) {
-    processed += s.processed;
-  }
-  int64_t jobs_failed = 0;
-  for (int n = 0; n < nodes; ++n) {
-    jobs_failed += cl.host(n).node().jobs_failed();
-  }
-  // Everything printed here is invariant under the shard count: simulated
-  // time, placements, epoch/message totals. Per-shard utilization and
-  // wall-clock speedup are machine-dependent, so they go only into the JSON
-  // artifact (as non-gated columns).
-  std::printf("\n## policy: %s (parallel control plane)\n", policy_name.c_str());
-  std::printf("placement:");
-  for (int n = 0; n < nodes; ++n) {
-    std::printf(" node%d=%lld", n, (long long)per_node[static_cast<size_t>(n)]);
-  }
-  std::printf("  hash=%016llx\n", (unsigned long long)placement_hash);
-  std::printf("deploy_ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f\n", lat.Quantile(0.5),
-              lat.Quantile(0.9), lat.Quantile(0.99), lat.max());
-  std::printf("makespan_s=%.2f  vms=%lld  epochs=%llu  messages=%llu  "
-              "events=%llu\n",
-              makespan_s, (long long)cl.total_vms(),
-              (unsigned long long)group.epochs(),
-              (unsigned long long)group.messages_delivered(),
-              (unsigned long long)processed);
-  double wall = group.run_wall_s() > 0 ? group.run_wall_s() : 1e-9;
-  for (size_t s = 0; s < group.shard_stats().size(); ++s) {
-    const sim::ShardStats& st_s = group.shard_stats()[s];
-    bench::Point("parallel", {{"shard", static_cast<double>(s)},
-                              {"events", static_cast<double>(st_s.processed)},
-                              {"busy_frac", st_s.busy_s / wall},
-                              {"stall_frac", st_s.stall_s / wall}});
-  }
-  bench::Point("summary", {{"deploy_p50_ms", lat.Quantile(0.5)},
-                           {"deploy_p99_ms", lat.Quantile(0.99)},
-                           {"deploy_max_ms", lat.max()},
-                           {"makespan_s", makespan_s},
-                           {"vms", static_cast<double>(cl.total_vms())},
-                           {"jobs_failed", static_cast<double>(jobs_failed)}});
-  return placement_hash;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,7 +133,6 @@ int main(int argc, char** argv) {
   int nodes = 4;
   int concurrency = 8;
   uint64_t seed = 1;
-  int shards = 0;  // 0 = classic single-engine path
   std::string policy = "all";
   std::vector<char*> report_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -270,8 +147,6 @@ int main(int argc, char** argv) {
       seed = static_cast<uint64_t>(std::atoll(arg + 7));
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       policy = arg + 9;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = std::atoi(arg + 9);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       report_args.push_back(argv[i]);
     } else if (std::strncmp(arg, "--flight-out=", 13) == 0) {
@@ -282,15 +157,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--vms=N] [--nodes=N] [--concurrency=N] [--seed=N] "
                    "[--policy=all|first-fit|least-loaded|memory-balance] "
-                   "[--shards=N] [--json=<file>] [--flight-out=<file>]\n",
+                   "[--json=<file>] [--flight-out=<file>]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (shards < 0 || shards > nodes + 1) {
-    std::fprintf(stderr, "--shards must be in [1, nodes+1] (one control domain "
-                         "plus one per node)\n");
-    return 2;
   }
   int report_argc = static_cast<int>(report_args.size());
   bench::Report::Get().Init(report_argc, report_args.data(), "fleet_density");
@@ -305,41 +175,7 @@ int main(int argc, char** argv) {
   bench::Report::Get().Config("seed", static_cast<double>(seed));
   bench::Report::Get().Config("policy", policy);
 
-  if (shards > 0) {
-    bench::Report::Get().Config("shards", static_cast<double>(shards));
-    std::vector<std::string> policies;
-    if (policy == "all") {
-      policies = {"first-fit", "least-loaded", "memory-balance"};
-    } else {
-      policies = {policy};
-    }
-    for (const std::string& p : policies) {
-      // Silent single-shard reference run of the same seed, then the visible
-      // parallel run: identical placement hashes or the run fails loudly.
-      double ref_wall = 0.0;
-      uint64_t ref_hash = RunShardedPolicy(p, vms, nodes, concurrency, seed,
-                                           /*shards=*/1, /*emit=*/false,
-                                           &ref_wall);
-      double wall = 0.0;
-      uint64_t hash =
-          RunShardedPolicy(p, vms, nodes, concurrency, seed, shards,
-                           /*emit=*/true, &wall);
-      if (hash != ref_hash) {
-        bench::FailRun(lv::StrFormat(
-            "%s: sharded placement hash %016llx != single-shard %016llx",
-            p.c_str(), (unsigned long long)hash, (unsigned long long)ref_hash));
-      }
-      std::printf("reference: single-shard placement hash match ok\n");
-      bench::Point("parallel_summary",
-                   {{"shards", static_cast<double>(shards)},
-                    {"speedup_x", wall > 0 ? ref_wall / wall : 0.0},
-                    {"cores", static_cast<double>(
-                                  std::thread::hardware_concurrency())}});
-    }
-    bench::Footnote("per-node time domains synchronized by conservative lookahead; "
-                    "the silent reference pass proves the parallel run is "
-                    "byte-identical to the single-shard schedule");
-  } else if (policy == "all") {
+  if (policy == "all") {
     for (const char* p : {"first-fit", "least-loaded", "memory-balance"}) {
       RunPolicy(p, vms, nodes, concurrency, seed);
     }

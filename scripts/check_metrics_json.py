@@ -144,58 +144,6 @@ def cross_check_create_ms(path, doc):
               (key, approx, exact, rel))
 
 
-def check_parallel(path, doc):
-    """Sharded runs (fleet_density --shards, topology.shards specs) export a
-    `parallel` series (per-shard events + wall-clock utilization) and a
-    `parallel_summary` series (shard count, measured speedup vs the silent
-    single-shard reference pass). Shape-check both: the utilization numbers
-    are machine-dependent so they are never value-gated, but a malformed or
-    half-written section must still fail loudly."""
-    series = doc["series"]
-    parallel = series.get("parallel")
-    summary = series.get("parallel_summary")
-    if parallel is None and summary is None:
-        return
-    if parallel is None or summary is None:
-        fail("%s: parallel and parallel_summary must appear together" % path)
-    if parallel["columns"] != ["shard", "events", "busy_frac", "stall_frac"]:
-        fail("%s: parallel columns are %r" % (path, parallel["columns"]))
-    if summary["columns"] != ["shards", "speedup_x", "cores"]:
-        fail("%s: parallel_summary columns are %r" % (path, summary["columns"]))
-    shards = summary["points"][-1][0]
-    if shards < 1 or shards != int(shards):
-        fail("%s: parallel_summary shards=%r is not a positive integer" %
-             (path, shards))
-    rows = parallel["points"]
-    if len(rows) % int(shards) != 0:
-        fail("%s: %d parallel rows is not a multiple of shards=%d" %
-             (path, len(rows), int(shards)))
-    total_events = 0
-    for i, (shard, events, busy, stall) in enumerate(rows):
-        if shard != i % int(shards):
-            fail("%s: parallel row %d names shard %r, want %d" %
-                 (path, i, shard, i % int(shards)))
-        if events < 0:
-            fail("%s: parallel shard %d has negative event count" % (path, i))
-        # Per-shard busy/stall time is measured inside the run wall-clock
-        # window; allow a little scheduler noise above 1.0.
-        for label, frac in (("busy_frac", busy), ("stall_frac", stall)):
-            if not (0.0 <= frac <= 1.05):
-                fail("%s: parallel shard %d %s=%r outside [0, 1]" %
-                     (path, i, label, frac))
-        total_events += events
-    if total_events <= 0:
-        fail("%s: parallel section processed no events" % path)
-    for _, speedup, cores in summary["points"]:
-        if speedup <= 0:
-            fail("%s: parallel_summary speedup_x=%r must be > 0" %
-                 (path, speedup))
-        if cores < 1:
-            fail("%s: parallel_summary cores=%r must be >= 1" % (path, cores))
-    print("OK: parallel section (%d shard rows, %d events)" %
-          (len(rows), int(total_events)))
-
-
 def is_fig04(path, doc):
     """The quantile cross-check applies to any fig04-shaped run: detect it
     from the document's own name so renamed output paths (CI artifact dirs,
@@ -238,7 +186,6 @@ def validate(path):
           (path, len(doc["series"]), n_points, len(metrics["counters"]),
            len(metrics["histograms"])))
 
-    check_parallel(path, doc)
     if is_fig04(path, doc):
         cross_check_create_ms(path, doc)
 

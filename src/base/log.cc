@@ -22,9 +22,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-thread_local Logger::NowFn t_now_fn = nullptr;
-thread_local void* t_now_ctx = nullptr;
-
 }  // namespace
 
 Logger& Logger::Get() {
@@ -32,21 +29,9 @@ Logger& Logger::Get() {
   return logger;
 }
 
-void Logger::AttachThreadClock(NowFn fn, void* ctx) {
-  t_now_fn = fn;
-  t_now_ctx = ctx;
-}
-
-void Logger::DetachThreadClock() {
-  t_now_fn = nullptr;
-  t_now_ctx = nullptr;
-}
-
 void Logger::Write(LogLevel level, const char* module, const std::string& message) {
-  NowFn now_fn = t_now_fn != nullptr ? t_now_fn : now_fn_;
-  void* now_ctx = t_now_fn != nullptr ? t_now_ctx : now_ctx_;
-  if (now_fn != nullptr) {
-    TimePoint now = now_fn(now_ctx);
+  if (now_fn_ != nullptr) {
+    TimePoint now = now_fn_(now_ctx_);
     std::fprintf(stderr, "[%12.6fms] %-5s %-10s %s\n", now.ms(), LevelName(level), module,
                  message.c_str());
   } else {

@@ -30,12 +30,6 @@ class Logger {
     now_ctx_ = nullptr;
   }
 
-  // Per-thread clock override for sharded runs (sim/shard.h): each shard
-  // thread attaches its own engine so log lines carry that shard's simulated
-  // time. Takes precedence over the process-wide clock while attached.
-  static void AttachThreadClock(NowFn fn, void* ctx);
-  static void DetachThreadClock();
-
   void Write(LogLevel level, const char* module, const std::string& message);
 
  private:

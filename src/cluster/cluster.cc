@@ -1,9 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/base/log.h"
@@ -17,66 +15,6 @@ namespace cluster {
 namespace {
 
 constexpr const char* kMod = "cluster";
-
-// Reply box for a remote operation: the control coroutine parks on `done`
-// (a control-engine event) until the node's shard posts the result back.
-template <typename T>
-struct RemoteBox {
-  explicit RemoteBox(sim::Engine* engine) : done(engine) {}
-  sim::OneShotEvent done;
-  std::optional<T> value;
-};
-
-// Posts `result` from `domain` back into the control-side box. The delay is
-// one lookahead hop (the control-fabric latency), exactly the minimum the
-// conservative synchronization permits.
-template <typename T>
-void PostReply(sim::ShardGroup* group, int domain, int ctrl, T result,
-               std::shared_ptr<RemoteBox<T>> box) {
-  group->Post(domain, ctrl, group->lookahead(),
-              [box, result = std::move(result)] {
-                box->value = result;
-                box->done.Trigger();
-              });
-}
-
-// Node-side halves of the remote ops: free coroutines spawned on the owning
-// node's engine with plain by-value parameters. Deliberately no wrapped
-// function objects and no capturing-lambda coroutines anywhere on this path —
-// a function object whose lifetime spans a suspension point ends up in the
-// caller's coroutine frame, and moving it between frames leaves its captures
-// pointing into freed memory.
-sim::Co<void> RunCreate(sim::ShardGroup* group, int node, int ctrl,
-                        lightvm::Host* host, toolstack::VmConfig config,
-                        bool wait_boot, obs::OpRef op,
-                        std::shared_ptr<RemoteBox<lv::Result<hv::DomainId>>> box) {
-  lv::Result<hv::DomainId> result =
-      co_await host->node().SubmitCreate(std::move(config), wait_boot, op).Get();
-  PostReply(group, node, ctrl, std::move(result), std::move(box));
-}
-
-sim::Co<void> RunDestroy(sim::ShardGroup* group, int node, int ctrl,
-                         lightvm::Host* host, hv::DomainId domid, obs::OpRef op,
-                         std::shared_ptr<RemoteBox<lv::Status>> box) {
-  lv::Status result = co_await host->node().SubmitDestroy(domid, op).Get();
-  PostReply(group, node, ctrl, std::move(result), std::move(box));
-}
-
-sim::Co<void> RunSave(
-    sim::ShardGroup* group, int node, int ctrl, lightvm::Host* host,
-    hv::DomainId domid,
-    std::shared_ptr<RemoteBox<lv::Result<toolstack::Snapshot>>> box) {
-  lv::Result<toolstack::Snapshot> result = co_await host->SaveVm(domid);
-  PostReply(group, node, ctrl, std::move(result), std::move(box));
-}
-
-sim::Co<void> RunRestore(
-    sim::ShardGroup* group, int node, int ctrl, lightvm::Host* host,
-    toolstack::Snapshot snap,
-    std::shared_ptr<RemoteBox<lv::Result<hv::DomainId>>> box) {
-  lv::Result<hv::DomainId> result = co_await host->RestoreVm(std::move(snap));
-  PostReply(group, node, ctrl, std::move(result), std::move(box));
-}
 
 }  // namespace
 
@@ -100,35 +38,6 @@ Cluster::Cluster(sim::Engine* engine, ClusterSpec spec,
   }
 }
 
-Cluster::Cluster(sim::ShardGroup* group, ClusterSpec spec,
-                 std::unique_ptr<PlacementPolicy> policy)
-    : engine_(&group->domain_engine(spec.num_nodes)),
-      group_(group),
-      ctrl_domain_(spec.num_nodes),
-      spec_(spec),
-      policy_(std::move(policy)) {
-  LV_CHECK_MSG(spec_.num_nodes > 0, "cluster needs at least one node");
-  LV_CHECK_MSG(policy_ != nullptr, "cluster needs a placement policy");
-  LV_CHECK_MSG(group_->num_domains() > spec_.num_nodes,
-               "shard group needs one domain per node plus a control domain");
-  if (spec_.memory_budget == lv::Bytes()) {
-    spec_.memory_budget = spec_.node.memory - spec_.node.dom0_memory;
-  }
-  if (spec_.vcpu_budget == 0) {
-    int64_t guest_cores = spec_.node.cores - spec_.node.dom0_cores;
-    spec_.vcpu_budget = spec_.vcpu_overcommit * guest_cores;
-  }
-  nodes_.resize(spec_.num_nodes);
-  for (int i = 0; i < spec_.num_nodes; ++i) {
-    nodes_[i].host = std::make_unique<lightvm::Host>(
-        &group_->domain_engine(i), spec_.node, spec_.mechanisms);
-    nodes_[i].host->set_obs_node(i);
-  }
-  // Node rings 0..N-1 plus the control ring N, pre-sized so concurrent
-  // shard threads never resize the ring vector.
-  obs::FlightRecorder::Get().EnsureNodes(spec_.num_nodes + 1);
-}
-
 Cluster::~Cluster() {
   // Own-and-drain: the monitor and any reboot waiters may be parked in a
   // sleep or mid-evacuation; step the engine until every frame runs to its
@@ -148,12 +57,6 @@ Cluster::~Cluster() {
     }
     return false;
   };
-  if (group_ != nullptr) {
-    if (pending()) {
-      group_->RunUntil([&] { return !pending(); }, lv::Duration::Max());
-    }
-    return;
-  }
   while (pending() && engine_->Step()) {
   }
 }
@@ -182,14 +85,12 @@ NodeView Cluster::view(int node) const {
   // health monitor's next sweep formally writes it off — otherwise every
   // deploy in the detection window re-picks the same dead (and now
   // least-loaded, since its budget is being released) node twice and fails.
-  v.alive = n.alive && !NodeDown(node);
+  v.alive = n.alive && !n.host->crashed();
   v.memory_budget = spec_.memory_budget;
   v.memory_committed = n.memory_committed;
   v.vcpu_budget = spec_.vcpu_budget;
   v.vcpus_committed = n.vcpus_committed;
-  // Sharded: the host's VM table belongs to the node's thread; the control
-  // plane placements are the authoritative committed view.
-  v.vms = group_ != nullptr ? n.vms_view : n.host->num_vms();
+  v.vms = n.host->num_vms();
   v.active_creates = n.active_creates;
   return v;
 }
@@ -213,7 +114,7 @@ int64_t Cluster::total_vms() const {
 
 sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
                                               bool wait_boot, obs::OpRef parent) {
-  obs::OpRef op = obs::NewOpOnNode(-1, parent);
+  obs::OpRef op = obs::NewOp(parent);
   obs::FlightRecorder& recorder = obs::FlightRecorder::Get();
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.deploy", op.root);
   // One re-placement is allowed when the chosen node dies under the deploy:
@@ -227,17 +128,15 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
       ++deploy_failures_;
       static metrics::Counter& rejects = metrics::GetCounter("cluster.admission_rejects");
       rejects.Inc();
-      recorder.Record(ControlRing(0), op, "cluster", "deploy.reject", false);
+      recorder.Record(0, op, "cluster", "deploy.reject", false);
       co_return lv::Err(lv::ErrorCode::kUnavailable, "no node admits the VM");
     }
     // Commit the budget before the first suspension point: a concurrent
     // Deploy sees this VM's reservation even though the create is in flight.
     Node& node = nodes_[pick];
-    Placement placement{config.image.memory, config.vcpus, config};
-    placement.op = op;
+    Placement placement{config.image.memory, config.vcpus, config, op};
     const int64_t gen = node.generation;
-    recorder.Record(ControlRing(pick), op, "cluster", "deploy", true,
-                    placement_round);
+    recorder.Record(pick, op, "cluster", "deploy", true, placement_round);
     node.memory_committed += placement.memory;
     node.vcpus_committed += placement.vcpus;
     ++node.active_creates;
@@ -252,22 +151,18 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
         retries.Inc();
         co_await engine_->Sleep(backoff);
         backoff = backoff * 2.0;
-        if (node.generation != gen || NodeDown(pick)) {
+        if (node.generation != gen || node.host->crashed()) {
           break;  // the node died while backing off
         }
       }
-      if (group_ != nullptr) {
-        created = co_await RemoteCreate(pick, config, wait_boot, op);
-      } else {
-        created = co_await node.host->node().SubmitCreate(config, wait_boot, op).Get();
-      }
+      created = co_await node.host->node().SubmitCreate(config, wait_boot, op).Get();
       if (created.ok()) {
         break;
       }
       // Retry only transient toolstack errors on a node that is still up;
       // anything else (bad config, out of memory, dead node) is final.
       if (created.error().code != lv::ErrorCode::kUnavailable ||
-          node.generation != gen || NodeDown(pick)) {
+          node.generation != gen || node.host->crashed()) {
         break;
       }
     }
@@ -276,15 +171,13 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
     if (node_current) {
       --node.active_creates;
     }
-    if (created.ok() && node_current && !NodeDown(pick)) {
+    if (created.ok() && node_current && !node.host->crashed()) {
       VmHandle handle{pick, *created};
       placements_[Key(handle)] = std::move(placement);
       ++vms_deployed_;
-      ++node.vms_view;
       static metrics::Counter& deploys = metrics::GetCounter("cluster.vms_deployed");
       deploys.Inc();
-      recorder.Record(ControlRing(pick), op, "cluster", "deploy.done", true,
-                      *created);
+      recorder.Record(pick, op, "cluster", "deploy.done", true, *created);
       trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.deploy.done", op.root);
       co_return handle;
     }
@@ -295,24 +188,24 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
       node.memory_committed -= placement.memory;
       node.vcpus_committed -= placement.vcpus;
     }
-    const bool node_lost = !node_current || NodeDown(pick);
+    const bool node_lost = !node_current || node.host->crashed();
     if (node_lost && placement_round == 0) {
       ++deploy_replacements_;
       static metrics::Counter& replaced = metrics::GetCounter("cluster.deploy_replacements");
       replaced.Inc();
-      recorder.Record(ControlRing(pick), op, "cluster", "deploy.replace", false);
+      recorder.Record(pick, op, "cluster", "deploy.replace", false);
       continue;
     }
     ++deploy_failures_;
     if (node_lost) {
       // Typed double failure: both the original node and the re-placed one
       // died under this deploy. Leave a post-mortem if a dump path is set.
-      recorder.Record(ControlRing(pick), op, "cluster", "deploy.dead", false);
+      recorder.Record(pick, op, "cluster", "deploy.dead", false);
       recorder.MaybeDump();
       co_return lv::Err(lv::ErrorCode::kUnavailable,
                         "target node died during deploy");
     }
-    recorder.Record(ControlRing(pick), op, "cluster", "deploy.fail", false);
+    recorder.Record(pick, op, "cluster", "deploy.fail", false);
     co_return created.error();
   }
 }
@@ -325,9 +218,9 @@ sim::Co<lv::Status> Cluster::Retire(VmHandle handle, obs::OpRef parent) {
   if (it == placements_.end()) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM handle");
   }
-  obs::OpRef op = obs::NewOpOnNode(-1, parent);
-  obs::FlightRecorder::Get().Record(ControlRing(handle.node), op, "cluster",
-                                    "retire", true, handle.domid);
+  obs::OpRef op = obs::NewOp(parent);
+  obs::FlightRecorder::Get().Record(handle.node, op, "cluster", "retire", true,
+                                    handle.domid);
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.retire", op.root);
   // Claim the placement before the first suspension point, so a concurrent
   // evacuation of a dying node cannot resurrect a VM its owner is retiring.
@@ -335,12 +228,8 @@ sim::Co<lv::Status> Cluster::Retire(VmHandle handle, obs::OpRef parent) {
   placements_.erase(it);
   Node& node = nodes_[handle.node];
   const int64_t gen = node.generation;
-  lv::Status destroyed = lv::Status::Ok();
-  if (group_ != nullptr) {
-    destroyed = co_await RemoteDestroy(handle.node, handle.domid, op);
-  } else {
-    destroyed = co_await node.host->node().SubmitDestroy(handle.domid, op).Get();
-  }
+  lv::Status destroyed =
+      co_await node.host->node().SubmitDestroy(handle.domid, op).Get();
   if (node.generation != gen) {
     // The node died under the destroy: its state (and this VM) is gone and
     // its budgets were written off wholesale. The VM no longer runs, which
@@ -355,9 +244,6 @@ sim::Co<lv::Status> Cluster::Retire(VmHandle handle, obs::OpRef parent) {
   }
   node.memory_committed -= placement.memory;
   node.vcpus_committed -= placement.vcpus;
-  if (node.vms_view > 0) {
-    --node.vms_view;
-  }
   co_return lv::Status::Ok();
 }
 
@@ -379,31 +265,29 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   Node& dst = nodes_[target_node];
   // Admission on the target, committed up front like Deploy. The source
   // keeps its commitment until the migration succeeds (the guest occupies
-  // both nodes while its memory streams).
-  if (!dst.alive || dst.memory_committed + placement.memory > spec_.memory_budget ||
+  // both nodes while its memory streams). A crashed target is refused even
+  // before the health monitor writes it off: its settle pass would reap the
+  // arriving copy after the source copy is already gone.
+  const bool target_down = !view(target_node).alive;
+  if (target_down || dst.memory_committed + placement.memory > spec_.memory_budget ||
       dst.vcpus_committed + placement.vcpus > spec_.vcpu_budget) {
     ++admission_rejects_;
     static metrics::Counter& rejects = metrics::GetCounter("cluster.admission_rejects");
     rejects.Inc();
-    co_return lv::Err(lv::ErrorCode::kUnavailable, "target node over budget");
+    co_return lv::Err(lv::ErrorCode::kUnavailable,
+                      target_down ? "target node is down" : "target node over budget");
   }
-  obs::OpRef op = obs::NewOpOnNode(-1, parent);
-  obs::FlightRecorder::Get().Record(ControlRing(handle.node), op, "cluster",
-                                    "migrate", true, handle.domid);
+  obs::OpRef op = obs::NewOp(parent);
+  obs::FlightRecorder::Get().Record(handle.node, op, "cluster", "migrate", true,
+                                    handle.domid);
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.migrate", op.root);
   const int64_t src_gen = src.generation;
   const int64_t dst_gen = dst.generation;
   dst.memory_committed += placement.memory;
   dst.vcpus_committed += placement.vcpus;
 
-  lv::Result<hv::DomainId> moved =
-      lv::Err(lv::ErrorCode::kUnavailable, "migrate not attempted");
-  if (group_ != nullptr) {
-    moved = co_await RemoteMigrate(handle.node, target_node, handle.domid, op);
-  } else {
-    moved = co_await src.host->node().MigrateVm(
-        handle.domid, &dst.host->node(), link(handle.node, target_node));
-  }
+  lv::Result<hv::DomainId> moved = co_await src.host->node().MigrateVm(
+      handle.domid, &dst.host->node(), link(handle.node, target_node));
 
   if (!moved.ok()) {
     if (dst.generation == dst_gen) {
@@ -416,11 +300,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
     // The source died mid-migration and the health monitor already evacuated
     // this VM to a fresh home; the migrated copy is a duplicate. Retire it
     // and report the migration as failed.
-    if (group_ != nullptr) {
-      (void)co_await RemoteDestroy(target_node, *moved, op);
-    } else {
-      (void)co_await dst.host->node().SubmitDestroy(*moved).Get();
-    }
+    (void)co_await dst.host->node().SubmitDestroy(*moved).Get();
     if (dst.generation == dst_gen) {
       dst.memory_committed -= placement.memory;
       dst.vcpus_committed -= placement.vcpus;
@@ -432,9 +312,6 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   if (src.generation == src_gen) {
     src.memory_committed -= placement.memory;
     src.vcpus_committed -= placement.vcpus;
-    if (src.vms_view > 0) {
-      --src.vms_view;
-    }
   }
   if (dst.generation != dst_gen) {
     // The target died while the guest streamed; its settle pass reaps the
@@ -446,11 +323,10 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   placement.op = op;  // the migrated VM now belongs to the migrate chain
   placements_[Key(out)] = std::move(placement);
   ++migrations_;
-  ++dst.vms_view;
   static metrics::Counter& migrations = metrics::GetCounter("cluster.migrations");
   migrations.Inc();
-  obs::FlightRecorder::Get().Record(ControlRing(target_node), op, "cluster",
-                                    "migrate.done", true, *moved);
+  obs::FlightRecorder::Get().Record(target_node, op, "cluster", "migrate.done",
+                                    true, *moved);
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.migrate.done", op.root);
   co_return out;
 }
@@ -467,47 +343,7 @@ void Cluster::StartHealthMonitor() {
   recovery_.Start();
 }
 
-void Cluster::CrashNode(int node) {
-  if (group_ != nullptr) {
-    // Control-side callers hop to the node's shard; code already running on
-    // the node's engine (e.g. a sharded fault sink) calls NodeSideCrash
-    // directly instead.
-    group_->Post(ctrl_domain_, node, group_->lookahead(),
-                 [this, node] { NodeSideCrash(node); });
-    return;
-  }
-  nodes_[node].host->Crash();
-}
-
-void Cluster::NodeSideCrash(int node) {
-  lightvm::Host* host = nodes_[node].host.get();
-  if (group_ == nullptr) {
-    host->Crash();
-    return;
-  }
-  if (host->crashed()) {
-    return;  // double crash while already down: nothing new to report
-  }
-  host->Crash();
-  group_->Post(node, ctrl_domain_, group_->lookahead(),
-               [this, node] { nodes_[node].crashed_view = true; });
-  group_->domain_engine(node).Spawn(WatchSettle(node));
-}
-
-sim::Co<void> Cluster::WatchSettle(int node) {
-  // Runs on the node's engine: waits out the settle pass, then tells the
-  // control plane. Polling at the health period keeps the watcher cheap
-  // without adding meaningful detection latency on top of the sweep.
-  lightvm::Host* host = nodes_[node].host.get();
-  sim::Engine* engine = &group_->domain_engine(node);
-  while (host->crashed() && !host->crash_settled()) {
-    co_await engine->Sleep(spec_.health_period);
-  }
-  if (host->crashed() && host->crash_settled()) {
-    group_->Post(node, ctrl_domain_, group_->lookahead(),
-                 [this, node] { nodes_[node].settled_view = true; });
-  }
-}
+void Cluster::CrashNode(int node) { nodes_[node].host->Crash(); }
 
 void Cluster::RequestReboot(int node) {
   reboot_waiters_.push_back(RebootWhenSettled(node));
@@ -519,17 +355,12 @@ sim::Co<void> Cluster::RebootWhenSettled(int node) {
   // Reboot only after the crash settled AND (when a monitor runs) after the
   // monitor wrote the node off. A reboot sneaking in between two sweeps
   // would make the crash invisible — the node looks healthy again while the
-  // VMs its settle pass destroyed are still on the books. Sharded runs read
-  // the control-side mirrors; the host itself belongs to the node's thread.
-  auto settled = [&] {
-    return group_ != nullptr ? nodes_[node].settled_view
-                             : host->crash_settled();
-  };
+  // VMs its settle pass destroyed are still on the books.
   auto ready = [&] {
-    if (!NodeDown(node)) {
+    if (!host->crashed()) {
       return true;  // spurious request, nothing to reboot
     }
-    if (!settled()) {
+    if (!host->crash_settled()) {
       return false;
     }
     return !monitor_.valid() || !nodes_[node].alive;
@@ -537,23 +368,7 @@ sim::Co<void> Cluster::RebootWhenSettled(int node) {
   while (!monitor_stop_ && !ready()) {
     co_await engine_->Sleep(lv::Duration::Millis(1));
   }
-  if (monitor_stop_ || !NodeDown(node)) {
-    co_return;
-  }
-  if (group_ != nullptr) {
-    // Hop to the node, reboot there, then clear the control-side mirrors on
-    // the way back so readmission observes the node as healthy.
-    group_->Post(ctrl_domain_, node, group_->lookahead(), [this, node] {
-      lightvm::Host* h = nodes_[node].host.get();
-      if (h->crashed() && h->crash_settled()) {
-        h->Reboot();
-        LV_DEBUG(kMod, "node %d rebooted", node);
-      }
-      group_->Post(node, ctrl_domain_, group_->lookahead(), [this, node] {
-        nodes_[node].crashed_view = false;
-        nodes_[node].settled_view = false;
-      });
-    });
+  if (monitor_stop_ || !host->crashed()) {
     co_return;
   }
   host->Reboot();
@@ -568,7 +383,6 @@ std::vector<std::pair<hv::DomainId, Cluster::Placement>> Cluster::WriteOffNode(
   n.memory_committed = lv::Bytes();
   n.vcpus_committed = 0;
   n.active_creates = 0;
-  n.vms_view = 0;  // the settle pass destroys every VM on the node
   std::vector<std::pair<hv::DomainId, Placement>> lost;
   for (auto it = placements_.begin(); it != placements_.end();) {
     if (static_cast<int>(it->first >> 32) == node) {
@@ -595,8 +409,7 @@ void Cluster::CheckInvariants() {
       static metrics::Counter& violations =
           metrics::GetCounter("cluster.invariant_failures");
       violations.Inc();
-      obs::FlightRecorder::Get().Record(ControlRing(i), {}, "cluster",
-                                        "invariant.budget", false);
+      obs::FlightRecorder::Get().Record(i, {}, "cluster", "invariant.budget", false);
       obs::FlightRecorder::Get().MaybeDump();
       LV_ERROR(kMod, "node %d admission out of bounds: mem=%lld vcpus=%lld", i,
                (long long)node.memory_committed.count(),
@@ -604,12 +417,9 @@ void Cluster::CheckInvariants() {
     }
     // Leak invariants are only meaningful when the node is not mid-operation
     // (destroys pass domains through transient states) and, after a crash,
-    // once the settle pass finished tearing its state down. Sharded runs
-    // skip this half mid-run — the host tables belong to the node threads —
-    // and audit leaks from the test/bench after the group quiesces.
+    // once the settle pass finished tearing its state down.
     lightvm::Host& host = *node.host;
-    if (group_ == nullptr && host.node().jobs_active() == 0 &&
-        (!host.crashed() || host.crash_settled())) {
+    if (host.node().jobs_active() == 0 && (!host.crashed() || host.crash_settled())) {
       lv::Status ok = lightvm::VerifyNoLeakedResources(host);
       if (!ok.ok()) {
         ++invariant_failures_;
@@ -630,7 +440,7 @@ sim::Co<void> Cluster::HealthLoop() {
   while (!monitor_stop_) {
     for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
       Node& node = nodes_[i];
-      if (node.alive && NodeDown(i)) {
+      if (node.alive && node.host->crashed()) {
         ++node_failures_;
         static metrics::Counter& failures = metrics::GetCounter("cluster.node_failures");
         failures.Inc();
@@ -639,8 +449,7 @@ sim::Co<void> Cluster::HealthLoop() {
         static metrics::Counter& lost_vms = metrics::GetCounter("cluster.vms_lost");
         lost_vms.Inc(static_cast<double>(lost.size()));
         lv::TimePoint detected = engine_->now();
-        obs::FlightRecorder::Get().Record(ControlRing(i), {}, "cluster",
-                                          "node.dead", false,
+        obs::FlightRecorder::Get().Record(i, {}, "cluster", "node.dead", false,
                                           static_cast<int64_t>(lost.size()));
         LV_INFO(kMod, "node %d dead, evacuating %lld VMs", i,
                 (long long)lost.size());
@@ -648,11 +457,10 @@ sim::Co<void> Cluster::HealthLoop() {
           evac_queue_.push_back(
               Evacuee{domid, i, detected, std::move(placement.config), placement.op});
         }
-      } else if (!node.alive && !NodeDown(i)) {
+      } else if (!node.alive && !node.host->crashed()) {
         // The node rebooted (empty); hand it back to the placement policy.
         node.alive = true;
-        obs::FlightRecorder::Get().Record(ControlRing(i), {}, "cluster",
-                                          "node.readmit", true);
+        obs::FlightRecorder::Get().Record(i, {}, "cluster", "node.readmit", true);
         LV_INFO(kMod, "node %d back in service", i);
       }
     }
@@ -674,8 +482,8 @@ sim::Co<void> Cluster::RecoveryLoop() {
     evac_queue_.pop_front();
     // Re-deploy under the original Deploy op: the evacuation joins the
     // flow of the operation that placed the VM in the first place.
-    obs::FlightRecorder::Get().Record(ControlRing(ev.from_node), ev.op,
-                                      "cluster", "evacuate", true, ev.domid);
+    obs::FlightRecorder::Get().Record(ev.from_node, ev.op, "cluster", "evacuate",
+                                      true, ev.domid);
     auto replaced = co_await Deploy(ev.config, /*wait_boot=*/true, ev.op);
     if (replaced.ok()) {
       ++vms_recovered_;
@@ -694,90 +502,6 @@ sim::Co<void> Cluster::RecoveryLoop() {
               (long long)ev.domid, ev.from_node, replaced.error().message.c_str());
     }
   }
-}
-
-// --- Sharded remote operations ----------------------------------------------
-
-sim::Co<lv::Result<hv::DomainId>> Cluster::RemoteCreate(
-    int node, toolstack::VmConfig config, bool wait_boot, obs::OpRef op) {
-  lightvm::Host* host = nodes_[node].host.get();
-  sim::ShardGroup* group = group_;
-  const int ctrl = ctrl_domain_;
-  auto box = std::make_shared<RemoteBox<lv::Result<hv::DomainId>>>(engine_);
-  // The Post statement holds no co_await: the closure is an ordinary
-  // temporary, fully copied into the mailbox before this frame suspends.
-  group->Post(ctrl, node, group->lookahead(),
-              [group, node, ctrl, host, config = std::move(config), wait_boot,
-               op, box] {
-                group->domain_engine(node).Spawn(RunCreate(
-                    group, node, ctrl, host, config, wait_boot, op, box));
-              });
-  co_await box->done.Wait();
-  co_return std::move(*box->value);
-}
-
-sim::Co<lv::Status> Cluster::RemoteDestroy(int node, hv::DomainId domid,
-                                           obs::OpRef op) {
-  lightvm::Host* host = nodes_[node].host.get();
-  sim::ShardGroup* group = group_;
-  const int ctrl = ctrl_domain_;
-  auto box = std::make_shared<RemoteBox<lv::Status>>(engine_);
-  group->Post(ctrl, node, group->lookahead(),
-              [group, node, ctrl, host, domid, op, box] {
-                group->domain_engine(node).Spawn(
-                    RunDestroy(group, node, ctrl, host, domid, op, box));
-              });
-  co_await box->done.Wait();
-  co_return std::move(*box->value);
-}
-
-sim::Co<lv::Result<hv::DomainId>> Cluster::RemoteMigrate(int src_node,
-                                                         int dst_node,
-                                                         hv::DomainId domid,
-                                                         obs::OpRef op) {
-  // Decomposed live migration: save on the source shard, stream the image on
-  // the control plane's clock, restore on the target shard. The cost model
-  // matches the single-engine TcpConnection path: connection setup (one RTT)
-  // plus serialization plus half an RTT of propagation.
-  xnet::Link* l = link(src_node, dst_node);
-  if (l->partitioned()) {
-    co_return lv::Err(lv::ErrorCode::kUnavailable,
-                      "migration fabric partitioned");
-  }
-  lightvm::Host* src_host = nodes_[src_node].host.get();
-  sim::ShardGroup* group = group_;
-  const int ctrl = ctrl_domain_;
-  auto save_box =
-      std::make_shared<RemoteBox<lv::Result<toolstack::Snapshot>>>(engine_);
-  group->Post(ctrl, src_node, group->lookahead(),
-              [group, src_node, ctrl, src_host, domid, save_box] {
-                group->domain_engine(src_node).Spawn(RunSave(
-                    group, src_node, ctrl, src_host, domid, save_box));
-              });
-  co_await save_box->done.Wait();
-  lv::Result<toolstack::Snapshot> saved = std::move(*save_box->value);
-  if (!saved.ok()) {
-    co_return saved.error();
-  }
-  co_await engine_->Sleep(l->rtt() + l->SerializationDelay((*saved).memory) +
-                          l->rtt() * 0.5);
-  if (l->partitioned()) {
-    // The fabric tore while the image streamed; the half-restored target
-    // state is discarded with the stream. The source domain is already gone
-    // (save tears it down), which mirrors a failed `xl migrate`.
-    co_return lv::Err(lv::ErrorCode::kUnavailable,
-                      "migration stream interrupted by partition");
-  }
-  lightvm::Host* dst_host = nodes_[dst_node].host.get();
-  auto restore_box =
-      std::make_shared<RemoteBox<lv::Result<hv::DomainId>>>(engine_);
-  group->Post(ctrl, dst_node, group->lookahead(),
-              [group, dst_node, ctrl, dst_host, snap = *saved, restore_box] {
-                group->domain_engine(dst_node).Spawn(RunRestore(
-                    group, dst_node, ctrl, dst_host, snap, restore_box));
-              });
-  co_await restore_box->done.Wait();
-  co_return std::move(*restore_box->value);
 }
 
 Cluster::Drift Cluster::AdmissionDrift() const {

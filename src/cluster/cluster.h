@@ -23,31 +23,8 @@
 // exponential backoff, and re-place exactly once when the chosen node dies
 // between admission and completion (instead of leaking the reservation).
 //
-// Execution topology (sim::TopologyPolicy): by default all nodes share one
-// sim::Engine, so a whole-cluster run stays a single deterministic event
-// sequence — the legacy path, byte-identical to every committed baseline.
-// Constructed over a sim::ShardGroup instead, the cluster becomes sharded:
-// node i lives on time domain i (its Host, toolstack, daemons all run on
-// that domain's engine) and the whole control plane — placement, admission
-// budgets, health monitor, recovery — lives on a dedicated control domain
-// (index num_nodes). Control and nodes interact only through timestamped
-// mailbox messages costing one lookahead hop each way (the control-fabric
-// latency), so shards can execute in parallel on real threads while
-// same-seed runs stay identical across shard counts:
-//
-//  * create/destroy  — request posted to the node, job result posted back
-//                      (RemoteCreate/RemoteDestroy), the control coroutine
-//                      parks on a OneShotEvent meanwhile,
-//  * migration       — decomposed into save (source shard), stream
-//                      (control-side link model) and restore (target shard),
-//  * crash/reboot    — the fault fires on the node's shard; crash and
-//                      settle notifications update control-side mirror
-//                      state (crashed_view/settled_view), which is what
-//                      view(), the health monitor and the reboot waiters
-//                      consult instead of touching the remote Host,
-//  * flight records  — control-plane events land on a dedicated control
-//                      ring (index num_nodes) so every ring keeps a single
-//                      writer.
+// All nodes share one sim::Engine, so a whole-cluster run is a single
+// deterministic event sequence.
 #pragma once
 
 #include <deque>
@@ -58,7 +35,6 @@
 #include "src/cluster/placement.h"
 #include "src/core/host.h"
 #include "src/obs/obs.h"
-#include "src/sim/shard.h"
 #include "src/sim/sync.h"
 
 namespace cluster {
@@ -100,23 +76,9 @@ class Cluster {
  public:
   Cluster(sim::Engine* engine, ClusterSpec spec,
           std::unique_ptr<PlacementPolicy> policy);
-  // Sharded topology: node i runs on group->domain_engine(i), the control
-  // plane on domain num_nodes (the group needs at least num_nodes + 1
-  // domains). Drive the cluster with group->RunUntil(...); every public
-  // coroutine must be spawned on the control engine, and host state may
-  // only be read directly (total_vms, VerifyNoLeakedResources) when no run
-  // is in progress.
-  Cluster(sim::ShardGroup* group, ClusterSpec spec,
-          std::unique_ptr<PlacementPolicy> policy);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-
-  bool sharded() const { return group_ != nullptr; }
-  // The engine the control plane runs on (the shared engine when single).
-  sim::Engine& control_engine() { return *engine_; }
-  // The control domain index (valid only when sharded).
-  int control_domain() const { return ctrl_domain_; }
 
   int num_nodes() const { return spec_.num_nodes; }
   const ClusterSpec& spec() const { return spec_; }
@@ -147,7 +109,8 @@ class Cluster {
   sim::Co<lv::Status> Retire(VmHandle handle, obs::OpRef parent = {});
 
   // Migrates the VM to `target_node` (admission-checked there) and returns
-  // its new handle.
+  // its new handle. A target that is down — crashed, even before the health
+  // monitor writes it off — is refused up front, like Deploy never picks it.
   sim::Co<lv::Result<VmHandle>> Migrate(VmHandle handle, int target_node,
                                         obs::OpRef parent = {});
 
@@ -161,16 +124,9 @@ class Cluster {
   void StartHealthMonitor();
 
   // Crashes / settles-then-reboots one node (fault-injection entry points;
-  // detection and recovery stay with the health monitor). In sharded mode
-  // CrashNode posts the crash to the node's shard; call NodeSideCrash
-  // directly from a sink already running on the node's engine (the sharded
-  // fault-injector wiring does).
+  // detection and recovery stay with the health monitor).
   void CrashNode(int node);
   void RequestReboot(int node);
-  // Runs on the node's own engine: crashes the host, notifies control of
-  // the crash, and spawns the settle watcher that notifies control once the
-  // post-crash teardown finished. No-op when already crashed.
-  void NodeSideCrash(int node);
   bool node_alive(int node) const { return nodes_[node].alive; }
 
   int64_t vms_deployed() const { return vms_deployed_; }
@@ -210,13 +166,6 @@ class Cluster {
     // Bumped when the health monitor declares the node dead; guards every
     // budget rollback that crosses a suspension point.
     int64_t generation = 0;
-    // Control-side mirror of cross-shard host state (sharded mode only):
-    // written exclusively by notifications posted from the node's shard
-    // (plus the control-side bookkeeping for vms_view), read by view(),
-    // the health monitor and the reboot waiters.
-    bool crashed_view = false;
-    bool settled_view = false;
-    int64_t vms_view = 0;
   };
   // Budget held by one placed VM, so Retire/Migrate release exactly what
   // Deploy committed even if the config changes meaning later. The config is
@@ -242,33 +191,7 @@ class Cluster {
   std::vector<std::pair<hv::DomainId, Placement>> WriteOffNode(int node);
   void CheckInvariants();
 
-  // Whether `node` is (known to be) down, from the control plane's vantage
-  // point: the host itself when single-engine, the crash mirror when
-  // sharded (a remote crash becomes visible one lookahead hop later).
-  bool NodeDown(int node) const {
-    return group_ != nullptr ? nodes_[node].crashed_view
-                             : nodes_[node].host->crashed();
-  }
-  // Flight-recorder ring for control-plane records: the dedicated control
-  // ring when sharded (single writer per ring), the node's ring otherwise.
-  int ControlRing(int node) const {
-    return group_ != nullptr ? spec_.num_nodes : node;
-  }
-
-  // --- Sharded remote operations (control-side coroutines) ----------------
-  sim::Co<lv::Result<hv::DomainId>> RemoteCreate(int node,
-                                                 toolstack::VmConfig config,
-                                                 bool wait_boot, obs::OpRef op);
-  sim::Co<lv::Status> RemoteDestroy(int node, hv::DomainId domid, obs::OpRef op);
-  sim::Co<lv::Result<hv::DomainId>> RemoteMigrate(int src_node, int dst_node,
-                                                  hv::DomainId domid,
-                                                  obs::OpRef op);
-  // Node-side settle watcher (runs on the node's engine).
-  sim::Co<void> WatchSettle(int node);
-
   sim::Engine* engine_;
-  sim::ShardGroup* group_ = nullptr;  // null on the single-engine path
-  int ctrl_domain_ = 0;               // == spec_.num_nodes when sharded
   ClusterSpec spec_;
   std::unique_ptr<PlacementPolicy> policy_;
   std::vector<Node> nodes_;

@@ -124,13 +124,13 @@ CreateJob NodeApi::SubmitCreate(toolstack::VmConfig config, bool wait_boot,
                                 obs::OpRef parent) {
   CreateJob result(deps_.engine);
   if (!accepting_) {
-    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOpOnNode(obs_node_, parent), "node", "create",
+    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOp(parent), "node", "create",
                                       false);
     result.Set(lv::Err(lv::ErrorCode::kUnavailable, "node not accepting work"));
     return result;
   }
   int64_t job = StartJob();
-  deps_.engine->Spawn(RunCreateJob(job, obs::NewOpOnNode(obs_node_, parent), std::move(config), wait_boot,
+  deps_.engine->Spawn(RunCreateJob(job, obs::NewOp(parent), std::move(config), wait_boot,
                                    result));
   return result;
 }
@@ -138,13 +138,13 @@ CreateJob NodeApi::SubmitCreate(toolstack::VmConfig config, bool wait_boot,
 StatusJob NodeApi::SubmitDestroy(hv::DomainId domid, obs::OpRef parent) {
   StatusJob result(deps_.engine);
   if (!accepting_) {
-    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOpOnNode(obs_node_, parent), "node", "destroy",
+    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOp(parent), "node", "destroy",
                                       false, domid);
     result.Set(lv::Err(lv::ErrorCode::kUnavailable, "node not accepting work"));
     return result;
   }
   int64_t job = StartJob();
-  deps_.engine->Spawn(RunDestroyJob(job, obs::NewOpOnNode(obs_node_, parent), domid, result));
+  deps_.engine->Spawn(RunDestroyJob(job, obs::NewOp(parent), domid, result));
   return result;
 }
 
@@ -152,13 +152,13 @@ StatusJob NodeApi::SubmitMigrate(hv::DomainId domid, NodeApi* target, xnet::Link
                                  obs::OpRef parent) {
   StatusJob result(deps_.engine);
   if (!accepting_) {
-    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOpOnNode(obs_node_, parent), "node", "migrate",
+    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOp(parent), "node", "migrate",
                                       false, domid);
     result.Set(lv::Err(lv::ErrorCode::kUnavailable, "node not accepting work"));
     return result;
   }
   int64_t job = StartJob();
-  deps_.engine->Spawn(RunMigrateJob(job, obs::NewOpOnNode(obs_node_, parent), domid, target, link, result));
+  deps_.engine->Spawn(RunMigrateJob(job, obs::NewOp(parent), domid, target, link, result));
   return result;
 }
 

@@ -33,18 +33,16 @@ const char* FlightVerb(FaultKind kind) {
 void FaultInjector::Arm() {
   LV_CHECK_MSG(!armed_, "FaultInjector armed twice");
   armed_ = true;
-  // One log slot per event, claimed at arm time: the log reads identically
-  // however the events are spread across shard engines.
+  // One log slot per event, claimed at arm time, so the log reads in plan
+  // order whatever order the events fire in.
   log_.assign(plan_.events.size(), std::string());
   for (size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& ev = plan_.events[i];
-    sim::Engine* engine = engine_resolver_ ? engine_resolver_(ev) : engine_;
-    engine->Schedule(ev.at, [this, engine, ev, i] { Inject(engine, ev, i); });
+    engine_->Schedule(ev.at, [this, ev, i] { Inject(ev, i); });
   }
 }
 
-void FaultInjector::Inject(sim::Engine* engine, const FaultEvent& ev,
-                           size_t slot) {
+void FaultInjector::Inject(const FaultEvent& ev, size_t slot) {
   bool handled = true;
   switch (ev.kind) {
     case FaultKind::kNodeCrash:
@@ -93,17 +91,16 @@ void FaultInjector::Inject(sim::Engine* engine, const FaultEvent& ev,
   // Log with the actual injection time (arm time + offset), so concatenated
   // logs from one engine run are globally ordered.
   FaultEvent stamped = ev;
-  stamped.at = lv::Duration::Nanos(engine->now().ns());
+  stamped.at = lv::Duration::Nanos(engine_->now().ns());
   std::string line = stamped.ToString();
   if (!handled) {
     line += " unhandled";
   }
   log_[slot] = std::move(line);
-  injected_.fetch_add(1, std::memory_order_relaxed);
+  ++injected_;
   // Injections have no causal parent (they come from outside the system);
   // the flight ring still anchors "what hit this node, when".
-  const int ring = ring_resolver_ ? ring_resolver_(ev) : ev.node;
-  obs::FlightRecorder::Get().Record(ring, {}, "faults", FlightVerb(ev.kind),
+  obs::FlightRecorder::Get().Record(ev.node, {}, "faults", FlightVerb(ev.kind),
                                     handled, ev.node);
   LV_DEBUG("faults", "%s", line.c_str());
   if (targets_.after_inject) {

@@ -7,7 +7,6 @@
 // lv_sim, and lets tests drive the injector against mocks.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <utility>
@@ -38,43 +37,25 @@ class FaultInjector {
   FaultInjector(sim::Engine* engine, FaultPlan plan, FaultTargets targets)
       : engine_(engine), plan_(std::move(plan)), targets_(std::move(targets)) {}
 
-  // Sharded runs (sim/shard.h): routes each event onto the engine owning its
-  // target domain, so the sink runs on the shard thread that owns the node's
-  // state. Set before Arm(); unset means every event lands on the ctor
-  // engine (the legacy single-engine path, byte-identical to before).
-  void set_engine_resolver(std::function<sim::Engine*(const FaultEvent&)> r) {
-    engine_resolver_ = std::move(r);
-  }
-  // Companion override for the flight-recorder ring an event is recorded
-  // on. Events whose sink runs on the control shard (reboots, partitions)
-  // must record to the control ring to keep each ring single-writer.
-  void set_ring_resolver(std::function<int(const FaultEvent&)> r) {
-    ring_resolver_ = std::move(r);
-  }
-
   // Schedules every plan event relative to the current simulated time.
   // Call at most once.
   void Arm();
 
   // Deterministic log: one "t=<ns> kind=<k> ..." line per injected event, in
-  // plan order. Byte-identical across runs with the same (seed, plan) — and
-  // across shard counts, because each slot is written by exactly one event
-  // regardless of which thread injects it. Slots of events that have not
-  // fired yet (run ended early) are empty strings.
+  // plan order. Byte-identical across runs with the same (seed, plan). Slots
+  // of events that have not fired yet (run ended early) are empty strings.
   const std::vector<std::string>& log() const { return log_; }
-  int64_t injected() const { return injected_.load(std::memory_order_relaxed); }
+  int64_t injected() const { return injected_; }
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  void Inject(sim::Engine* engine, const FaultEvent& ev, size_t slot);
+  void Inject(const FaultEvent& ev, size_t slot);
 
   sim::Engine* engine_;
   FaultPlan plan_;
   FaultTargets targets_;
-  std::function<sim::Engine*(const FaultEvent&)> engine_resolver_;
-  std::function<int(const FaultEvent&)> ring_resolver_;
   std::vector<std::string> log_;  // one pre-sized slot per plan event
-  std::atomic<int64_t> injected_{0};
+  int64_t injected_ = 0;
   bool armed_ = false;
 };
 

@@ -55,7 +55,6 @@ double Histogram::BucketHi(int index) {
 }
 
 void Histogram::Record(double x) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (counts_.empty()) {
     counts_.assign(kTotalBuckets, 0);
   }
@@ -72,7 +71,6 @@ void Histogram::Record(double x) {
 
 double Histogram::Quantile(double q) const {
   LV_CHECK(q >= 0.0 && q <= 1.0);
-  std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) {
     return 0.0;
   }
@@ -101,7 +99,6 @@ double Histogram::Quantile(double q) const {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  std::scoped_lock lock(mu_, other.mu_);
   if (other.count_ == 0) {
     return;
   }
@@ -123,7 +120,6 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   count_ = 0;
   sum_ = 0.0;
   min_ = 0.0;
@@ -132,7 +128,6 @@ void Histogram::Reset() {
 }
 
 std::vector<Histogram::Bucket> Histogram::NonEmptyBuckets() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<Bucket> out;
   if (count_ == 0) {
     return out;
@@ -152,42 +147,35 @@ Registry& Registry::Get() {
 }
 
 Counter& Registry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return counters_[name];
 }
 
 Gauge& Registry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   return gauges_[name];
 }
 
 Histogram& Registry::GetHistogram(const std::string& name, const std::string& unit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // try_emplace constructs in place — Histogram is non-movable (it owns a
-  // mutex) and handles must never be invalidated anyway.
+  // try_emplace constructs in place — Histogram is non-copyable and
+  // handles must never be invalidated anyway.
   return histograms_.try_emplace(name, unit).first->second;
 }
 
 const Counter* Registry::FindCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Gauge* Registry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const Histogram* Registry::FindHistogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 Snapshot Registry::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
@@ -217,7 +205,6 @@ Snapshot Registry::TakeSnapshot() const {
 }
 
 void Registry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {
     c.Reset();
   }

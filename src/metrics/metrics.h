@@ -26,23 +26,14 @@
 // `toolstack.chaos.create_ms`). Histograms carry a unit suffix in the name
 // (`_ms`, `_gbps`) and optionally a unit string for exporters.
 //
-// Threading: the registry is the one piece of state that sharded runs
-// (sim/shard.h) share across threads, so it is thread-safe where sharing
-// actually happens: counter/gauge updates are atomic (relaxed — integral
-// increments commute exactly, so totals are deterministic regardless of
-// interleaving), histograms serialize records behind an internal mutex
-// (bucket counts and count/min/max are exact and order-independent; only
-// `sum` accumulates in interleaving order, so differential oracles compare
-// the former, not the latter), and registry lookups lock the maps. Simple
-// read accessors stay unlocked — reports read them only when the shards
-// are quiescent.
+// Threading: the simulation is single-threaded, and so is the registry —
+// no atomics, no locks. Every value, histogram `sum` included, accumulates
+// in event order, so same-seed runs produce identical snapshots.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,36 +41,27 @@
 
 namespace metrics {
 
-namespace internal {
-// fetch_add for doubles without relying on C++20 atomic<double> arithmetic.
-inline void AtomicAdd(std::atomic<double>& v, double delta) {
-  double cur = v.load(std::memory_order_relaxed);
-  while (!v.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
-  }
-}
-}  // namespace internal
-
 // Monotonically increasing count of events (ops, bytes, pages, ...).
 class Counter {
  public:
-  void Inc(double delta = 1.0) { internal::AtomicAdd(value_, delta); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Inc(double delta = 1.0) { value_ += delta; }
+  double value() const { return value_; }
+  void Reset() { value_ = 0.0; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // A value that can go up and down (pool sizes, pages in use, ...).
 class Gauge {
  public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) { internal::AtomicAdd(value_, delta); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
+  void Set(double v) { value_ = v; }
+  void Add(double delta) { value_ += delta; }
+  double value() const { return value_; }
+  void Reset() { value_ = 0.0; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // HDR-style log-bucketed histogram: fixed memory, bounded relative error.
@@ -150,9 +132,6 @@ class Histogram {
   static double BucketLo(int index);
   static double BucketHi(int index);
 
-  // Serializes Record/Merge/Reset and the bucket-walking queries; the
-  // scalar accessors above are quiescent-read-only by contract.
-  mutable std::mutex mu_;
   std::string unit_;
   int64_t count_ = 0;
   double sum_ = 0.0;
@@ -213,9 +192,7 @@ class Registry {
 
  private:
   Registry() = default;
-  // Guards the maps (insertion); the values themselves are individually
-  // thread-safe, and handles remain valid because map nodes never move.
-  mutable std::mutex mu_;
+  // Handles remain valid because map nodes never move.
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

@@ -1,9 +1,7 @@
 #include "src/obs/obs.h"
 
-#include <algorithm>
 #include <fstream>
 
-#include "src/base/assert.h"
 #include "src/base/strings.h"
 
 namespace obs {
@@ -13,19 +11,6 @@ namespace {
 // Process-wide monotonic op-id source. Plain counter (no randomness, no
 // wall clock) so same-seed runs mint identical ids.
 int64_t g_next_op = 0;
-
-OpIdPolicy g_op_policy = OpIdPolicy::kGlobal;
-// slot 0 = control pseudo-node (-1), slot n+1 = node n. Each slot is only
-// ever bumped by the shard thread that owns the node, so plain int64 is
-// race-free under the sharded single-writer contract.
-std::vector<int64_t> g_node_next_op;
-
-// Per-node id space: (slot+1) * 2^40 + per-slot counter. The stride keeps
-// node streams disjoint and far from kGlobal's small ids.
-constexpr int64_t kPerNodeStride = int64_t{1} << 40;
-
-thread_local FlightRecorder::NowFn t_now_fn = nullptr;
-thread_local void* t_now_ctx = nullptr;
 
 }  // namespace
 
@@ -37,53 +22,9 @@ OpRef NewOp(OpRef parent) {
   return op;
 }
 
-void SetOpIdPolicy(OpIdPolicy policy, int max_nodes) {
-  g_op_policy = policy;
-  g_node_next_op.assign(static_cast<size_t>(max_nodes) + 1, 0);
-}
-
-OpIdPolicy GetOpIdPolicy() { return g_op_policy; }
-
-OpRef NewOpOnNode(int node, OpRef parent) {
-  if (g_op_policy == OpIdPolicy::kGlobal) {
-    return NewOp(parent);
-  }
-  const size_t slot = static_cast<size_t>(node + 1);
-  LV_CHECK_MSG(node >= -1 && slot < g_node_next_op.size(),
-               "node outside the range given to SetOpIdPolicy");
-  OpRef op;
-  op.id = static_cast<int64_t>(slot + 1) * kPerNodeStride + ++g_node_next_op[slot];
-  op.root = parent.valid() ? parent.root : op.id;
-  op.parent = parent.id;
-  return op;
-}
-
 FlightRecorder& FlightRecorder::Get() {
   static FlightRecorder& recorder = *new FlightRecorder();
   return recorder;
-}
-
-void FlightRecorder::AttachThreadClock(NowFn fn, void* ctx) {
-  t_now_fn = fn;
-  t_now_ctx = ctx;
-}
-
-void FlightRecorder::DetachThreadClock() {
-  t_now_fn = nullptr;
-  t_now_ctx = nullptr;
-}
-
-lv::TimePoint FlightRecorder::Now() const {
-  if (t_now_fn != nullptr) {
-    return t_now_fn(t_now_ctx);
-  }
-  return now_fn_ ? now_fn_(now_ctx_) : lv::TimePoint();
-}
-
-void FlightRecorder::EnsureNodes(int nodes) {
-  if (nodes > 0 && rings_.size() < static_cast<size_t>(nodes)) {
-    rings_.resize(static_cast<size_t>(nodes));
-  }
 }
 
 void FlightRecorder::Record(int node, const OpRef& op, const char* layer,
@@ -188,7 +129,6 @@ void FlightRecorder::MaybeDump() const {
 void FlightRecorder::Reset() {
   rings_.clear();
   g_next_op = 0;
-  std::fill(g_node_next_op.begin(), g_node_next_op.end(), 0);
 }
 
 }  // namespace obs

@@ -58,25 +58,6 @@ struct OpRef {
 // whole causal chain shares one flow id.
 OpRef NewOp(OpRef parent = {});
 
-// Where op ids come from. kGlobal (default) is the single monotonic counter
-// above — deterministic only when minting order is deterministic, i.e. on a
-// single engine. kPerNode partitions the id space by the minting node so a
-// sharded run (sim/shard.h), where nodes mint concurrently on different
-// threads, still produces ids that are unique and identical across shard
-// counts (each node's sequence depends only on that node's history).
-enum class OpIdPolicy { kGlobal, kPerNode };
-
-// Selects the policy and, for kPerNode, pre-sizes the per-node counters
-// (node indices 0..max_nodes-1 plus the control pseudo-node -1) so minting
-// never reallocates shared state on a shard thread.
-void SetOpIdPolicy(OpIdPolicy policy, int max_nodes = 0);
-OpIdPolicy GetOpIdPolicy();
-
-// Mints an op attributed to `node` (-1 = cluster control plane). Identical
-// to NewOp under kGlobal; call sites that know their node use this form so
-// the sharded path needs no further changes.
-OpRef NewOpOnNode(int node, OpRef parent = {});
-
 // One flight-recorder entry. `layer`/`verb` are string literals (no
 // allocation on the record path).
 struct FlightEvent {
@@ -109,17 +90,6 @@ class FlightRecorder {
     now_ctx_ = nullptr;
   }
 
-  // Per-thread clock override for sharded runs — same contract as
-  // lv::Logger::AttachThreadClock.
-  static void AttachThreadClock(NowFn fn, void* ctx);
-  static void DetachThreadClock();
-
-  // Pre-sizes the per-node rings (indices 0..nodes-1). Sharded runs call
-  // this up front so concurrent Records never resize the ring vector; each
-  // individual ring stays single-writer (its owning shard, or the control
-  // shard for the dedicated control ring).
-  void EnsureNodes(int nodes);
-
   // Always on; never charges simulated work.
   void Record(int node, const OpRef& op, const char* layer, const char* verb,
               bool ok, int64_t arg = 0);
@@ -147,7 +117,7 @@ class FlightRecorder {
 
  private:
   FlightRecorder() = default;
-  lv::TimePoint Now() const;
+  lv::TimePoint Now() const { return now_fn_ ? now_fn_(now_ctx_) : lv::TimePoint(); }
 
   struct Ring {
     std::vector<FlightEvent> slots;  // grows to kRingCapacity, then wraps

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <ostream>
-#include <thread>
 #include <tuple>
 
 #include "src/base/stats.h"
@@ -17,7 +16,6 @@
 #include "src/obs/obs.h"
 #include "src/obs/slo.h"
 #include "src/sim/run.h"
-#include "src/sim/shard.h"
 #include "src/toolstack/config.h"
 #include "src/trace/export.h"
 #include "src/trace/trace.h"
@@ -606,289 +604,10 @@ class Runner {
   lv::Status RunFleetDeploy() {
     const WorkloadConfig& w = spec_.workload;
     for (const std::string& policy : w.policies) {
-      lv::Status status = spec_.topology.shards > 0
-                              ? RunShardedFleetPolicy(policy)
-                              : RunFleetPolicy(policy);
+      lv::Status status = RunFleetPolicy(policy);
       if (!status.ok()) {
         return status;
       }
-    }
-    return lv::Status::Ok();
-  }
-
-  // Sharded fleet deploy: the same workload on a ShardGroup — one time
-  // domain per node plus a control domain, spread over topology.shards OS
-  // threads. Runs the seed single-sharded first (silently) and fails the
-  // scenario if the parallel pass places a single VM differently: the
-  // determinism proof rides along with every CI run of the spec.
-  lv::Status RunShardedFleetPolicy(const std::string& policy_name) {
-    obs::SetOpIdPolicy(obs::OpIdPolicy::kPerNode, spec_.topology.nodes);
-    ShardedPass ref, par;
-    lv::Status status =
-        RunShardedFleetPass(policy_name, /*shards=*/1, /*emit=*/false, &ref);
-    if (status.ok()) {
-      status = RunShardedFleetPass(policy_name, spec_.topology.shards,
-                                   /*emit=*/true, &par);
-    }
-    obs::SetOpIdPolicy(obs::OpIdPolicy::kGlobal);
-    if (!status.ok()) {
-      return status;
-    }
-    if (par.hash != ref.hash) {
-      return Err(ErrorCode::kInternal,
-                 lv::StrFormat("%s: sharded placement hash %016llx != "
-                               "single-shard reference %016llx",
-                               policy_name.c_str(), (unsigned long long)par.hash,
-                               (unsigned long long)ref.hash));
-    }
-    out_ << "reference: single-shard placement hash match ok\n";
-    Point("parallel_summary",
-          {{"shards", static_cast<double>(spec_.topology.shards)},
-           {"speedup_x", par.wall_s > 0 ? ref.wall_s / par.wall_s : 0.0},
-           {"cores", static_cast<double>(std::thread::hardware_concurrency())}});
-    return lv::Status::Ok();
-  }
-
-  struct ShardedPass {
-    uint64_t hash = 0;
-    double wall_s = 0.0;
-  };
-
-  lv::Status RunShardedFleetPass(const std::string& policy_name, int shards,
-                                 bool emit, ShardedPass* res) {
-    NewEngineEpoch();
-    // Both passes start from zeroed global state so the silent reference run
-    // leaves no trace in the metrics snapshot or the flight rings.
-    metrics::Registry::Get().ResetAll();
-    obs::FlightRecorder::Get().Reset();
-    const WorkloadConfig& w = spec_.workload;
-    sim::ShardGroup group(spec_.seed, spec_.topology.nodes + 1, shards,
-                          lv::Duration::Micros(50));
-    cluster::ClusterSpec cspec;
-    cspec.num_nodes = spec_.topology.nodes;
-    cspec.node = host_spec_;
-    cspec.mechanisms = mechanisms_;
-    cspec.link_gbps = spec_.topology.link_gbps;
-    cspec.link_rtt = lv::Duration::MicrosF(spec_.topology.link_rtt_us);
-    auto policy = cluster::MakePolicy(policy_name);
-    LV_CHECK(policy != nullptr);  // validated at parse time
-    cluster::Cluster cl(&group, cspec, std::move(policy));
-    for (int n = 0; n < cspec.num_nodes; ++n) {
-      if (spec_.shell_pool.has_value()) {
-        const ShellPoolConfig& pool = *spec_.shell_pool;
-        auto pool_image = toolstack::ImageByName(pool.image);
-        LV_CHECK(pool_image.ok());
-        cl.host(n).AddShellFlavor(pool_image->memory,
-                                  pool.wants_net.value_or(pool_image->wants_net),
-                                  pool.target);
-        // No PrefillShellPool(): it free-runs the node engine standalone,
-        // which advances different clocks under different shard counts. The
-        // chaos daemon stocks the pool inside the group run instead.
-      }
-    }
-    auto image = toolstack::ImageByName(w.image);
-    LV_CHECK(image.ok());
-
-    std::optional<faults::FaultInjector> injector;
-    if (spec_.faults.has_value()) {
-      cl.StartHealthMonitor();
-      faults::FaultTargets targets;
-      // Node-state sinks run on the node's own engine (resolver below);
-      // crash goes through the node-side entry point that also maintains
-      // the control-domain mirrors.
-      targets.crash_node = [&cl](int node) { cl.NodeSideCrash(node); };
-      targets.reboot_node = [&cl](int node) { cl.RequestReboot(node); };
-      targets.restart_xenstore = [&cl](int node, lv::Duration downtime) {
-        if (cl.host(node).store() != nullptr) {
-          cl.host(node).store()->InjectRestart(downtime);
-        }
-      };
-      targets.stall_hotplug = [&cl](int node, lv::Duration stall, int count) {
-        cl.host(node).fault_hooks().hotplug_stall = stall;
-        cl.host(node).fault_hooks().stall_next_hotplugs += count;
-      };
-      targets.partition_link = [&cl](int node, int peer, lv::Duration length) {
-        cl.link(node, peer)->Partition(length);
-      };
-      targets.fail_creates = [&cl](int node, int count) {
-        cl.host(node).fault_hooks().fail_next_creates += count;
-      };
-      injector.emplace(&cl.control_engine(), BuildFaultPlan(spec_),
-                       std::move(targets));
-      injector->set_engine_resolver([&group, &cl](const faults::FaultEvent& ev) {
-        switch (ev.kind) {
-          case faults::FaultKind::kNodeCrash:
-          case faults::FaultKind::kXsRestart:
-          case faults::FaultKind::kHotplugStall:
-          case faults::FaultKind::kCreateFault:
-            return &group.domain_engine(ev.node);
-          case faults::FaultKind::kNodeReboot:
-          case faults::FaultKind::kLinkPartition:
-            return &cl.control_engine();
-        }
-        return &cl.control_engine();
-      });
-      injector->set_ring_resolver([&cl](const faults::FaultEvent& ev) {
-        switch (ev.kind) {
-          case faults::FaultKind::kNodeReboot:
-          case faults::FaultKind::kLinkPartition:
-            return cl.control_domain();  // sink runs on the control shard
-          default:
-            return ev.node;
-        }
-      });
-      injector->Arm();
-    }
-
-    FleetState st;
-    st.engine = &cl.control_engine();
-    st.cl = &cl;
-    st.w = &w;
-    st.image = *image;
-    st.tolerate_failures = spec_.faults.has_value();
-    st.node.assign(static_cast<size_t>(w.vms), -1);
-    st.deploy_ms.assign(static_cast<size_t>(w.vms), 0.0);
-
-    lv::TimePoint start = cl.control_engine().now();
-    for (int i = 0; i < w.concurrency; ++i) {
-      cl.control_engine().Spawn(FleetWorker(&st));
-    }
-    bool finished =
-        group.RunUntil([&] { return st.done >= w.vms || st.failed; },
-                       lv::Duration::Seconds(36000));
-    if (st.failed) {
-      return Err(ErrorCode::kInternal, policy_name + ": " + st.error);
-    }
-    if (!finished) {
-      return Err(ErrorCode::kInternal,
-                 lv::StrFormat("%s: sharded fleet stalled at %d/%d VMs",
-                               policy_name.c_str(), st.done, w.vms));
-    }
-    // At an epoch boundary every engine has processed exactly the events
-    // below the epoch target, so the group-wide clock maximum — unlike any
-    // single engine's clock — is independent of the domain→shard mapping.
-    double makespan_s = (group.max_now() - start).secs();
-    group.RunToQuiescence(lv::Duration::Seconds(30));
-
-    cluster::Cluster::Drift quiesced = cl.AdmissionDrift();
-    metrics::GetGauge("cluster.drift_mem_bytes")
-        .Set(static_cast<double>(quiesced.memory.count()));
-    metrics::GetGauge("cluster.drift_vcpus")
-        .Set(static_cast<double>(quiesced.vcpus));
-
-    std::vector<int64_t> per_node(static_cast<size_t>(cspec.num_nodes), 0);
-    lv::Samples lat;
-    int64_t deployed = 0;
-    uint64_t placement_hash = 1469598103934665603ull;  // FNV offset basis.
-    for (int i = 0; i < w.vms; ++i) {
-      int node = st.node[static_cast<size_t>(i)];
-      if (node >= 0) {
-        ++per_node[static_cast<size_t>(node)];
-        lat.Add(st.deploy_ms[static_cast<size_t>(i)]);
-        ++deployed;
-      }
-      placement_hash ^= static_cast<uint64_t>(node) +
-                        static_cast<uint64_t>(i) * 31ull;
-      placement_hash *= 1099511628211ull;  // FNV prime.
-      if (emit) {
-        Point(policy_name,
-              {{"i", static_cast<double>(i)},
-               {"node", static_cast<double>(node)},
-               {"deploy_ms", st.deploy_ms[static_cast<size_t>(i)]}});
-      }
-    }
-    res->hash = placement_hash;
-    res->wall_s = group.run_wall_s();
-    if (!emit) {
-      return lv::Status::Ok();
-    }
-    result_.vms_created += deployed;
-    int64_t jobs_started = 0;
-    int64_t jobs_failed = 0;
-    for (int n = 0; n < cspec.num_nodes; ++n) {
-      jobs_started += cl.host(n).node().jobs_started();
-      jobs_failed += cl.host(n).node().jobs_failed();
-    }
-    uint64_t events = 0;
-    for (const sim::ShardStats& s : group.shard_stats()) {
-      events += s.processed;
-    }
-
-    out_ << lv::StrFormat("\n## policy: %s (parallel control plane)\n",
-                          policy_name.c_str());
-    out_ << "placement:";
-    for (int n = 0; n < cspec.num_nodes; ++n) {
-      out_ << lv::StrFormat(" node%d=%lld", n,
-                            (long long)per_node[static_cast<size_t>(n)]);
-    }
-    out_ << lv::StrFormat("  hash=%016llx\n", (unsigned long long)placement_hash);
-    out_ << lv::StrFormat("deploy_ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
-                          lat.Quantile(0.5), lat.Quantile(0.9), lat.Quantile(0.99),
-                          lat.max());
-    // Everything printed is invariant under the shard count: simulated time,
-    // placements, epoch/message totals. Wall-clock utilization and speedup
-    // are machine-dependent, so they go only into the JSON artifact (as
-    // columns the perf gate does not compare).
-    out_ << lv::StrFormat(
-        "makespan_s=%.2f  vms=%lld  jobs_started=%lld  jobs_failed=%lld  "
-        "epochs=%llu  messages=%llu  events=%llu\n",
-        makespan_s, (long long)cl.total_vms(), (long long)jobs_started,
-        (long long)jobs_failed, (unsigned long long)group.epochs(),
-        (unsigned long long)group.messages_delivered(),
-        (unsigned long long)events);
-    double wall = group.run_wall_s() > 0 ? group.run_wall_s() : 1e-9;
-    for (size_t s = 0; s < group.shard_stats().size(); ++s) {
-      const sim::ShardStats& stats = group.shard_stats()[s];
-      Point("parallel", {{"shard", static_cast<double>(s)},
-                         {"events", static_cast<double>(stats.processed)},
-                         {"busy_frac", stats.busy_s / wall},
-                         {"stall_frac", stats.stall_s / wall}});
-    }
-    Point("summary", {{"deploy_p50_ms", lat.Quantile(0.5)},
-                      {"deploy_p99_ms", lat.Quantile(0.99)},
-                      {"deploy_max_ms", lat.max()},
-                      {"makespan_s", makespan_s},
-                      {"vms", static_cast<double>(cl.total_vms())},
-                      {"jobs_failed", static_cast<double>(jobs_failed)}});
-    if (injector.has_value()) {
-      PrintFaultLog(*injector);
-      lv::Samples recovery;
-      for (double ms : cl.recovery_ms()) {
-        recovery.Add(ms);
-      }
-      cluster::Cluster::Drift drift = cl.AdmissionDrift();
-      out_ << lv::StrFormat(
-          "node_failures=%lld vms_lost=%lld vms_recovered=%lld "
-          "vms_unrecovered=%lld deploys_failed=%lld\n",
-          (long long)cl.node_failures(), (long long)cl.vms_lost(),
-          (long long)cl.vms_recovered(), (long long)cl.vms_unrecovered(),
-          (long long)st.deploys_failed);
-      out_ << lv::StrFormat(
-          "recovery_ms: p50=%.2f p99=%.2f  deploy_retries=%lld "
-          "replacements=%lld\n",
-          recovery.empty() ? 0.0 : recovery.Quantile(0.5),
-          recovery.empty() ? 0.0 : recovery.Quantile(0.99),
-          (long long)cl.deploy_retries(), (long long)cl.deploy_replacements());
-      out_ << lv::StrFormat(
-          "invariant_failures=%lld drift_mem_bytes=%lld drift_vcpus=%lld\n",
-          (long long)cl.invariant_failures(), (long long)drift.memory.count(),
-          (long long)drift.vcpus);
-      for (int n = 0; n < cspec.num_nodes; ++n) {
-        PrintLeakCheck(cl.host(n), n);
-      }
-      Point("faults",
-            {{"injected", static_cast<double>(injector->injected())},
-             {"node_failures", static_cast<double>(cl.node_failures())},
-             {"vms_lost", static_cast<double>(cl.vms_lost())},
-             {"vms_recovered", static_cast<double>(cl.vms_recovered())},
-             {"vms_unrecovered", static_cast<double>(cl.vms_unrecovered())},
-             {"recovery_p50_ms", recovery.empty() ? 0.0 : recovery.Quantile(0.5)},
-             {"recovery_p99_ms", recovery.empty() ? 0.0 : recovery.Quantile(0.99)},
-             {"deploy_retries", static_cast<double>(cl.deploy_retries())},
-             {"replacements", static_cast<double>(cl.deploy_replacements())},
-             {"invariant_failures", static_cast<double>(cl.invariant_failures())},
-             {"drift_mem_bytes", static_cast<double>(drift.memory.count())},
-             {"drift_vcpus", static_cast<double>(drift.vcpus)}});
     }
     return lv::Status::Ok();
   }

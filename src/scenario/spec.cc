@@ -121,25 +121,12 @@ lv::Result<TopologyConfig> ParseTopology(const Value& v) {
       LV_SPEC_ASSIGN(topo.link_gbps, WantNumber(context, m));
     } else if (m.first == "link_rtt_us") {
       LV_SPEC_ASSIGN(topo.link_rtt_us, WantNumber(context, m));
-    } else if (m.first == "shards") {
-      LV_SPEC_ASSIGN(topo.shards, WantInt(context, m));
     } else {
       return UnknownKey(context, m.first);
     }
   }
   if (topo.nodes < 1) {
     return BadField(context, "nodes", "must be >= 1");
-  }
-  if (topo.shards < 0) {
-    return BadField(context, "shards", "must be >= 0");
-  }
-  if (topo.shards > 0 && topo.nodes < 2) {
-    return BadField(context, "shards",
-                    "sharded execution needs a cluster topology (nodes >= 2)");
-  }
-  if (topo.shards > topo.nodes + 1) {
-    return BadField(context, "shards",
-                    "at most nodes + 1 shards (one per time domain)");
   }
   if (topo.link_gbps <= 0.0) {
     return BadField(context, "link_gbps", "must be > 0");

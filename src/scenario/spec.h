@@ -52,12 +52,6 @@ struct TopologyConfig {
   HostSpecConfig host;
   double link_gbps = 10.0;
   double link_rtt_us = 200.0;
-  // > 0: run the cluster on a sharded engine group (one time domain per node
-  // plus a control domain, spread over this many OS threads) instead of one
-  // engine. Requires a cluster topology (nodes >= 2) and a fleet-deploy
-  // workload; results are byte-identical to shards = 1 by construction, and
-  // the runner proves it with a silent single-shard reference pass.
-  int shards = 0;
 };
 
 // Pre-created domain shells (split toolstack). `image` names the registry

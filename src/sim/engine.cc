@@ -108,36 +108,6 @@ std::unique_ptr<Engine::Event> Engine::PopNext() {
   return nullptr;
 }
 
-std::optional<TimePoint> Engine::NextEventTime() {
-  while (!queue_.empty()) {
-    if (!queue_.top()->state->cancelled) {
-      return queue_.top()->when;
-    }
-    auto& top = const_cast<std::unique_ptr<Event>&>(queue_.top());
-    std::unique_ptr<Event> dead = std::move(top);
-    queue_.pop();
-    dead->state->owner = nullptr;
-    --cancelled_pending_;
-  }
-  return std::nullopt;
-}
-
-uint64_t Engine::ProcessBefore(TimePoint t) {
-  uint64_t count = 0;
-  while (true) {
-    std::optional<TimePoint> next = NextEventTime();
-    if (!next || *next >= t) {
-      return count;
-    }
-    std::unique_ptr<Event> ev = PopNext();
-    now_ = ev->when;
-    ++processed_;
-    ++count;
-    trace::Count("engine.events", 1);
-    ev->fn();
-  }
-}
-
 bool Engine::Step() {
   std::unique_ptr<Event> ev = PopNext();
   if (!ev) {

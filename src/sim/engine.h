@@ -7,7 +7,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -85,17 +84,6 @@ class Engine {
   void RunFor(Duration d) { RunUntil(now_ + d); }
   // Processes a single event. Returns false if the queue was empty.
   bool Step();
-
-  // Processes every event strictly before `t` and stops WITHOUT bumping the
-  // clock to t — now() stays at the last processed event. This is the shard
-  // epoch primitive (sim/shard.h): the final clock of a sharded run must be
-  // the time of the last real event, not an epoch-grid artifact. Returns the
-  // number of events processed.
-  uint64_t ProcessBefore(TimePoint t);
-
-  // Timestamp of the next live (non-cancelled) event; nullopt when drained.
-  // Prunes dead entries from the top of the queue as a side effect.
-  std::optional<TimePoint> NextEventTime();
 
   size_t pending_events() const;
   uint64_t processed_events() const { return processed_; }

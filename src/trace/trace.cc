@@ -2,58 +2,9 @@
 
 namespace trace {
 
-namespace {
-
-thread_local Tracer* g_thread_tracer = nullptr;
-
-}  // namespace
-
 Tracer& Tracer::Get() {
-  if (g_thread_tracer != nullptr) {
-    return *g_thread_tracer;
-  }
   static Tracer tracer;
   return tracer;
-}
-
-void Tracer::SetThreadTracer(Tracer* tracer) { g_thread_tracer = tracer; }
-
-std::unique_ptr<Tracer> Tracer::NewCapture(const Tracer& seed) {
-  std::unique_ptr<Tracer> t(new Tracer());
-  t->enabled_ = seed.enabled_;
-  t->epoch_ = seed.epoch_;
-  t->track_names_ = seed.track_names_;
-  t->open_.assign(seed.track_names_.size(), {});
-  t->capture_base_tracks_ = seed.track_names_.size();
-  return t;
-}
-
-void Tracer::MergeCapture(const Tracer& capture) {
-  std::vector<TrackId> remap(capture.track_names_.size());
-  for (size_t i = 0; i < capture.track_names_.size(); ++i) {
-    remap[i] = i < capture.capture_base_tracks_
-                   ? static_cast<TrackId>(i)
-                   : NewTrack(capture.track_names_[i]);
-  }
-  // Running totals recorded inside the capture are deltas from zero; shift
-  // them so the merged buffer continues this tracer's totals.
-  const std::map<std::string, double> offsets = counters_;
-  events_.reserve(events_.size() + capture.events_.size());
-  for (Event ev : capture.events_) {
-    if (ev.track >= 0 && static_cast<size_t>(ev.track) < remap.size()) {
-      ev.track = remap[static_cast<size_t>(ev.track)];
-    }
-    if (ev.type == EventType::kCounter) {
-      auto it = offsets.find(ev.name);
-      if (it != offsets.end()) {
-        ev.value += it->second;
-      }
-    }
-    events_.push_back(std::move(ev));
-  }
-  for (const auto& [name, total] : capture.counters_) {
-    counters_[name] += total;
-  }
 }
 
 TrackId Tracer::NewTrack(std::string name) {

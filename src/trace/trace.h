@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,28 +69,8 @@ struct SpanStat {
 
 class Tracer {
  public:
-  // The process-wide tracer, unless the calling thread has a capture
-  // installed via SetThreadTracer (sharded runs).
+  // The process-wide tracer.
   static Tracer& Get();
-
-  // Per-thread tracer override. Shard threads (sim/shard.h) record onto
-  // private capture tracers so the global buffer is never written
-  // concurrently; the coordinator merges the captures after the run.
-  // Pass nullptr to restore the global tracer for this thread.
-  static void SetThreadTracer(Tracer* tracer);
-
-  // A detached tracer seeded from `seed`: same enabled flag, epoch shift
-  // and already-registered tracks; its own event buffer, counter deltas and
-  // clock. Tracks minted inside the capture get provisional ids that
-  // MergeCapture re-registers globally.
-  static std::unique_ptr<Tracer> NewCapture(const Tracer& seed);
-
-  // Appends a capture's buffer to this tracer: capture-minted tracks are
-  // re-registered (ids remapped), counter events are offset by this
-  // tracer's running totals, and the capture's counter deltas fold in.
-  // Per-track event order is preserved (a track is owned by one capture),
-  // which is all SpanStats/exporters rely on.
-  void MergeCapture(const Tracer& capture);
 
   // Runtime on/off switch; default off. Disabling mid-span is safe: a live
   // Span guard still records its end so the buffer stays balanced.
@@ -170,9 +149,6 @@ class Tracer {
   NowFn now_fn_ = nullptr;
   void* now_ctx_ = nullptr;
   lv::Duration epoch_;  // Stamp shift for the current engine epoch.
-  // Tracks copied from the seed at NewCapture time; ids below this are
-  // shared with the global tracer, ids at or above it need remapping.
-  size_t capture_base_tracks_ = 0;
   std::vector<Event> events_;
   std::vector<std::string> track_names_{"host"};
   // Per-track stack of open-span event indices (drives EndSpan naming).

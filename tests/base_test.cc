@@ -1,6 +1,7 @@
-// Unit tests for src/base: time, units, result, rng, stats, strings.
+// Unit tests for src/base: time, units, result, rng, stats, strings, logging.
 #include <gtest/gtest.h>
 
+#include "src/base/log.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -195,6 +196,27 @@ TEST(StringsTest, StrFormat) {
 TEST(StringsTest, HasPrefix) {
   EXPECT_TRUE(HasPrefix("/local/domain/3/device", "/local/domain/3"));
   EXPECT_FALSE(HasPrefix("/local", "/local/domain"));
+}
+
+// Lines below the level are dropped; with a clock attached each line carries
+// its simulated timestamp, and after DetachClock it carries none.
+TEST(LoggerTest, LinesCarryTheAttachedClockAndRespectTheLevel) {
+  Logger& logger = Logger::Get();
+  const LogLevel saved = logger.level();
+  logger.set_level(LogLevel::kInfo);
+  Duration now = Duration::Micros(2500);
+  logger.AttachClock(
+      [](void* ctx) { return TimePoint() + *static_cast<Duration*>(ctx); }, &now);
+  testing::internal::CaptureStderr();
+  LV_INFO("clocktest", "hello %d", 7);
+  LV_DEBUG("clocktest", "filtered");
+  logger.DetachClock();
+  LV_WARN("clocktest", "plain");
+  std::string err = testing::internal::GetCapturedStderr();
+  logger.set_level(saved);
+  EXPECT_EQ(err,
+            "[    2.500000ms] INFO  clocktest  hello 7\n"
+            "WARN  clocktest  plain\n");
 }
 
 }  // namespace

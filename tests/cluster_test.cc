@@ -11,6 +11,7 @@
 #include "src/core/verify.h"
 #include "src/faults/injector.h"
 #include "src/metrics/metrics.h"
+#include "src/obs/obs.h"
 #include "src/sim/run.h"
 
 namespace cluster {
@@ -104,6 +105,42 @@ TEST(PlacementTest, MakePolicyByName) {
   EXPECT_STREQ(MakePolicy("least-loaded")->name(), "least-loaded");
   EXPECT_STREQ(MakePolicy("memory-balance")->name(), "memory-balance");
   EXPECT_EQ(MakePolicy("round-robin"), nullptr);
+}
+
+// Fingerprint of every metric in the registry: counters, gauges and
+// histogram count/sum/min/max/buckets. The registry is single-threaded, so
+// even histogram `sum` accumulates in event order and repeats exactly.
+std::string MetricsFingerprint() {
+  metrics::Snapshot snap = metrics::Registry::Get().TakeSnapshot();
+  std::string out;
+  for (const auto& [name, value] : snap.counters) {
+    out += lv::StrFormat("%s=%.17g\n", name.c_str(), value);
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    out += lv::StrFormat("%s=%.17g\n", name.c_str(), value);
+  }
+  for (const auto& h : snap.histograms) {
+    out += lv::StrFormat("%s count=%lld sum=%.17g min=%.17g max=%.17g buckets=[",
+                         h.name.c_str(), (long long)h.count, h.sum, h.min, h.max);
+    for (const auto& b : h.buckets) {
+      out += lv::StrFormat("(%.17g,%.17g,%lld)", b.lo, b.hi, (long long)b.count);
+    }
+    out += "]\n";
+  }
+  return out;
+}
+
+// Zeroes the process-wide observability state (registry values, flight
+// rings, op-id counter) so two same-seed runs start from identical state.
+void ResetObservability() {
+  metrics::Registry::Get().ResetAll();
+  obs::FlightRecorder::Get().Reset();
+}
+
+std::string FlightJson() {
+  std::ostringstream flight;
+  obs::FlightRecorder::Get().WriteJson(flight);
+  return flight.str();
 }
 
 class ClusterTest : public ::testing::Test {
@@ -250,9 +287,17 @@ TEST_F(ClusterTest, ConcurrentDeploysNeverOversubscribe) {
   }
 }
 
-// Same seed, same workload → identical placements and identical virtual time.
+// Same seed, same workload → identical placements, virtual time, metrics
+// registry and flight-recorder rings.
 TEST_F(ClusterTest, SameSeedRunsAreIdentical) {
+  struct Outcome {
+    std::vector<int> nodes;
+    int64_t end_ns = 0;
+    std::string metrics_text;
+    std::string flight_json;
+  };
   auto run_once = [this](uint64_t seed) {
+    ResetObservability();
     sim::Engine engine(seed);
     ClusterSpec spec = SmallSpec(3);
     Cluster cl(&engine, spec, std::make_unique<LeastLoaded>());
@@ -274,12 +319,16 @@ TEST_F(ClusterTest, SameSeedRunsAreIdentical) {
     bool finished = sim::RunUntilCondition(engine, [&] { return done == 12; },
                                            Duration::Seconds(60));
     LV_CHECK(finished);
-    return std::make_pair(nodes, engine.now().ns());
+    return Outcome{nodes, engine.now().ns(), MetricsFingerprint(), FlightJson()};
   };
-  auto [nodes_a, ns_a] = run_once(7);
-  auto [nodes_b, ns_b] = run_once(7);
-  EXPECT_EQ(nodes_a, nodes_b);
-  EXPECT_EQ(ns_a, ns_b);
+  for (uint64_t seed : {3ull, 7ull, 11ull}) {
+    Outcome a = run_once(seed);
+    Outcome b = run_once(seed);
+    EXPECT_EQ(a.nodes, b.nodes) << "seed " << seed;
+    EXPECT_EQ(a.end_ns, b.end_ns) << "seed " << seed;
+    EXPECT_EQ(a.metrics_text, b.metrics_text) << "seed " << seed;
+    EXPECT_EQ(a.flight_json, b.flight_json) << "seed " << seed;
+  }
 }
 
 // --- Self-healing under fault injection -------------------------------------
@@ -300,6 +349,8 @@ struct ChaosOutcome {
   int64_t drift_mem = 0;
   int64_t drift_vcpus = 0;
   int64_t end_ns = 0;
+  std::string metrics_text;
+  std::string flight_json;
 };
 
 // Runs a fleet deploy over a small cluster with the health monitor on and a
@@ -307,6 +358,7 @@ struct ChaosOutcome {
 // fully fired, every crashed node is written off, and the evacuation queue
 // has drained.
 ChaosOutcome RunChaos(uint64_t seed, int nodes, int vms, int events) {
+  ResetObservability();
   sim::Engine engine(seed);
   ClusterSpec spec;
   spec.num_nodes = nodes;
@@ -397,6 +449,8 @@ ChaosOutcome RunChaos(uint64_t seed, int nodes, int vms, int events) {
   out.drift_mem = drift.memory.count();
   out.drift_vcpus = drift.vcpus;
   out.end_ns = engine.now().ns();
+  out.metrics_text = MetricsFingerprint();
+  out.flight_json = FlightJson();
 
   // Per-node leak invariants hold at quiescence whatever the plan did.
   for (int n = 0; n < nodes; ++n) {
@@ -426,17 +480,21 @@ TEST_F(ClusterTest, RandomFaultPlansConvergeWithExactAccounting) {
 }
 
 // Same seed + same plan → byte-identical everything: fault log, placements,
-// recovery latencies, final virtual time.
+// recovery latencies, final virtual time, metrics registry, flight rings.
 TEST_F(ClusterTest, ChaosRunsAreByteIdenticalAcrossRuns) {
-  ChaosOutcome a = RunChaos(7, 3, 30, 8);
-  ChaosOutcome b = RunChaos(7, 3, 30, 8);
-  EXPECT_EQ(a.fault_log, b.fault_log);
-  EXPECT_EQ(a.placements, b.placements);
-  EXPECT_EQ(a.recovery_ms, b.recovery_ms);
-  EXPECT_EQ(a.node_failures, b.node_failures);
-  EXPECT_EQ(a.vms_lost, b.vms_lost);
-  EXPECT_EQ(a.vms_recovered, b.vms_recovered);
-  EXPECT_EQ(a.end_ns, b.end_ns);
+  for (uint64_t seed : {2ull, 7ull, 9ull, 23ull}) {
+    ChaosOutcome a = RunChaos(seed, 3, 30, 8);
+    ChaosOutcome b = RunChaos(seed, 3, 30, 8);
+    EXPECT_EQ(a.fault_log, b.fault_log) << "seed " << seed;
+    EXPECT_EQ(a.placements, b.placements) << "seed " << seed;
+    EXPECT_EQ(a.recovery_ms, b.recovery_ms) << "seed " << seed;
+    EXPECT_EQ(a.node_failures, b.node_failures) << "seed " << seed;
+    EXPECT_EQ(a.vms_lost, b.vms_lost) << "seed " << seed;
+    EXPECT_EQ(a.vms_recovered, b.vms_recovered) << "seed " << seed;
+    EXPECT_EQ(a.end_ns, b.end_ns) << "seed " << seed;
+    EXPECT_EQ(a.metrics_text, b.metrics_text) << "seed " << seed;
+    EXPECT_EQ(a.flight_json, b.flight_json) << "seed " << seed;
+  }
 }
 
 // A node dying between placement and create completion: Deploy releases the
@@ -492,341 +550,95 @@ TEST_F(ClusterTest, DeployFailsTypedWhenReplacementNodeAlsoDies) {
   EXPECT_EQ(drift.vcpus, 0);
 }
 
-// --- Sharded topology: differential oracle vs the single-shard reference ----
-//
-// `shards == 1` runs the identical epoch algorithm inline, so it is the
-// trusted reference; 2- and 4-shard runs on real threads must reproduce it
-// byte for byte (PR 9's StorePolicy pattern, applied to the whole engine).
-
-// Fingerprint of every deterministic metric: counters plus histogram
-// count/min/max/buckets. Histogram `sum` and quantiles derived from it are
-// excluded (floating-point addition order varies with the interleaving), as
-// are gauges (toolstack.chaosd.pool_size is last-writer-wins by design).
-std::string MetricsFingerprint() {
-  metrics::Snapshot snap = metrics::Registry::Get().TakeSnapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    out += lv::StrFormat("%s=%.0f\n", name.c_str(), value);
-  }
-  for (const auto& h : snap.histograms) {
-    out += lv::StrFormat("%s count=%lld min=%.9g max=%.9g buckets=[",
-                         h.name.c_str(), (long long)h.count, h.min, h.max);
-    for (const auto& b : h.buckets) {
-      out += lv::StrFormat("(%.9g,%.9g,%lld)", b.lo, b.hi, (long long)b.count);
-    }
-    out += "]\n";
-  }
-  return out;
-}
-
-struct ShardedOutcome {
-  std::vector<int> placements;  // node per fleet VM, -1 = deploy failed
-  int64_t end_ns = 0;
-  uint64_t delivered = 0;
-  uint64_t processed = 0;
-  int64_t total_vms = 0;
-  int64_t drift_mem = 0;
-  int64_t drift_vcpus = 0;
-  std::string metrics_text;
-  std::string flight_json;
-  std::string fault_log;
-  std::vector<double> recovery_ms;
-  int64_t node_failures = 0;
-  int64_t vms_lost = 0;
-  int64_t vms_recovered = 0;
-  int64_t vms_unrecovered = 0;
-  int64_t invariant_failures = 0;
-};
-
-// Shared scaffolding: per-node op-id streams and clean global observability
-// state, a shard group with one domain per node plus the control domain.
-class ShardedRun {
- public:
-  ShardedRun(uint64_t seed, int shards, int nodes)
-      : nodes_(nodes), group_(seed, nodes + 1, shards, Duration::Micros(50)) {
-    metrics::Registry::Get().ResetAll();
-    obs::FlightRecorder::Get().Reset();
-    obs::SetOpIdPolicy(obs::OpIdPolicy::kPerNode, nodes);
-    spec_.num_nodes = nodes;
-    spec_.node = lightvm::HostSpec::Xeon4Core();
-    spec_.mechanisms = lightvm::Mechanisms::LightVm();
-  }
-  ~ShardedRun() { obs::SetOpIdPolicy(obs::OpIdPolicy::kGlobal); }
-
-  sim::ShardGroup& group() { return group_; }
-  ClusterSpec& spec() { return spec_; }
-
-  void Collect(Cluster& cl, ShardedOutcome* out) {
-    out->end_ns = (group_.max_now() - lv::TimePoint()).ns();
-    out->delivered = group_.messages_delivered();
-    for (const sim::ShardStats& s : group_.shard_stats()) {
-      out->processed += s.processed;
-    }
-    out->total_vms = cl.total_vms();
-    Cluster::Drift drift = cl.AdmissionDrift();
-    out->drift_mem = drift.memory.count();
-    out->drift_vcpus = drift.vcpus;
-    out->metrics_text = MetricsFingerprint();
-    std::ostringstream flight;
-    obs::FlightRecorder::Get().WriteJson(flight);
-    out->flight_json = flight.str();
-    out->recovery_ms = cl.recovery_ms();
-    out->node_failures = cl.node_failures();
-    out->vms_lost = cl.vms_lost();
-    out->vms_recovered = cl.vms_recovered();
-    out->vms_unrecovered = cl.vms_unrecovered();
-    out->invariant_failures = cl.invariant_failures();
-    // All shard threads are parked: host state is safe to audit from here.
-    for (int n = 0; n < nodes_; ++n) {
-      lv::Status ok = lightvm::VerifyNoLeakedResources(cl.host(n));
-      EXPECT_TRUE(ok.ok()) << "node " << n << ": " << ok.error().message;
-    }
-  }
-
- private:
-  int nodes_;
-  sim::ShardGroup group_;
-  ClusterSpec spec_;
-};
-
-ShardedOutcome RunShardedFleet(uint64_t seed, int shards, int nodes, int vms) {
-  ShardedRun run(seed, shards, nodes);
-  Cluster cl(&run.group(), run.spec(), std::make_unique<LeastLoaded>());
-  ShardedOutcome out;
-  out.placements.assign(static_cast<size_t>(vms), -1);
-  int next = 0;
-  int done = 0;
-  auto worker = [&]() -> sim::Co<void> {
-    while (next < vms) {
-      int i = next++;
-      auto h = co_await cl.Deploy(DaytimeConfig(lv::StrFormat("vm%d", i)), true);
-      if (h.ok()) {
-        out.placements[static_cast<size_t>(i)] = h->node;
-      }
-      ++done;
-    }
-  };
-  for (int w = 0; w < 4; ++w) {
-    cl.control_engine().Spawn(worker());
-  }
-  LV_CHECK(run.group().RunUntil([&] { return done >= vms; },
-                                Duration::Seconds(7200)));
-  run.group().RunToQuiescence(Duration::Seconds(60));
-  run.Collect(cl, &out);
-  return out;
-}
-
-TEST_F(ClusterTest, ShardedDeployRetireRoundTrip) {
-  ShardedRun run(/*seed=*/5, /*shards=*/2, /*nodes=*/2);
-  Cluster cl(&run.group(), run.spec(), std::make_unique<LeastLoaded>());
-  ASSERT_TRUE(cl.sharded());
-  std::vector<VmHandle> handles;
-  bool done = false;
-  auto script = [&]() -> sim::Co<void> {
-    for (int i = 0; i < 4; ++i) {
-      auto h = co_await cl.Deploy(DaytimeConfig(lv::StrFormat("vm%d", i)), true);
-      LV_CHECK(h.ok());
-      handles.push_back(*h);
-    }
-    done = true;
-  };
-  cl.control_engine().Spawn(script());
-  ASSERT_TRUE(run.group().RunUntil([&] { return done; }, Duration::Seconds(60)));
-  EXPECT_EQ(cl.total_vms(), 4);
-  EXPECT_EQ(cl.vms_deployed(), 4);
-  for (const NodeView& v : cl.views()) {
-    EXPECT_EQ(v.vms, 2);  // least-loaded spreads 4 serial deploys 2/2
-    EXPECT_EQ(v.memory_committed, guests::DaytimeUnikernel().memory * 2);
-  }
-  bool retired = false;
-  auto teardown = [&]() -> sim::Co<void> {
-    for (const VmHandle& h : handles) {
-      lv::Status ok = co_await cl.Retire(h);
-      LV_CHECK(ok.ok());
-    }
-    retired = true;
-  };
-  cl.control_engine().Spawn(teardown());
-  ASSERT_TRUE(run.group().RunUntil([&] { return retired; }, Duration::Seconds(60)));
-  run.group().RunToQuiescence(Duration::Seconds(10));
-  EXPECT_EQ(cl.total_vms(), 0);
-  for (const NodeView& v : cl.views()) {
-    EXPECT_EQ(v.vms, 0);
-    EXPECT_EQ(v.memory_committed, Bytes());
-  }
-  EXPECT_GT(run.group().messages_delivered(), 0u);
-  for (int n = 0; n < 2; ++n) {
-    EXPECT_TRUE(lightvm::VerifyNoLeakedResources(cl.host(n)).ok());
-  }
-}
-
-TEST_F(ClusterTest, ShardedFleetMatchesSingleShardReference) {
-  for (uint64_t seed : {3ull, 11ull}) {
-    ShardedOutcome ref = RunShardedFleet(seed, /*shards=*/1, /*nodes=*/3,
-                                         /*vms=*/24);
-    EXPECT_GT(ref.delivered, 0u);
-    EXPECT_EQ(ref.drift_mem, 0);
-    EXPECT_EQ(ref.drift_vcpus, 0);
-    for (int shards : {2, 4}) {
-      ShardedOutcome got = RunShardedFleet(seed, shards, 3, 24);
-      EXPECT_EQ(got.placements, ref.placements)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.end_ns, ref.end_ns) << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.delivered, ref.delivered) << "seed=" << seed;
-      EXPECT_EQ(got.processed, ref.processed) << "seed=" << seed;
-      EXPECT_EQ(got.total_vms, ref.total_vms) << "seed=" << seed;
-      EXPECT_EQ(got.metrics_text, ref.metrics_text)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.flight_json, ref.flight_json)
-          << "seed=" << seed << " shards=" << shards;
-    }
-  }
-}
-
-// Chaos on the sharded topology: random fault plans routed onto the engine
-// (and flight ring) owning each event's target, with the health monitor and
-// recovery loop running on the control shard.
-ShardedOutcome RunShardedChaos(uint64_t seed, int shards, int nodes, int vms,
-                               int events) {
-  ShardedRun run(seed, shards, nodes);
-  Cluster cl(&run.group(), run.spec(), std::make_unique<LeastLoaded>());
+// A target that crashed but is not yet written off must be refused before
+// anything moves: admitting it would tear the source copy down and leave
+// the arriving guest on a dead node, off the books.
+TEST_F(ClusterTest, MigrateRefusesCrashedTargetBeforeWriteOff) {
+  Cluster cl(&engine_, SmallSpec(2), std::make_unique<FirstFit>());
+  Prefill(cl);
   cl.StartHealthMonitor();
+  auto h = Run(cl.Deploy(DaytimeConfig("stay"), true));
+  ASSERT_TRUE(h.ok()) << h.error().message;
+  ASSERT_EQ(h->node, 0);
 
-  faults::FaultPlan plan =
-      faults::FaultPlan::Random(seed, nodes, events, Duration::Millis(150));
-  faults::FaultTargets targets;
-  // Node-state sinks run on the node's own engine (see resolver below), so
-  // they touch host state directly; crash goes through the node-side entry
-  // point that also maintains the control mirrors.
-  targets.crash_node = [&](int node) { cl.NodeSideCrash(node); };
-  targets.reboot_node = [&](int node) { cl.RequestReboot(node); };
-  targets.restart_xenstore = [&](int node, Duration downtime) {
-    if (cl.host(node).store() != nullptr) {
-      cl.host(node).store()->InjectRestart(downtime);
-    }
-  };
-  targets.stall_hotplug = [&](int node, Duration stall, int count) {
-    cl.host(node).fault_hooks().hotplug_stall = stall;
-    cl.host(node).fault_hooks().stall_next_hotplugs += count;
-  };
-  targets.partition_link = [&](int a, int b, Duration length) {
-    cl.link(a, b)->Partition(length);
-  };
-  targets.fail_creates = [&](int node, int count) {
-    cl.host(node).fault_hooks().fail_next_creates += count;
-  };
-  faults::FaultInjector injector(&cl.control_engine(), std::move(plan),
-                                 std::move(targets));
-  injector.set_engine_resolver([&](const faults::FaultEvent& ev) {
-    switch (ev.kind) {
-      case faults::FaultKind::kNodeCrash:
-      case faults::FaultKind::kXsRestart:
-      case faults::FaultKind::kHotplugStall:
-      case faults::FaultKind::kCreateFault:
-        return &run.group().domain_engine(ev.node);
-      case faults::FaultKind::kNodeReboot:
-      case faults::FaultKind::kLinkPartition:
-        return &cl.control_engine();
-    }
-    return &cl.control_engine();
-  });
-  injector.set_ring_resolver([&](const faults::FaultEvent& ev) {
-    switch (ev.kind) {
-      case faults::FaultKind::kNodeReboot:
-      case faults::FaultKind::kLinkPartition:
-        return cl.control_domain();  // sink runs on the control shard
-      default:
-        return ev.node;
-    }
-  });
-  injector.Arm();
+  cl.CrashNode(1);
+  ASSERT_TRUE(cl.node_alive(1));  // the monitor has not swept yet
+  auto moved = Run(cl.Migrate(*h, 1));
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.error().code, lv::ErrorCode::kUnavailable);
+  EXPECT_EQ(moved.error().message, "target node is down");
+  EXPECT_EQ(cl.host(0).num_vms(), 1);
+  EXPECT_EQ(cl.view(1).memory_committed, Bytes());
 
-  ShardedOutcome out;
-  out.placements.assign(static_cast<size_t>(vms), -1);
-  int next = 0;
-  int done = 0;
-  auto worker = [&]() -> sim::Co<void> {
-    while (next < vms) {
-      int i = next++;
-      auto h = co_await cl.Deploy(DaytimeConfig(lv::StrFormat("vm%d", i)), true);
-      if (h.ok()) {
-        out.placements[static_cast<size_t>(i)] = h->node;
-      }
-      ++done;
-    }
-  };
-  for (int w = 0; w < 4; ++w) {
-    cl.control_engine().Spawn(worker());
-  }
-  LV_CHECK(run.group().RunUntil([&] { return done >= vms; },
-                                Duration::Seconds(7200)));
-  // Quiesce exactly like the single-engine chaos harness. The predicate is
-  // evaluated by the coordinator while every shard is parked at a barrier,
-  // so reading host state across domains is race-free here.
-  auto quiet = [&] {
-    if (injector.injected() != static_cast<int64_t>(injector.plan().size())) {
-      return false;
-    }
-    for (int n = 0; n < nodes; ++n) {
-      const lightvm::Host& h = cl.host(n);
-      if (h.crashed() && (cl.node_alive(n) || !h.crash_settled())) {
-        return false;
-      }
-    }
-    return cl.vms_lost() == cl.vms_recovered() + cl.vms_unrecovered();
-  };
-  LV_CHECK(run.group().RunUntil(quiet, Duration::Seconds(7200)));
-  // Let in-flight mirror updates and reboot waiters drain (bounded: the
-  // monitor loops forever by design).
-  run.group().RunUntil([] { return false; }, Duration::Seconds(2));
-
-  for (int n : out.placements) {
-    if (n >= 0) {
-      ++out.total_vms;  // reused below; reset by Collect
-    }
-  }
-  int64_t ok_deploys = out.total_vms;
-  out.total_vms = 0;
-  run.Collect(cl, &out);
-  std::string log;
-  for (const std::string& line : injector.log()) {
-    if (!line.empty()) {
-      log += line + "\n";
-    }
-  }
-  out.fault_log = log;
-  EXPECT_EQ(out.vms_lost, out.vms_recovered + out.vms_unrecovered)
-      << "seed " << seed;
-  EXPECT_EQ(out.total_vms, ok_deploys - out.vms_unrecovered)
-      << "seed " << seed << "\n" << out.fault_log;
-  EXPECT_EQ(out.invariant_failures, 0) << "seed " << seed;
-  EXPECT_EQ(out.drift_mem, 0) << "seed " << seed;
-  EXPECT_EQ(out.drift_vcpus, 0) << "seed " << seed;
-  return out;
+  ASSERT_TRUE(sim::RunUntilCondition(
+      engine_, [&] { return !cl.node_alive(1) && cl.host(1).crash_settled(); },
+      Duration::Seconds(60)));
+  EXPECT_EQ(cl.host(1).num_vms(), 0);
+  EXPECT_EQ(cl.total_vms(), 1);
+  EXPECT_EQ(cl.vms_lost(), 0);
+  // The placement is still on the books, so the VM retires normally.
+  EXPECT_TRUE(Run(cl.Retire(*h)).ok());
+  EXPECT_EQ(cl.total_vms(), 0);
 }
 
-TEST_F(ClusterTest, ShardedChaosMatchesSingleShardReference) {
-  for (uint64_t seed : {2ull, 9ull, 23ull}) {
-    ShardedOutcome ref = RunShardedChaos(seed, /*shards=*/1, /*nodes=*/3,
-                                         /*vms=*/20, /*events=*/6);
-    for (int shards : {2, 4}) {
-      ShardedOutcome got = RunShardedChaos(seed, shards, 3, 20, 6);
-      EXPECT_EQ(got.fault_log, ref.fault_log)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.placements, ref.placements)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.recovery_ms, ref.recovery_ms) << "seed=" << seed;
-      EXPECT_EQ(got.node_failures, ref.node_failures) << "seed=" << seed;
-      EXPECT_EQ(got.vms_lost, ref.vms_lost) << "seed=" << seed;
-      EXPECT_EQ(got.vms_recovered, ref.vms_recovered) << "seed=" << seed;
-      EXPECT_EQ(got.vms_unrecovered, ref.vms_unrecovered) << "seed=" << seed;
-      EXPECT_EQ(got.end_ns, ref.end_ns) << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.metrics_text, ref.metrics_text)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.flight_json, ref.flight_json)
-          << "seed=" << seed << " shards=" << shards;
-    }
-  }
+// A crashed host stops admitting the moment it dies: placement skips it
+// before the health monitor's sweep writes it off.
+TEST_F(ClusterTest, CrashedNodeStopsAdmittingBeforeWriteOff) {
+  Cluster cl(&engine_, SmallSpec(2), std::make_unique<FirstFit>());
+  Prefill(cl);
+  cl.StartHealthMonitor();
+  cl.CrashNode(0);
+  ASSERT_TRUE(cl.node_alive(0));  // the monitor has not swept yet
+  EXPECT_FALSE(cl.view(0).alive);
+  EXPECT_TRUE(cl.view(1).alive);
+
+  auto h = Run(cl.Deploy(DaytimeConfig("survivor"), true));
+  ASSERT_TRUE(h.ok()) << h.error().message;
+  EXPECT_EQ(h->node, 1);  // first-fit passes over the dead lowest index
+  EXPECT_EQ(cl.deploy_replacements(), 0);
+  EXPECT_EQ(cl.view(0).memory_committed, Bytes());
+  EXPECT_EQ(cl.view(1).memory_committed, guests::DaytimeUnikernel().memory);
+}
+
+// A written-off target stays refused through its reboot until the monitor
+// readmits it; after that, Migrate lands on it normally.
+TEST_F(ClusterTest, MigrateWaitsForRebootedTargetToBeReadmitted) {
+  Cluster cl(&engine_, SmallSpec(2), std::make_unique<FirstFit>());
+  Prefill(cl);
+  cl.StartHealthMonitor();
+  auto h = Run(cl.Deploy(DaytimeConfig("mover"), true));
+  ASSERT_TRUE(h.ok()) << h.error().message;
+  ASSERT_EQ(h->node, 0);
+
+  cl.CrashNode(1);
+  ASSERT_TRUE(sim::RunUntilCondition(
+      engine_, [&] { return !cl.node_alive(1) && cl.host(1).crash_settled(); },
+      Duration::Seconds(60)));
+  auto refused = Run(cl.Migrate(*h, 1));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().message, "target node is down");
+
+  // The reboot is immediate (the crash settled and was written off), but the
+  // node only rejoins placement at the monitor's next sweep.
+  cl.RequestReboot(1);
+  ASSERT_FALSE(cl.host(1).crashed());
+  ASSERT_FALSE(cl.node_alive(1));
+  auto early = Run(cl.Migrate(*h, 1));
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.error().message, "target node is down");
+  EXPECT_EQ(cl.admission_rejects(), 2);
+  EXPECT_EQ(cl.view(1).memory_committed, Bytes());
+
+  ASSERT_TRUE(sim::RunUntilCondition(engine_, [&] { return cl.node_alive(1); },
+                                     Duration::Seconds(60)));
+  auto moved = Run(cl.Migrate(*h, 1));
+  ASSERT_TRUE(moved.ok()) << moved.error().message;
+  EXPECT_EQ(moved->node, 1);
+  EXPECT_EQ(cl.host(0).num_vms(), 0);
+  EXPECT_EQ(cl.host(1).num_vms(), 1);
+  EXPECT_EQ(cl.migrations(), 1);
+  EXPECT_TRUE(Run(cl.Retire(*moved)).ok());
+  EXPECT_EQ(cl.total_vms(), 0);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Failure-injection tests: resource exhaustion mid-create, bad inputs and
 // misuse of the lifecycle APIs must roll back cleanly — no leaked domains,
-// pages, grants or event channels.
+// pages, grants or event channels. The FaultInjector's own contract (sink
+// dispatch, plan-ordered log) is tested against plain sinks.
 #include <gtest/gtest.h>
 
 #include "src/base/strings.h"
 #include "src/core/host.h"
 #include "src/core/verify.h"
 #include "src/faults/injector.h"
+#include "src/obs/obs.h"
 #include "src/sim/run.h"
 
 namespace lightvm {
@@ -200,6 +202,109 @@ TEST_P(FailureTest, CrashSettleRebootRestoresBaseline) {
   EXPECT_FALSE(host.crashed());
   auto domid = Run(host.CreateAndBoot(Daytime("post-reboot")));
   EXPECT_TRUE(domid.ok());
+}
+
+// --- FaultInjector ------------------------------------------------------------
+
+faults::FaultEvent MakeFault(faults::FaultKind kind, Duration at, int node) {
+  faults::FaultEvent ev;
+  ev.kind = kind;
+  ev.at = at;
+  ev.node = node;
+  return ev;
+}
+
+// Sinks fire in time order, but the log keeps one slot per plan entry, so it
+// reads in plan order whatever order the events fire in.
+TEST(FaultInjectorTest, LogReadsInPlanOrderWhateverTheFiringOrder) {
+  sim::Engine engine;
+  faults::FaultPlan plan;
+  plan.events.push_back(MakeFault(faults::FaultKind::kNodeCrash, Duration::Millis(30), 1));
+  plan.events.push_back(MakeFault(faults::FaultKind::kCreateFault, Duration::Millis(10), 0));
+  plan.events.back().count = 2;
+  plan.events.push_back(MakeFault(faults::FaultKind::kXsRestart, Duration::Millis(20), 2));
+  plan.events.back().duration = Duration::Millis(5);
+
+  std::vector<std::string> fired;
+  faults::FaultTargets targets;
+  targets.crash_node = [&](int node) { fired.push_back(lv::StrFormat("crash %d", node)); };
+  targets.fail_creates = [&](int node, int count) {
+    fired.push_back(lv::StrFormat("creates %d x%d", node, count));
+  };
+  targets.restart_xenstore = [&](int node, Duration downtime) {
+    fired.push_back(lv::StrFormat("restart %d %.0fms", node, downtime.ms()));
+  };
+  faults::FaultInjector injector(&engine, plan, std::move(targets));
+  injector.Arm();
+  engine.Run();
+
+  EXPECT_EQ(fired, (std::vector<std::string>{"creates 0 x2", "restart 2 5ms", "crash 1"}));
+  EXPECT_EQ(injector.injected(), 3);
+  EXPECT_EQ(injector.log(), (std::vector<std::string>{
+                                "t=30000000 kind=node-crash node=1",
+                                "t=10000000 kind=create-fault node=0 count=2",
+                                "t=20000000 kind=xenstore-restart node=2 dur=5000000",
+                            }));
+}
+
+// An event with no bound sink is still logged (marked "unhandled"), stamped
+// with arm time + offset, recorded in the flight ring and passed to
+// after_inject.
+TEST(FaultInjectorTest, UnboundSinksAreLoggedAsUnhandled) {
+  obs::FlightRecorder::Get().Reset();
+  sim::Engine engine;
+  engine.RunUntil(lv::TimePoint() + Duration::Millis(5));
+  faults::FaultPlan plan;
+  plan.events.push_back(
+      MakeFault(faults::FaultKind::kLinkPartition, Duration::Millis(2), 0));
+  plan.events.back().peer = 1;
+  plan.events.back().duration = Duration::Millis(10);
+  plan.events.push_back(MakeFault(faults::FaultKind::kNodeCrash, Duration::Millis(4), 1));
+
+  std::vector<int> crashed;
+  std::vector<faults::FaultKind> seen;
+  faults::FaultTargets targets;
+  targets.crash_node = [&](int node) { crashed.push_back(node); };
+  targets.after_inject = [&](const faults::FaultEvent& ev) { seen.push_back(ev.kind); };
+  faults::FaultInjector injector(&engine, plan, std::move(targets));
+  injector.Arm();
+  engine.Run();
+
+  EXPECT_EQ(crashed, (std::vector<int>{1}));
+  EXPECT_EQ(seen, (std::vector<faults::FaultKind>{faults::FaultKind::kLinkPartition,
+                                                  faults::FaultKind::kNodeCrash}));
+  EXPECT_EQ(injector.log(), (std::vector<std::string>{
+                                "t=7000000 kind=link-partition node=0 peer=1 "
+                                "dur=10000000 unhandled",
+                                "t=9000000 kind=node-crash node=1",
+                            }));
+  std::vector<obs::FlightEvent> ring = obs::FlightRecorder::Get().NodeEvents(0);
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_STREQ(ring[0].layer, "faults");
+  EXPECT_STREQ(ring[0].verb, "partition");
+  EXPECT_FALSE(ring[0].ok);
+  EXPECT_EQ(ring[0].ts.ns(), Duration::Millis(7).ns());
+}
+
+// A run that ends before the plan finishes leaves the unfired slots empty.
+TEST(FaultInjectorTest, UnfiredEventsLeaveEmptyLogSlots) {
+  sim::Engine engine;
+  faults::FaultPlan plan;
+  plan.events.push_back(MakeFault(faults::FaultKind::kNodeCrash, Duration::Millis(50), 1));
+  plan.events.push_back(MakeFault(faults::FaultKind::kCreateFault, Duration::Millis(1), 0));
+  int creates_failed = 0;
+  faults::FaultTargets targets;
+  targets.fail_creates = [&](int, int count) { creates_failed += count; };
+  faults::FaultInjector injector(&engine, plan, std::move(targets));
+  injector.Arm();
+  engine.RunUntil(lv::TimePoint() + Duration::Millis(10));
+
+  EXPECT_EQ(injector.injected(), 1);
+  EXPECT_EQ(creates_failed, 1);
+  ASSERT_EQ(injector.log().size(), 2u);
+  EXPECT_EQ(injector.log()[0], "");
+  EXPECT_EQ(injector.log()[1], "t=1000000 kind=create-fault node=0 count=1");
+  EXPECT_EQ(injector.plan().size(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMechanisms, FailureTest,

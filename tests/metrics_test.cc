@@ -35,6 +35,22 @@ TEST(GaugeTest, SetAddReset) {
   EXPECT_EQ(g.value(), 0.0);
 }
 
+// Counters and gauges are plain doubles added in call order, so fractional
+// deltas (which do not sum exactly in binary) match a serial loop bit for bit.
+TEST(CounterTest, FractionalIncrementsMatchSerialSum) {
+  metrics::Counter c;
+  metrics::Gauge g;
+  double want = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    double delta = 0.1 * (i % 7 + 1);
+    c.Inc(delta);
+    g.Add(-delta);
+    want += delta;
+  }
+  EXPECT_EQ(c.value(), want);
+  EXPECT_EQ(g.value(), -want);
+}
+
 TEST(HistogramTest, EmptyHistogram) {
   metrics::Histogram h;
   EXPECT_TRUE(h.empty());
@@ -225,6 +241,46 @@ TEST(RegistryTest, SnapshotAndResetSemantics) {
   EXPECT_TRUE(h.empty());
   c.Inc();  // The old handle still feeds the same registered metric.
   EXPECT_EQ(reg.FindCounter("test.snapshot.counter")->value(), 1.0);
+}
+
+// The registry is single-threaded, so a histogram's `sum` accumulates in
+// record order: replaying the same values after ResetAll reproduces the
+// snapshot exactly, `sum` included.
+TEST(RegistryTest, HistogramSumRepeatsExactlyAfterResetAll) {
+  metrics::Registry& reg = metrics::Registry::Get();
+  metrics::Histogram& h = reg.GetHistogram("test.repeat.hist_ms", "ms");
+  std::vector<double> values;
+  double want = 0.0;
+  for (int i = 1; i <= 500; ++i) {
+    values.push_back(1.0 / i + 0.3 * (i % 11));
+    want += values.back();
+  }
+  auto record_and_snapshot = [&] {
+    reg.ResetAll();
+    for (double x : values) {
+      h.Record(x);
+    }
+    for (const auto& hv : reg.TakeSnapshot().histograms) {
+      if (hv.name == "test.repeat.hist_ms") {
+        return hv;
+      }
+    }
+    return metrics::Snapshot::HistogramValue{};
+  };
+  metrics::Snapshot::HistogramValue a = record_and_snapshot();
+  metrics::Snapshot::HistogramValue b = record_and_snapshot();
+  ASSERT_EQ(a.count, 500);
+  EXPECT_EQ(a.sum, want);
+  EXPECT_EQ(b.sum, a.sum);
+  EXPECT_EQ(b.count, a.count);
+  EXPECT_EQ(b.min, a.min);
+  EXPECT_EQ(b.max, a.max);
+  EXPECT_EQ(b.p99, a.p99);
+  ASSERT_EQ(b.buckets.size(), a.buckets.size());
+  for (size_t i = 0; i < a.buckets.size(); ++i) {
+    EXPECT_EQ(b.buckets[i].lo, a.buckets[i].lo);
+    EXPECT_EQ(b.buckets[i].count, a.buckets[i].count);
+  }
 }
 
 TEST(ExportTest, JsonSnapshotRoundTripsValues) {

@@ -56,6 +56,66 @@ TEST(OpRef, RootsAndChildrenShareOneChain) {
   EXPECT_EQ(grandchild.parent, child.id);
 }
 
+// Op ids come from one plain counter: consecutive, whatever node the op
+// runs on, and rewound by Reset() so same-seed reruns mint the same ids.
+TEST(OpRef, ResetRewindsTheOpIdCounter) {
+  FlightRecorder& recorder = FlightRecorder::Get();
+  recorder.Reset();
+  OpRef first = NewOp();
+  OpRef second = NewOp(first);
+  OpRef third = NewOp();
+  EXPECT_EQ(first.id, 1);
+  EXPECT_EQ(second.id, 2);
+  EXPECT_EQ(third.id, 3);
+  EXPECT_EQ(third.root, 3);
+  recorder.Reset();
+  EXPECT_EQ(NewOp().id, 1);
+}
+
+// Rings are created on first use for any node index; no up-front sizing.
+TEST(FlightRecorderTest, RingsGrowOnDemandForAnyNode) {
+  FlightRecorder& recorder = FlightRecorder::Get();
+  recorder.Reset();
+  recorder.Record(5, {}, "test", "far", true, 55);
+  recorder.Record(-3, {}, "test", "negative", true, 7);  // clamped to node 0
+  ASSERT_EQ(recorder.NodeEvents(5).size(), 1u);
+  EXPECT_EQ(recorder.NodeEvents(5)[0].node, 5);
+  EXPECT_EQ(recorder.NodeEvents(5)[0].arg, 55);
+  for (int node = 1; node < 5; ++node) {
+    EXPECT_TRUE(recorder.NodeEvents(node).empty()) << "node " << node;
+  }
+  ASSERT_EQ(recorder.NodeEvents(0).size(), 1u);
+  EXPECT_EQ(recorder.NodeEvents(0)[0].arg, 7);
+  EXPECT_TRUE(recorder.NodeEvents(6).empty());
+
+  // The dump lists only nodes that recorded something.
+  std::ostringstream out;
+  recorder.WriteJson(out);
+  std::string json = out.str();
+  EXPECT_NE(json.find("\"node\":0,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"node\":5,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"node\":1,"), std::string::npos) << json;
+}
+
+// Events are stamped with the simulated time of the engine that is alive;
+// with no engine attached they land at t=0.
+TEST(FlightRecorderTest, EventsCarryTheEngineClock) {
+  FlightRecorder& recorder = FlightRecorder::Get();
+  recorder.Reset();
+  {
+    sim::Engine engine(3);
+    engine.Schedule(Duration::Millis(3), [&] {
+      recorder.Record(1, {}, "test", "tick", true);
+    });
+    engine.Run();
+  }
+  recorder.Record(1, {}, "test", "detached", true);
+  std::vector<FlightEvent> events = recorder.NodeEvents(1);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].ts.ns(), Duration::Millis(3).ns());
+  EXPECT_EQ(events[1].ts.ns(), 0);
+}
+
 TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
   FlightRecorder& recorder = FlightRecorder::Get();
   recorder.Reset();

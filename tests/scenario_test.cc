@@ -142,6 +142,16 @@ TEST(Spec, UnknownNestedKeyRejected) {
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.error().ToString().find("key 'opps'"), std::string::npos)
       << spec.error().ToString();
+
+  // A key older specs carried is rejected like any other unknown key.
+  auto stale = scenario::ParseSpec(R"({
+    "name": "t", "topology": { "nodes": 4, "shards": 4 },
+    "workload": { "kind": "fleet-deploy", "vms": 10,
+                  "policies": ["least-loaded"] }
+  })");
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.error().ToString().find("key 'shards'"), std::string::npos)
+      << stale.error().ToString();
 }
 
 TEST(Spec, ShellPoolRequiresSplitToolstack) {
@@ -169,70 +179,6 @@ TEST(Spec, MultiNodeOnlyForFleetDeploy) {
                   "policies": ["first-fit"] }
   })");
   EXPECT_FALSE(fleet.ok());  // fleet-deploy on a single node
-}
-
-TEST(Spec, ShardsParsedAndValidated) {
-  auto spec = scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 4, "shards": 4 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })");
-  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
-  EXPECT_EQ(spec->topology.shards, 4);
-
-  // Defaults to the classic single-engine path.
-  auto plain = scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->topology.shards, 0);
-
-  // Sharded execution needs a cluster: one node has no cross-domain
-  // parallelism to exploit (and no fleet-deploy workload to run).
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 1, "shards": 2 },
-    "workload": { "kind": "sequential-boots",
-                  "guests": [ { "image": "daytime", "count": 1 } ] }
-  })").ok());
-
-  // At most one shard per time domain (nodes + control).
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2, "shards": 4 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })").ok());
-
-  EXPECT_FALSE(scenario::ParseSpec(R"({
-    "name": "t", "topology": { "nodes": 2, "shards": -1 },
-    "workload": { "kind": "fleet-deploy", "vms": 10,
-                  "policies": ["least-loaded"] }
-  })").ok());
-}
-
-// The sharded fleet path through the runner: same spec + same seed must be
-// byte-identical run-to-run (the runner's internal single-shard reference
-// pass additionally pins it to the sequential schedule on every run).
-TEST(Runner, ShardedFleetByteIdentical) {
-  auto spec = scenario::ParseSpec(R"({
-    "name": "t", "mechanisms": "lightvm",
-    "topology": { "nodes": 2, "host": { "preset": "xeon4" }, "shards": 2 },
-    "workload": { "kind": "fleet-deploy", "image": "daytime", "vms": 24,
-                  "concurrency": 4, "policies": ["least-loaded"] }
-  })");
-  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
-
-  std::string tables[2];
-  for (int i = 0; i < 2; ++i) {
-    std::ostringstream out;
-    auto result = scenario::Run(*spec, {}, out);
-    ASSERT_TRUE(result.ok()) << result.error().ToString();
-    tables[i] = out.str();
-  }
-  EXPECT_EQ(tables[0], tables[1]);
-  EXPECT_NE(tables[0].find("reference: single-shard placement hash match ok"),
-            std::string::npos);
 }
 
 TEST(Spec, UnknownNamesRejected) {
@@ -294,6 +240,43 @@ TEST(Runner, SameSeedByteIdentical) {
   EXPECT_EQ(table1, table2);
   EXPECT_EQ(points1, points2);
   EXPECT_FALSE(points1.empty());
+}
+
+// The fleet path: concurrent deploys over a multi-node cluster on one
+// engine, run twice from the same spec, must print the same tables and
+// stream the same points.
+TEST(Runner, FleetSameSeedByteIdentical) {
+  auto spec = scenario::ParseSpec(R"({
+    "name": "t", "mechanisms": "lightvm",
+    "topology": { "nodes": 3, "host": { "preset": "xeon4" } },
+    "workload": { "kind": "fleet-deploy", "image": "daytime", "vms": 24,
+                  "concurrency": 4, "policies": ["least-loaded", "first-fit"] }
+  })");
+  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
+
+  std::string tables[2];
+  std::vector<std::string> points[2];
+  for (int i = 0; i < 2; ++i) {
+    std::ostringstream out;
+    auto result = scenario::Run(
+        *spec, {}, out,
+        [&](const std::string& series,
+            const std::vector<std::pair<std::string, double>>& row) {
+          std::ostringstream p;
+          p << series;
+          for (const auto& [col, val] : row) {
+            p << " " << col << "=" << val;
+          }
+          points[i].push_back(p.str());
+        });
+    ASSERT_TRUE(result.ok()) << result.error().ToString();
+    tables[i] = out.str();
+  }
+  EXPECT_EQ(tables[0], tables[1]);
+  EXPECT_EQ(points[0], points[1]);
+  EXPECT_FALSE(points[0].empty());
+  EXPECT_NE(tables[0].find("least-loaded"), std::string::npos) << tables[0];
+  EXPECT_NE(tables[0].find("first-fit"), std::string::npos) << tables[0];
 }
 
 TEST(Runner, DifferentSeedDiverges) {

@@ -2,16 +2,10 @@
 // processor-sharing CPU scheduler.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "src/base/strings.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
-#include "src/sim/shard.h"
-#include "src/sim/spsc.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 
@@ -426,183 +420,53 @@ TEST(EngineTest, CompactionReclaimsCancelledBacklog) {
   EXPECT_EQ(engine.cancelled_pending(), 0u);
 }
 
-TEST(EngineTest, NextEventTimeSkipsCancelled) {
+TEST(EngineTest, CancelledTailEventLeavesClockAtLastLiveEvent) {
   Engine engine;
-  EventHandle first = engine.Schedule(Duration::Millis(1), [] {});
-  engine.Schedule(Duration::Millis(5), [] {});
-  first.Cancel();
-  std::optional<TimePoint> next = engine.NextEventTime();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ((*next - TimePoint()).ms(), 5.0);
+  engine.Schedule(Duration::Millis(1), [] {});
+  EventHandle tail = engine.Schedule(Duration::Millis(5), [] {});
+  tail.Cancel();
   engine.Run();
-  EXPECT_FALSE(engine.NextEventTime().has_value());
+  // A dead entry is popped without being run, so it neither advances the
+  // clock nor counts as processed.
+  EXPECT_EQ(engine.now().ms(), 1.0);
+  EXPECT_EQ(engine.processed_events(), 1u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
 }
 
-TEST(EngineTest, ProcessBeforeStopsStrictlyShortOfTarget) {
+TEST(EngineTest, RunUntilIncludesEventsAtTheHorizon) {
   Engine engine;
   std::vector<int> order;
   engine.Schedule(Duration::Millis(1), [&] { order.push_back(1); });
   engine.Schedule(Duration::Millis(2), [&] { order.push_back(2); });
   engine.Schedule(Duration::Millis(3), [&] { order.push_back(3); });
-  uint64_t n = engine.ProcessBefore(TimePoint() + Duration::Millis(3));
-  EXPECT_EQ(n, 2u);
+  engine.RunUntil(TimePoint() + Duration::Millis(2));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  // The clock rests on the last processed event, not the epoch target, so a
-  // later delivery at t=2.5ms would still be legal.
+  EXPECT_EQ(engine.now().ms(), 2.0);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  // An event scheduled at the current instant still runs before the later
+  // one, and a horizon in the past is a no-op.
+  engine.Schedule(Duration(), [&] { order.push_back(0); });
+  engine.RunUntil(TimePoint() + Duration::Millis(1));
   EXPECT_EQ(engine.now().ms(), 2.0);
   engine.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+  EXPECT_EQ(engine.now().ms(), 3.0);
 }
 
-// --- SPSC mailbox ring ------------------------------------------------------
-
-TEST(SpscRingTest, FifoOrderAndCapacity) {
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(ring.TryPush(i));
-  }
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  for (int i = 0; i < 8; ++i) {
-    int out = -1;
-    EXPECT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(ring.TryPop(out));
-}
-
-TEST(SpscRingTest, TwoThreadHandoffPreservesSequence) {
-  SpscRing<int> ring(64);
-  constexpr int kItems = 20000;
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems;) {
-      if (ring.TryPush(i)) {
-        ++i;
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int out = -1;
-    if (ring.TryPop(out)) {
-      ASSERT_EQ(out, expected);
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
-// --- Sharded group: conservative-lookahead epochs ---------------------------
-
-namespace {
-
-// Random-walk workload: `kTokens` tokens hop between domains, each hop
-// recording (domain, time, token, hop) into the destination domain's
-// transcript. All cross-domain traffic goes through Post(); the transcript
-// is single-writer per domain (the owning shard thread), so the workload is
-// race-free by construction — exactly the discipline sharded cluster code
-// follows.
-struct HopWorld {
-  ShardGroup* group = nullptr;
-  std::vector<std::vector<std::string>> transcript;  // per dst domain
-  int hops_remaining = 0;
-
-  void Hop(int dst, int token, int hop) {
-    Engine& engine = group->domain_engine(dst);
-    transcript[dst].push_back(lv::StrFormat(
-        "tok=%d hop=%d t=%lld", token, hop, (long long)engine.now().ns()));
-    if (hop <= 0) {
-      return;
-    }
-    lv::Rng& rng = group->domain_rng(dst);
-    int next = static_cast<int>(rng.Uniform(0, group->num_domains() - 1));
-    Duration delay =
-        group->lookahead() + Duration::Nanos(rng.Uniform(0, 200000));
-    group->Post(dst, next, delay,
-                [this, next, token, hop] { Hop(next, token, hop - 1); });
-    // Local (sub-lookahead) work stays on the owning engine directly.
-    engine.Schedule(Duration::Nanos(rng.Uniform(1, 1000)), [] {});
-  }
-};
-
-struct HopResult {
-  std::vector<std::vector<std::string>> transcript;
-  uint64_t delivered = 0;
-  uint64_t processed = 0;
-};
-
-HopResult RunHopWorld(uint64_t seed, int shards, int domains, int tokens,
-                      int hops) {
-  ShardGroup group(seed, domains, shards, Duration::Micros(50));
-  HopWorld world;
-  world.group = &group;
-  world.transcript.assign(domains, {});
-  for (int t = 0; t < tokens; ++t) {
-    int start = t % domains;
-    group.domain_engine(start).Schedule(
-        Duration::Micros(t), [&world, start, t, hops] { world.Hop(start, t, hops); });
-  }
-  group.RunToQuiescence(Duration::Seconds(600));
-  HopResult out;
-  out.transcript = std::move(world.transcript);
-  out.delivered = group.messages_delivered();
-  for (const ShardStats& s : group.shard_stats()) {
-    out.processed += s.processed;
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST(ShardGroupTest, SingleShardDeliversCrossDomainPosts) {
-  ShardGroup group(7, 3, 1, Duration::Micros(10));
-  std::vector<int> got;
-  group.domain_engine(0).Schedule(Duration::Micros(1), [&] {
-    group.Post(0, 2, Duration::Micros(10), [&got] { got.push_back(2); });
-    group.Post(0, 1, Duration::Micros(10), [&got] { got.push_back(1); });
-  });
-  group.RunToQuiescence(Duration::Seconds(1));
-  // Same timestamp, same src: delivery follows post sequence.
-  EXPECT_EQ(got, (std::vector<int>{2, 1}));
-  EXPECT_EQ(group.messages_delivered(), 2u);
-  EXPECT_GE(group.epochs(), 1u);
-}
-
-TEST(ShardGroupTest, RunUntilStopsAtPredicate) {
-  ShardGroup group(7, 2, 2, Duration::Micros(10));
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    group.domain_engine(0).Schedule(Duration::Millis(i + 1),
-                                    [&fired] { ++fired; });
-  }
-  bool ok = group.RunUntil([&fired] { return fired >= 3; },
-                           Duration::Seconds(1));
-  EXPECT_TRUE(ok);
-  EXPECT_GE(fired, 3);
-  EXPECT_LT(fired, 10);
-  group.RunToQuiescence(Duration::Seconds(1));
-  EXPECT_EQ(fired, 10);
-}
-
-TEST(ShardGroupTest, IdenticalTranscriptAcrossShardCounts) {
-  // The differential oracle: the same seed must yield a byte-identical
-  // event transcript whether the domains run inline on one engine or
-  // spread over 2 or 4 real threads.
-  for (uint64_t seed : {1ull, 7ull, 42ull}) {
-    HopResult ref = RunHopWorld(seed, /*shards=*/1, /*domains=*/5,
-                                /*tokens=*/8, /*hops=*/12);
-    EXPECT_GT(ref.delivered, 0u);
-    for (int shards : {2, 4}) {
-      HopResult got = RunHopWorld(seed, shards, 5, 8, 12);
-      EXPECT_EQ(got.transcript, ref.transcript)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(got.delivered, ref.delivered) << "seed=" << seed;
-      EXPECT_EQ(got.processed, ref.processed) << "seed=" << seed;
-    }
-  }
+TEST(EngineTest, StepSkipsCancelledAndReportsEmptyQueue) {
+  Engine engine;
+  EXPECT_FALSE(engine.Step());
+  int ran = 0;
+  EventHandle head = engine.Schedule(Duration::Millis(1), [&ran] { ran += 1; });
+  engine.Schedule(Duration::Millis(2), [&ran] { ran += 10; });
+  head.Cancel();
+  EXPECT_TRUE(engine.Step());
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(engine.now().ms(), 2.0);
+  EXPECT_EQ(engine.processed_events(), 1u);
+  EXPECT_FALSE(engine.Step());
+  EXPECT_FALSE(head.valid());  // the popped entry released its state
 }
 
 }  // namespace

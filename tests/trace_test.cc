@@ -125,6 +125,36 @@ TEST_F(TraceTest, EventsCarrySimulatedTimeInOrder) {
   EXPECT_DOUBLE_EQ(tracer.counter_total("tick"), 1.0);
 }
 
+// Each simulation owns one engine whose clock starts at zero; BeginEpoch
+// between engines keeps one recorded buffer in a single monotonic timeline.
+TEST_F(TraceTest, BeginEpochPlacesNextEngineAfterTheBuffer) {
+  Tracer& tracer = Tracer::Get();
+  tracer.Enable();
+  {
+    sim::Engine engine;
+    engine.Schedule(Duration::Millis(4), [&] { tracer.Instant(kHostTrack, "first"); });
+    engine.Run();
+  }
+  tracer.BeginEpoch();
+  {
+    sim::Engine engine;
+    engine.Schedule(Duration::Millis(1), [&] { tracer.Instant(kHostTrack, "second"); });
+    engine.Run();
+  }
+  std::vector<double> instant_ts;
+  for (const Event& ev : tracer.events()) {
+    if (ev.type == EventType::kInstant) {
+      instant_ts.push_back(ev.ts.ms());
+    }
+  }
+  EXPECT_EQ(instant_ts, (std::vector<double>{4.0, 5.0}));
+  // Clear drops the epoch with the buffer.
+  tracer.Clear();
+  tracer.Instant(kHostTrack, "after-clear");
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(tracer.events()[0].ts.ns(), 0);
+}
+
 TEST_F(TraceTest, DisabledTracerRecordsNothing) {
   Tracer& tracer = Tracer::Get();
   ASSERT_FALSE(tracer.enabled());
