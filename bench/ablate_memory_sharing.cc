@@ -21,7 +21,7 @@ void MemoryAtScale() {
                          sharing ? lightvm::Mechanisms::LightVmShared()
                                  : lightvm::Mechanisms::LightVm());
       for (int i = 0; i < n; ++i) {
-        bench::CreateTiming t = bench::CreateBootTimed(
+        lightvm::CreateTiming t = lightvm::CreateBootTimed(
             engine, host,
             bench::Config(lv::StrFormat("vm%d", i), guests::DaytimeUnikernel()));
         if (!t.ok) {

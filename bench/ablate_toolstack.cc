@@ -24,7 +24,7 @@ void PoolSweep() {
     }
     lv::Samples lat;
     for (int i = 0; i < 16; ++i) {
-      bench::CreateTiming t = bench::CreateBootTimed(
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(
           engine, host,
           bench::Config(lv::StrFormat("burst%d", i), guests::DaytimeUnikernel()));
       if (!t.ok) {
@@ -51,7 +51,7 @@ void HotplugSweep() {
       // Swap xl's inline bash script for the xendevd binary daemon.
       host.toolstack().env().bash_hotplug = host.xendevd_runner();
     }
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config("vm0", guests::DaytimeUnikernel()));
     bench::Point(use_xendevd ? "hotplug_xendevd" : "hotplug_bash",
                  {{"create_ms", t.create_ms}});
@@ -75,7 +75,7 @@ void NoxsTeardownSweep() {
       dst.device_costs_for_test()->noxs_teardown_extra = lv::Duration();
     }
     xnet::Link link(&engine, 10.0, lv::Duration::MillisF(0.2));
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, src, bench::Config("mig", guests::DaytimeUnikernel()));
     if (!t.ok) {
       bench::FailRun("noxs_teardown: vm creation failed");

@@ -25,7 +25,7 @@ double MeasureAt500(const xs::Costs& store_costs) {
   *host.store_costs_for_test() = store_costs;
   double last = 0.0;
   for (int i = 1; i <= 500; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("vm%d", i), guests::DaytimeUnikernel()));
     if (!t.ok) {
       bench::FailRun(lv::StrFormat("create %d/500 failed", i));

@@ -1,6 +1,8 @@
 // Shared helpers for the figure-reproduction benchmarks: table printing,
-// sample-point selection, timed VM creation, and the machine-readable
-// BENCH_*.json report (--json=<file>).
+// VM configs and the machine-readable BENCH_*.json report (--json=<file>).
+// The timed create/boot (lightvm::CreateBootTimed, src/core/host.h) and the
+// printed-row sampler (lv::SampleRow, src/base/stats.h) live in the library,
+// shared with the scenario runner.
 #pragma once
 
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/stats.h"
 #include "src/base/strings.h"
 #include "src/core/host.h"
 #include "src/obs/obs.h"
@@ -23,16 +26,16 @@ namespace bench {
 
 // Machine-readable benchmark results. Every figure binary records its full-
 // resolution data points here (the printed table is usually downsampled via
-// Sample()); `--json=<file>` dumps them as a schema-versioned artifact
+// lv::SampleRow()); `--json=<file>` dumps them as a schema-versioned artifact
 // together with a snapshot of the always-on metrics registry, so two runs of
 // the same figure can be diffed point-by-point and counter-by-counter. With
 // no `--json` flag the report is a no-op; nothing is ever written to stdout,
 // which keeps the printed tables byte-identical either way.
 //
 // Usage, in a figure's main(int argc, char** argv):
-//   bench::Report::Get().Init(argc, argv, "fig04_instantiation");
+//   bench::Report::Get().Init(argc, argv, "fig09_mechanisms");
 //   ...
-//   bench::Point("unikernel", {{"n", i}, {"create_ms", t.create_ms}});
+//   bench::Point("xl", {{"n", i}, {"create_ms", t.create_ms}});
 //   ...
 //   bench::Report::Get().Write();
 class Report {
@@ -204,54 +207,6 @@ inline void Header(const std::string& figure, const std::string& title,
 inline void Footnote(const std::string& text) {
   Report::Get().AddFootnote(text);
   std::printf("# %s\n", text.c_str());
-}
-
-// Samples ~`points` indices out of [1, total], always including 1 and total.
-// When total <= points there is nothing to thin out: every index is a sample
-// point (a zero step would otherwise drop every interior index).
-inline bool Sample(int i, int total, int points = 25) {
-  if (i == 1 || i == total) {
-    return true;
-  }
-  int step = total / points;
-  if (step == 0) {
-    return true;
-  }
-  return i % step == 0;
-}
-
-// Creates a VM and waits for boot; returns (domid, create_ms, boot_ms).
-struct CreateTiming {
-  hv::DomainId domid = hv::kInvalidDomain;
-  double create_ms = 0.0;
-  double boot_ms = 0.0;
-  bool ok = false;
-};
-
-inline CreateTiming CreateBootTimed(sim::Engine& engine, lightvm::Host& host,
-                                    toolstack::VmConfig config) {
-  CreateTiming timing;
-  lv::TimePoint t0 = engine.now();
-  auto domid = sim::RunToCompletion(engine, host.CreateVm(std::move(config)));
-  if (!domid.ok()) {
-    std::fprintf(stderr, "create failed: %s\n", domid.error().message.c_str());
-    return timing;
-  }
-  timing.domid = *domid;
-  timing.create_ms = (engine.now() - t0).ms();
-  lv::TimePoint t1 = engine.now();
-  guests::Guest* guest = host.guest(*domid);
-  if (guest != nullptr) {
-    bool booted = sim::RunUntilCondition(engine, [&] { return guest->booted(); },
-                                         lv::Duration::Seconds(600));
-    if (!booted) {
-      std::fprintf(stderr, "boot timed out for dom%lld\n", (long long)*domid);
-      return timing;
-    }
-    timing.boot_ms = (guest->booted_at() - t1).ms();
-  }
-  timing.ok = true;
-  return timing;
 }
 
 inline toolstack::VmConfig Config(const std::string& name, guests::GuestImage image) {

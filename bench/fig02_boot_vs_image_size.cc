@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
                        lightvm::Mechanisms::ChaosNoxs());
     guests::GuestImage image =
         guests::PaddedImage(guests::DaytimeUnikernel(), lv::Bytes::MiB(mb));
-    bench::CreateTiming t =
-        bench::CreateBootTimed(engine, host, bench::Config("padded", image));
+    lightvm::CreateTiming t =
+        lightvm::CreateBootTimed(engine, host, bench::Config("padded", image));
     if (!t.ok) {
       return 1;
     }

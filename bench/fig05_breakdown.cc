@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
     // One trace window per creation keeps the buffer bounded and makes the
     // SpanTotal queries below cover exactly this sample.
     tracer.Clear();
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("vm%d", i), guests::DaytimeUnikernel()));
     if (!t.ok) {
       break;
     }
-    if (bench::Sample(i, kTotal)) {
+    if (lv::SampleRow(i, kTotal)) {
       lv::Duration config = tracer.SpanTotal("create.config");
       lv::Duration tstack = tracer.SpanTotal("create.toolstack");
       lv::Duration hypervisor = tracer.SpanTotal("create.hypervisor");

@@ -16,7 +16,7 @@ void Series(lightvm::Mechanisms mechanisms, int total) {
   std::printf("\n## %s\n", mechanisms.label().c_str());
   std::printf("%-8s %-14s %-10s %s\n", "n", "create_ms", "boot_ms", "create+boot_ms");
   for (int i = 1; i <= total; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("vm%d", i), guests::DaytimeUnikernel()));
     if (!t.ok) {
       break;
@@ -24,7 +24,7 @@ void Series(lightvm::Mechanisms mechanisms, int total) {
     bench::Point(mechanisms.label(), {{"n", static_cast<double>(i)},
                                       {"create_ms", t.create_ms},
                                       {"boot_ms", t.boot_ms}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %-14.2f %-10.2f %.2f\n", i, t.create_ms, t.boot_ms,
                   t.create_ms + t.boot_ms);
     }
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
                        lightvm::Mechanisms::LightVm());
     host.AddShellFlavor(guests::NoopUnikernel().memory, false, 4);
     host.PrefillShellPool();
-    bench::CreateTiming t =
-        bench::CreateBootTimed(engine, host, bench::Config("noop", guests::NoopUnikernel()));
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
+        engine, host, bench::Config("noop", guests::NoopUnikernel()));
     std::printf("\n# noop unikernel, no devices, all optimizations: %.2f ms "
                 "(paper: 2.3 ms)\n",
                 t.create_ms + t.boot_ms);

@@ -18,13 +18,13 @@ void VmSeries(const char* label, guests::GuestImage image, int total) {
   std::printf("\n## %s over LightVM\n", label);
   std::printf("%-8s %s\n", "n", "boot_ms");
   for (int i = 1; i <= total; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("%s%d", label, i), image));
     if (!t.ok) {
       break;
     }
     bench::Point(label, {{"n", static_cast<double>(i)}, {"boot_ms", t.boot_ms}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %.1f\n", i, t.boot_ms);
     }
   }
@@ -46,7 +46,7 @@ void DockerSeries(int total) {
     }
     bench::Point("docker",
                  {{"n", static_cast<double>(i)}, {"run_ms", (engine.now() - t0).ms()}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %.1f\n", i, (engine.now() - t0).ms());
     }
   }

@@ -29,7 +29,7 @@ void Series(lightvm::Mechanisms mechanisms, int total) {
   for (int round = 0; round * 10 < total; ++round) {
     // Start 10 more guests.
     for (int i = 0; i < 10; ++i) {
-      bench::CreateTiming t = bench::CreateBootTimed(
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(
           engine, host,
           bench::Config(lv::StrFormat("ck%d", created++), guests::DaytimeUnikernel()));
       if (!t.ok) {

@@ -30,7 +30,7 @@ void Series(lightvm::Mechanisms mechanisms, int total) {
   int created = 0;
   for (int round = 0; round * 10 < total; ++round) {
     for (int i = 0; i < 10; ++i) {
-      bench::CreateTiming t = bench::CreateBootTimed(
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(
           engine, src,
           bench::Config(lv::StrFormat("mg%d", created++), guests::DaytimeUnikernel()));
       if (!t.ok) {
@@ -58,7 +58,7 @@ void Series(lightvm::Mechanisms mechanisms, int total) {
     }
     // Replace the migrated guests so the source population is back to size.
     for (int i = 0; i < 10; ++i) {
-      bench::CreateTiming t = bench::CreateBootTimed(
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(
           engine, src,
           bench::Config(lv::StrFormat("mg%d", created++), guests::DaytimeUnikernel()));
       if (!t.ok) {

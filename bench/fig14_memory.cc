@@ -14,7 +14,7 @@ void VmSeries(const char* label, guests::GuestImage image, int total) {
   std::printf("\n## %s\n", label);
   std::printf("%-8s %s\n", "n", "memory_mb");
   for (int i = 1; i <= total; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("%s%d", label, i), image));
     if (!t.ok) {
       std::printf("# out of memory at n=%d\n", i);
@@ -22,7 +22,7 @@ void VmSeries(const char* label, guests::GuestImage image, int total) {
     }
     bench::Point(label,
                  {{"n", static_cast<double>(i)}, {"memory_mb", host.MemoryUsed().mib()}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %.0f\n", i, host.MemoryUsed().mib());
     }
   }
@@ -43,7 +43,7 @@ void DockerSeries(int total) {
     }
     bench::Point("docker-micropython",
                  {{"n", static_cast<double>(i)}, {"memory_mb", docker.MemoryUsed().mib()}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %.0f\n", i, docker.MemoryUsed().mib());
     }
   }
@@ -61,7 +61,7 @@ void ProcessSeries(int total) {
     (void)sim::RunToCompletion(engine, procs.ForkExec(ctx));
     bench::Point("process",
                  {{"n", static_cast<double>(i)}, {"memory_mb", procs.MemoryUsed().mib()}});
-    if (bench::Sample(i, total)) {
+    if (lv::SampleRow(i, total)) {
       std::printf("%-8d %.0f\n", i, procs.MemoryUsed().mib());
     }
   }

@@ -19,7 +19,7 @@ void VmSeries(const char* label, guests::GuestImage image) {
   int created = 0;
   for (int target : kSamplePoints) {
     while (created < target) {
-      bench::CreateTiming t = bench::CreateBootTimed(
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(
           engine, host, bench::Config(lv::StrFormat("%s%d", label, created), image));
       if (!t.ok) {
         bench::FailRun(lv::StrFormat("%s: vm creation failed at n=%d", label, created));

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   // Boot the full population of 1000 firewalls once.
   std::vector<guests::Guest*> guests;
   for (int i = 0; i < 1000; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("fw%d", i), guests::ClickOsFirewall()));
     if (!t.ok) {
       return 1;

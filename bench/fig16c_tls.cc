@@ -45,7 +45,7 @@ double MeasureVmSeries(const guests::GuestImage& image, int n) {
   std::vector<std::unique_ptr<guests::TlsServer>> servers;
   std::vector<std::unique_ptr<LoopState>> states;
   for (int i = 0; i < n; ++i) {
-    bench::CreateTiming t = bench::CreateBootTimed(
+    lightvm::CreateTiming t = lightvm::CreateBootTimed(
         engine, host, bench::Config(lv::StrFormat("tls%d", i), image));
     if (!t.ok) {
       bench::FailRun(lv::StrFormat("tls: create %d/%d failed", i, n));

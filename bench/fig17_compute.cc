@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
                              .secs();
       bench::Point(service_series,
                    {{"n", static_cast<double>(i + 1)}, {"service_s", service_s}});
-      if (bench::Sample(i + 1, kRequests)) {
+      if (lv::SampleRow(i + 1, kRequests)) {
         std::printf("%-8d %.2f\n", i + 1, service_s);
       }
     }

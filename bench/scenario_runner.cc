@@ -2,7 +2,8 @@
 // over the same control plane the fig* binaries drive. One binary, many
 // experiments: the spec describes topology, mechanisms, guest mix and
 // workload; the runner prints deterministic tables and emits the same
-// schema-versioned BENCH_<name>.json artifacts as the dedicated binaries.
+// schema-versioned BENCH_<name>.json artifacts as the fig* binaries.
+// Figure 4, Figure 10, fleet density and the chaos storm run only this way.
 //
 //   scenario_runner <spec.json> [--json=<file>] [--trace-out=<file>]
 //                   [--metrics-out=<file>] [--flight-out=<file>] [--check]

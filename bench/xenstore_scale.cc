@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i <= kDomains; ++i) {
     bench::Point("legacy", {{"n", double(i)}, {"create_ms", legacy[i - 1]}});
     bench::Point("indexed", {{"n", double(i)}, {"create_ms", indexed[i - 1]}});
-    if (bench::Sample(i, kDomains)) {
+    if (lv::SampleRow(i, kDomains)) {
       std::printf("%-8d %14.3f %14.3f\n", i, legacy[i - 1], indexed[i - 1]);
     }
   }

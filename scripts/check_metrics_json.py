@@ -14,7 +14,7 @@ nearest-rank vs interpolation difference).
 
 Usage:
   check_metrics_json.py BENCH_foo.json ...   validate existing file(s)
-  check_metrics_json.py --bench <fig04>      run the binary --json=<tmp> and
+  check_metrics_json.py --bench <binary>     run the binary --json=<tmp> and
                                              validate what it writes, and
                                              assert its stdout is
                                              byte-identical with and without
@@ -25,11 +25,11 @@ Usage:
                                              positional arguments before
                                              --json (--bench-arg repeats)
 
-The --bench form is registered as a ctest so the end-to-end path
-(instrumented hot paths -> registry -> bench exporter -> loadable JSON)
-stays green. The fig04 quantile cross-check fires when the document's
-"name" contains "fig04" (falling back to the filename for pre-scenario
-artifacts), so it covers scenario_runner output too.
+The --bench form over scenarios/ci/fig04_ci.json is registered as a ctest
+so the end-to-end path (instrumented hot paths -> registry -> bench
+exporter -> loadable JSON) stays green. The fig04 quantile cross-check
+fires when the document's "name" contains "fig04" (falling back to the
+filename for artifacts without a name).
 """
 
 import argparse

@@ -66,6 +66,21 @@ class Samples {
   mutable bool sorted_ = true;
 };
 
+// Whether row `i` of [1, total] is one of the ~`points` rows a printed table
+// shows (full data goes to BENCH json). The first and last rows always are;
+// when total <= points every row is (a zero step would drop every interior
+// row).
+inline bool SampleRow(int i, int total, int points = 25) {
+  if (i == 1 || i == total) {
+    return true;
+  }
+  int step = total / points;
+  if (step == 0) {
+    return true;
+  }
+  return i % step == 0;
+}
+
 // A (time, value) series, e.g. "number of concurrently running VMs".
 class TimeSeries {
  public:

@@ -1,7 +1,9 @@
 #include "src/core/host.h"
 
 #include "src/base/assert.h"
+#include "src/base/log.h"
 #include "src/obs/obs.h"
+#include "src/sim/run.h"
 
 namespace lightvm {
 
@@ -171,6 +173,35 @@ void Host::Reboot() {
   fault_hooks_.node_crashed = false;
   node_->set_accepting(true);
   obs::FlightRecorder::Get().Record(node_->obs_node(), {}, "host", "reboot", true);
+}
+
+CreateTiming CreateBootTimed(sim::Engine& engine, Host& host, toolstack::VmConfig config) {
+  CreateTiming timing;
+  const std::string name = config.name;
+  lv::TimePoint t0 = engine.now();
+  auto domid = sim::RunToCompletion(engine, host.CreateVm(std::move(config)));
+  if (!domid.ok()) {
+    timing.error = domid.error().ToString();
+  } else {
+    timing.domid = *domid;
+    timing.create_ms = (engine.now() - t0).ms();
+    lv::TimePoint t1 = engine.now();
+    guests::Guest* guest = host.guest(*domid);
+    if (guest != nullptr) {
+      bool booted = sim::RunUntilCondition(engine, [&] { return guest->booted(); },
+                                           lv::Duration::Seconds(600));
+      if (!booted) {
+        timing.error = "boot timed out";
+      } else {
+        timing.boot_ms = (guest->booted_at() - t1).ms();
+      }
+    }
+  }
+  timing.ok = timing.error.empty();
+  if (!timing.ok) {
+    LV_WARN("host", "create of %s failed: %s", name.c_str(), timing.error.c_str());
+  }
+  return timing;
 }
 
 }  // namespace lightvm

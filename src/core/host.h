@@ -156,4 +156,19 @@ class Host {
   ResourceBaseline baseline_;
 };
 
+// One timed create-and-boot, measured the way the figures plot it:
+// create_ms spans the CreateVm call, boot_ms spans unpause to the guest's
+// boot signal (600 s horizon). Drives `engine` itself, so call it from
+// synchronous code. On failure `ok` is false, `error` says why, and the
+// reason is also logged at warning level.
+struct CreateTiming {
+  hv::DomainId domid = hv::kInvalidDomain;
+  double create_ms = 0.0;
+  double boot_ms = 0.0;
+  bool ok = false;
+  std::string error;
+};
+
+CreateTiming CreateBootTimed(sim::Engine& engine, Host& host, toolstack::VmConfig config);
+
 }  // namespace lightvm

@@ -27,7 +27,8 @@ struct FaultHooks {
   int stall_next_hotplugs = 0;
   lv::Duration hotplug_stall;
 
-  // Telemetry, asserted on by tests and exported by bench/chaos_storm.
+  // Telemetry, asserted on by tests and exported in the scenario runner's
+  // churn-storm `faults` series.
   int64_t injected_create_failures = 0;
   int64_t injected_hotplug_stalls = 0;
 

@@ -2,9 +2,9 @@
 // caller-provided sinks.
 //
 // The injector deliberately knows nothing about Host, Cluster or links — the
-// wiring layer (scenario runner, tests, bench/chaos_storm) binds FaultTargets
-// to the real operations. That keeps lv_faults dependent only on lv_base and
-// lv_sim, and lets tests drive the injector against mocks.
+// wiring layer (scenario runner, tests) binds FaultTargets to the real
+// operations. That keeps lv_faults dependent only on lv_base and lv_sim, and
+// lets tests drive the injector against mocks.
 #pragma once
 
 #include <functional>

@@ -27,54 +27,10 @@ namespace {
 using lv::Err;
 using lv::ErrorCode;
 
-// Matches the bench harness's sampling: ~`points` printed rows out of
-// [1, total], always including the first and last.
-bool Sampled(int i, int total, int points) {
-  if (i == 1 || i == total) {
-    return true;
-  }
-  int step = total / points;
-  if (step == 0) {
-    return true;
-  }
-  return i % step == 0;
-}
-
-// Create-and-boot timing with the exact measurement semantics of the fig*
-// binaries (bench::CreateBootTimed): create_ms spans the CreateVm call,
-// boot_ms spans unpause to the guest's boot signal, 600 s boot horizon.
-struct CreateTiming {
-  hv::DomainId domid = hv::kInvalidDomain;
-  double create_ms = 0.0;
-  double boot_ms = 0.0;
-  bool ok = false;
-  std::string error;
-};
-
-CreateTiming CreateBootTimed(sim::Engine& engine, lightvm::Host& host,
-                             toolstack::VmConfig config) {
-  CreateTiming timing;
-  lv::TimePoint t0 = engine.now();
-  auto domid = sim::RunToCompletion(engine, host.CreateVm(std::move(config)));
-  if (!domid.ok()) {
-    timing.error = domid.error().ToString();
-    return timing;
-  }
-  timing.domid = *domid;
-  timing.create_ms = (engine.now() - t0).ms();
-  lv::TimePoint t1 = engine.now();
-  guests::Guest* guest = host.guest(*domid);
-  if (guest != nullptr) {
-    bool booted = sim::RunUntilCondition(engine, [&] { return guest->booted(); },
-                                         lv::Duration::Seconds(600));
-    if (!booted) {
-      timing.error = "boot timed out";
-      return timing;
-    }
-    timing.boot_ms = (guest->booted_at() - t1).ms();
-  }
-  timing.ok = true;
-  return timing;
+// Quantile of `s`, or 0 for a run that recorded none (every deploy failed,
+// no VM needed recovery).
+double QuantileOr0(const lv::Samples& s, double p) {
+  return s.empty() ? 0.0 : s.Quantile(p);
 }
 
 // --- Fault plans ------------------------------------------------------------
@@ -85,10 +41,9 @@ faults::FaultPlan BuildFaultPlan(const Spec& spec) {
   const FaultsConfig& f = *spec.faults;
   faults::FaultPlan plan = f.plan;
   if (f.random_events > 0) {
-    uint64_t seed = f.random_seed != 0 ? f.random_seed : spec.seed;
     faults::FaultPlan random = faults::FaultPlan::Random(
-        seed, spec.topology.nodes, f.random_events,
-        lv::Duration::MillisF(f.random_horizon_ms));
+        f.random_seed.value_or(spec.seed), spec.topology.nodes, f.random_events,
+        f.random_horizon);
     plan.events.insert(plan.events.end(), random.events.begin(),
                        random.events.end());
   }
@@ -418,7 +373,7 @@ class Runner {
       toolstack::VmConfig config;
       config.name = lv::StrFormat("%s%d", group.name_prefix.c_str(), i);
       config.image = image;
-      CreateTiming t = CreateBootTimed(engine, host, std::move(config));
+      lightvm::CreateTiming t = lightvm::CreateBootTimed(engine, host, std::move(config));
       if (!t.ok) {
         out_ << lv::StrFormat("# stopped at n=%d (%s)\n", i, t.error.c_str());
         break;
@@ -427,7 +382,7 @@ class Runner {
       Point(group.series, {{"n", static_cast<double>(i)},
                            {"create_ms", t.create_ms},
                            {"boot_ms", t.boot_ms}});
-      if (Sampled(i, group.count, spec_.sample_points)) {
+      if (lv::SampleRow(i, group.count, spec_.sample_points)) {
         out_ << lv::StrFormat("%-8d %-14.2f %.2f\n", i, t.create_ms, t.boot_ms);
       }
     }
@@ -456,7 +411,7 @@ class Runner {
       ++result_.vms_created;
       double run_ms = (engine.now() - t0).ms();
       Point(group.series, {{"n", static_cast<double>(i)}, {"run_ms", run_ms}});
-      if (Sampled(i, group.count, spec_.sample_points)) {
+      if (lv::SampleRow(i, group.count, spec_.sample_points)) {
         out_ << lv::StrFormat("%-8d %.2f\n", i, run_ms);
       }
     }
@@ -478,7 +433,7 @@ class Runner {
       ++result_.vms_created;
       double ms = (engine.now() - t0).ms();
       Point(group.series, {{"n", static_cast<double>(i)}, {"fork_exec_ms", ms}});
-      if (Sampled(i, group.count, spec_.sample_points)) {
+      if (lv::SampleRow(i, group.count, spec_.sample_points)) {
         out_ << lv::StrFormat("%-8d %.2f\n", i, ms);
       }
     }
@@ -550,7 +505,7 @@ class Runner {
       Point("ops", {{"op", static_cast<double>(op.op)},
                     {"kind", static_cast<double>(op.kind)},
                     {"ms", op.ms}});
-      if (Sampled(i + 1, total, spec_.sample_points)) {
+      if (lv::SampleRow(i + 1, total, spec_.sample_points)) {
         out_ << lv::StrFormat("%-8d %-8s %.2f\n", op.op,
                               op.kind == 0 ? "create" : "destroy", op.ms);
       }
@@ -558,9 +513,6 @@ class Runner {
 
     result_.vms_created += st.creates;
     result_.vms_destroyed += st.destroys;
-    auto q = [](const lv::Samples& s, double p) {
-      return s.empty() ? 0.0 : s.Quantile(p);
-    };
     out_ << lv::StrFormat(
         "creates=%lld destroys=%lld create_failures=%lld destroy_failures=%lld "
         "live=%lld\n",
@@ -569,13 +521,13 @@ class Runner {
         (long long)host.num_vms());
     out_ << lv::StrFormat("create_ms: p50=%.2f p99=%.2f  destroy_ms: p50=%.2f "
                           "p99=%.2f  makespan_s=%.2f\n",
-                          q(st.create_ms, 0.5), q(st.create_ms, 0.99),
-                          q(st.destroy_ms, 0.5), q(st.destroy_ms, 0.99),
+                          QuantileOr0(st.create_ms, 0.5), QuantileOr0(st.create_ms, 0.99),
+                          QuantileOr0(st.destroy_ms, 0.5), QuantileOr0(st.destroy_ms, 0.99),
                           makespan_s);
-    Point("summary", {{"create_p50_ms", q(st.create_ms, 0.5)},
-                      {"create_p99_ms", q(st.create_ms, 0.99)},
-                      {"destroy_p50_ms", q(st.destroy_ms, 0.5)},
-                      {"destroy_p99_ms", q(st.destroy_ms, 0.99)},
+    Point("summary", {{"create_p50_ms", QuantileOr0(st.create_ms, 0.5)},
+                      {"create_p99_ms", QuantileOr0(st.create_ms, 0.99)},
+                      {"destroy_p50_ms", QuantileOr0(st.destroy_ms, 0.5)},
+                      {"destroy_p99_ms", QuantileOr0(st.destroy_ms, 0.99)},
                       {"makespan_s", makespan_s},
                       {"creates", static_cast<double>(st.creates)},
                       {"destroys", static_cast<double>(st.destroys)},
@@ -621,7 +573,7 @@ class Runner {
     cspec.node = host_spec_;
     cspec.mechanisms = mechanisms_;
     cspec.link_gbps = spec_.topology.link_gbps;
-    cspec.link_rtt = lv::Duration::MicrosF(spec_.topology.link_rtt_us);
+    cspec.link_rtt = spec_.topology.link_rtt;
     auto policy = cluster::MakePolicy(policy_name);
     LV_CHECK(policy != nullptr);  // validated at parse time
     cluster::Cluster cl(&engine, cspec, std::move(policy));
@@ -692,6 +644,27 @@ class Runner {
     }
     double makespan_s = (engine.now() - start).secs();
     Settle(engine);
+    // A chaos run reads its recovery ledger only once every planned fault
+    // has fired, every crashed node has finished its settle pass and every
+    // lost VM is booked as recovered or unrecovered. A fault planned past
+    // the settle window must not be dropped silently.
+    if (injector.has_value()) {
+      auto drained = [&] {
+        if (injector->injected() != static_cast<int64_t>(injector->plan().size())) {
+          return false;
+        }
+        for (int n = 0; n < cspec.num_nodes; ++n) {
+          if (cl.host(n).crashed() && !cl.host(n).crash_settled()) {
+            return false;
+          }
+        }
+        return cl.vms_lost() == cl.vms_recovered() + cl.vms_unrecovered();
+      };
+      if (!sim::RunUntilCondition(engine, drained, lv::Duration::Seconds(7200))) {
+        return Err(ErrorCode::kInternal,
+                   policy_name + ": recovery stalled: evacuation queue never drained");
+      }
+    }
 
     // Publish quiescent admission drift to the registry: the `slo` section's
     // admission_drift bound reads these gauges after the run.
@@ -736,17 +709,18 @@ class Runner {
                             (long long)per_node[static_cast<size_t>(n)]);
     }
     out_ << lv::StrFormat("  hash=%016llx\n", (unsigned long long)placement_hash);
+    const double lat_max = lat.empty() ? 0.0 : lat.max();
     out_ << lv::StrFormat("deploy_ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
-                          lat.Quantile(0.5), lat.Quantile(0.9), lat.Quantile(0.99),
-                          lat.max());
+                          QuantileOr0(lat, 0.5), QuantileOr0(lat, 0.9),
+                          QuantileOr0(lat, 0.99), lat_max);
     out_ << lv::StrFormat(
         "makespan_s=%.2f  vms=%lld  jobs_started=%lld  jobs_failed=%lld  "
         "admission_rejects=%lld\n",
         makespan_s, (long long)cl.total_vms(), (long long)jobs_started,
         (long long)jobs_failed, (long long)cl.admission_rejects());
-    Point("summary", {{"deploy_p50_ms", lat.Quantile(0.5)},
-                      {"deploy_p99_ms", lat.Quantile(0.99)},
-                      {"deploy_max_ms", lat.max()},
+    Point("summary", {{"deploy_p50_ms", QuantileOr0(lat, 0.5)},
+                      {"deploy_p99_ms", QuantileOr0(lat, 0.99)},
+                      {"deploy_max_ms", lat_max},
                       {"makespan_s", makespan_s},
                       {"vms", static_cast<double>(cl.total_vms())},
                       {"jobs_failed", static_cast<double>(jobs_failed)}});
@@ -766,8 +740,7 @@ class Runner {
       out_ << lv::StrFormat(
           "recovery_ms: p50=%.2f p99=%.2f  deploy_retries=%lld "
           "replacements=%lld\n",
-          recovery.empty() ? 0.0 : recovery.Quantile(0.5),
-          recovery.empty() ? 0.0 : recovery.Quantile(0.99),
+          QuantileOr0(recovery, 0.5), QuantileOr0(recovery, 0.99),
           (long long)cl.deploy_retries(), (long long)cl.deploy_replacements());
       out_ << lv::StrFormat(
           "invariant_failures=%lld drift_mem_bytes=%lld drift_vcpus=%lld\n",
@@ -782,8 +755,8 @@ class Runner {
              {"vms_lost", static_cast<double>(cl.vms_lost())},
              {"vms_recovered", static_cast<double>(cl.vms_recovered())},
              {"vms_unrecovered", static_cast<double>(cl.vms_unrecovered())},
-             {"recovery_p50_ms", recovery.empty() ? 0.0 : recovery.Quantile(0.5)},
-             {"recovery_p99_ms", recovery.empty() ? 0.0 : recovery.Quantile(0.99)},
+             {"recovery_p50_ms", QuantileOr0(recovery, 0.5)},
+             {"recovery_p99_ms", QuantileOr0(recovery, 0.99)},
              {"deploy_retries", static_cast<double>(cl.deploy_retries())},
              {"replacements", static_cast<double>(cl.deploy_replacements())},
              {"invariant_failures", static_cast<double>(cl.invariant_failures())},

@@ -58,9 +58,11 @@ struct RunResult {
 };
 
 // Runs the scenario to completion. Table output goes to `out`; `point_fn`
-// may be null. Fails (without exiting) when the workload cannot complete —
-// a stalled fleet, a create storm that deadlocks — so callers decide how
-// loud to be.
+// may be null. A fleet-deploy run with faults reads its recovery ledger only
+// after every planned fault has fired and every lost VM is booked. Fails
+// (without exiting) when the workload cannot complete — a stalled fleet, a
+// create storm that deadlocks, a recovery that never drains — so callers
+// decide how loud to be.
 lv::Result<RunResult> Run(const Spec& spec, const RunOptions& options,
                           std::ostream& out, PointFn point_fn = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/base/strings.h"
@@ -44,7 +45,10 @@ lv::Result<double> WantNumber(const std::string& context, const Member& m) {
   return m.second.AsDouble();
 }
 
-lv::Result<int64_t> WantInt(const std::string& context, const Member& m) {
+// Reads an integer into a field of type T; a value T cannot hold is an
+// error, never a silent wrap.
+template <typename T>
+lv::Result<T> WantInt(const std::string& context, const Member& m) {
   auto d = WantNumber(context, m);
   if (!d.ok()) {
     return d.error();
@@ -52,7 +56,40 @@ lv::Result<int64_t> WantInt(const std::string& context, const Member& m) {
   if (*d != std::floor(*d)) {
     return BadField(context, m.first, "expected an integer");
   }
-  return static_cast<int64_t>(*d);
+  // max() + 1 is a power of two, so exact as a double.
+  if (*d < static_cast<double>(std::numeric_limits<T>::min()) ||
+      *d >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+    return BadField(context, m.first, "out of range");
+  }
+  return static_cast<T>(*d);
+}
+
+// The latest time a spec may name: a quarter of what a Duration holds
+// (~73 years), so fault times, a random plan's reboots (up to twice its
+// horizon) and the engine clock never overflow.
+constexpr double kMaxTimeNs = 0x1p61;
+
+// Reads a time given in units of `unit_ns` nanoseconds (1e6 for `*_ms`
+// keys, 1e3 for `*_us`). Negative times, times past kMaxTimeNs and, when
+// `positive`, times that round down to 0 ns are errors.
+lv::Result<lv::Duration> WantTime(const std::string& context, const Member& m,
+                                  double unit_ns, bool positive) {
+  auto d = WantNumber(context, m);
+  if (!d.ok()) {
+    return d.error();
+  }
+  const double ns = *d * unit_ns;
+  if (ns < 0.0) {
+    return BadField(context, m.first, positive ? "must be > 0" : "must be >= 0");
+  }
+  if (!(ns < kMaxTimeNs)) {
+    return BadField(context, m.first, "out of range");
+  }
+  lv::Duration t = lv::Duration::Nanos(static_cast<int64_t>(ns));
+  if (positive && t.ns() == 0) {
+    return BadField(context, m.first, "must be > 0 (rounds to 0 ns)");
+  }
+  return t;
 }
 
 lv::Result<bool> WantBool(const std::string& context, const Member& m) {
@@ -87,9 +124,9 @@ lv::Result<HostSpecConfig> ParseHost(const std::string& context, const Value& v)
     if (m.first == "preset") {
       LV_SPEC_ASSIGN(host.preset, WantString(context, m));
     } else if (m.first == "cores") {
-      LV_SPEC_ASSIGN(host.cores, WantInt(context, m));
+      LV_SPEC_ASSIGN(host.cores, WantInt<int>(context, m));
     } else if (m.first == "dom0_cores") {
-      LV_SPEC_ASSIGN(host.dom0_cores, WantInt(context, m));
+      LV_SPEC_ASSIGN(host.dom0_cores, WantInt<int>(context, m));
     } else if (m.first == "memory_gib") {
       LV_SPEC_ASSIGN(host.memory_gib, WantNumber(context, m));
     } else if (m.first == "dom0_memory_gib") {
@@ -110,7 +147,7 @@ lv::Result<TopologyConfig> ParseTopology(const Value& v) {
   const std::string context = "topology";
   for (const Member& m : v.AsObject()) {
     if (m.first == "nodes") {
-      LV_SPEC_ASSIGN(topo.nodes, WantInt(context, m));
+      LV_SPEC_ASSIGN(topo.nodes, WantInt<int>(context, m));
     } else if (m.first == "host") {
       auto ok = WantObject(context, m);
       if (!ok.ok()) {
@@ -120,7 +157,7 @@ lv::Result<TopologyConfig> ParseTopology(const Value& v) {
     } else if (m.first == "link_gbps") {
       LV_SPEC_ASSIGN(topo.link_gbps, WantNumber(context, m));
     } else if (m.first == "link_rtt_us") {
-      LV_SPEC_ASSIGN(topo.link_rtt_us, WantNumber(context, m));
+      LV_SPEC_ASSIGN(topo.link_rtt, WantTime(context, m, 1e3, /*positive=*/false));
     } else {
       return UnknownKey(context, m.first);
     }
@@ -130,9 +167,6 @@ lv::Result<TopologyConfig> ParseTopology(const Value& v) {
   }
   if (topo.link_gbps <= 0.0) {
     return BadField(context, "link_gbps", "must be > 0");
-  }
-  if (topo.link_rtt_us < 0.0) {
-    return BadField(context, "link_rtt_us", "must be >= 0");
   }
   return topo;
 }
@@ -144,7 +178,7 @@ lv::Result<ShellPoolConfig> ParseShellPool(const Value& v) {
     if (m.first == "image") {
       LV_SPEC_ASSIGN(pool.image, WantString(context, m));
     } else if (m.first == "target") {
-      LV_SPEC_ASSIGN(pool.target, WantInt(context, m));
+      LV_SPEC_ASSIGN(pool.target, WantInt<int>(context, m));
     } else if (m.first == "wants_net") {
       bool wants = false;
       LV_SPEC_ASSIGN(wants, WantBool(context, m));
@@ -179,7 +213,7 @@ lv::Result<GuestGroupConfig> ParseGuestGroup(int index, const Value& v) {
     } else if (m.first == "runtime") {
       LV_SPEC_ASSIGN(group.runtime, WantString(context, m));
     } else if (m.first == "count") {
-      LV_SPEC_ASSIGN(group.count, WantInt(context, m));
+      LV_SPEC_ASSIGN(group.count, WantInt<int>(context, m));
     } else if (m.first == "pad_to_mib") {
       LV_SPEC_ASSIGN(group.pad_to_mib, WantNumber(context, m));
     } else if (m.first == "name_prefix") {
@@ -228,10 +262,9 @@ lv::Result<faults::FaultEvent> ParseFaultEvent(int index, const Value& v) {
   bool saw_duration = false;
   bool saw_count = false;
   bool saw_peer = false;
-  double at_ms = 0.0;
   for (const Member& m : v.AsObject()) {
     if (m.first == "at_ms") {
-      LV_SPEC_ASSIGN(at_ms, WantNumber(context, m));
+      LV_SPEC_ASSIGN(ev.at, WantTime(context, m, 1e6, /*positive=*/false));
       saw_at = true;
     } else if (m.first == "kind") {
       std::string kind;
@@ -241,23 +274,15 @@ lv::Result<faults::FaultEvent> ParseFaultEvent(int index, const Value& v) {
       }
       saw_kind = true;
     } else if (m.first == "node") {
-      int64_t node = 0;
-      LV_SPEC_ASSIGN(node, WantInt(context, m));
-      ev.node = static_cast<int>(node);
+      LV_SPEC_ASSIGN(ev.node, WantInt<int>(context, m));
     } else if (m.first == "peer") {
-      int64_t peer = 0;
-      LV_SPEC_ASSIGN(peer, WantInt(context, m));
-      ev.peer = static_cast<int>(peer);
+      LV_SPEC_ASSIGN(ev.peer, WantInt<int>(context, m));
       saw_peer = true;
     } else if (m.first == "duration_ms") {
-      double duration_ms = 0.0;
-      LV_SPEC_ASSIGN(duration_ms, WantNumber(context, m));
-      ev.duration = lv::Duration::MillisF(duration_ms);
+      LV_SPEC_ASSIGN(ev.duration, WantTime(context, m, 1e6, /*positive=*/true));
       saw_duration = true;
     } else if (m.first == "count") {
-      int64_t count = 0;
-      LV_SPEC_ASSIGN(count, WantInt(context, m));
-      ev.count = static_cast<int>(count);
+      LV_SPEC_ASSIGN(ev.count, WantInt<int>(context, m));
       saw_count = true;
     } else {
       return UnknownKey(context, m.first);
@@ -266,17 +291,16 @@ lv::Result<faults::FaultEvent> ParseFaultEvent(int index, const Value& v) {
   if (!saw_kind) {
     return BadField(context, "kind", "required");
   }
-  if (!saw_at || at_ms < 0.0) {
+  if (!saw_at) {
     return BadField(context, "at_ms", "required, must be >= 0");
   }
-  ev.at = lv::Duration::MillisF(at_ms);
   if (ev.node < 0) {
     return BadField(context, "node", "must be >= 0");
   }
   const bool wants_duration = ev.kind == faults::FaultKind::kXsRestart ||
                               ev.kind == faults::FaultKind::kHotplugStall ||
                               ev.kind == faults::FaultKind::kLinkPartition;
-  if (wants_duration && (!saw_duration || ev.duration.ns() <= 0)) {
+  if (wants_duration && !saw_duration) {
     return BadField(context, "duration_ms", "required, must be > 0 for this kind");
   }
   if (!wants_duration && saw_duration) {
@@ -329,18 +353,12 @@ lv::Result<FaultsConfig> ParseFaults(const Value& v) {
       }
       for (const Member& rm : m.second.AsObject()) {
         if (rm.first == "events") {
-          int64_t events = 0;
-          LV_SPEC_ASSIGN(events, WantInt("faults.random", rm));
-          f.random_events = static_cast<int>(events);
+          LV_SPEC_ASSIGN(f.random_events, WantInt<int>("faults.random", rm));
         } else if (rm.first == "horizon_ms") {
-          LV_SPEC_ASSIGN(f.random_horizon_ms, WantNumber("faults.random", rm));
+          LV_SPEC_ASSIGN(f.random_horizon,
+                         WantTime("faults.random", rm, 1e6, /*positive=*/true));
         } else if (rm.first == "seed") {
-          int64_t seed = 0;
-          LV_SPEC_ASSIGN(seed, WantInt("faults.random", rm));
-          if (seed < 0) {
-            return BadField("faults.random", "seed", "must be >= 0");
-          }
-          f.random_seed = static_cast<uint64_t>(seed);
+          LV_SPEC_ASSIGN(f.random_seed, WantInt<uint64_t>("faults.random", rm));
         } else {
           return UnknownKey("faults.random", rm.first);
         }
@@ -348,8 +366,8 @@ lv::Result<FaultsConfig> ParseFaults(const Value& v) {
       if (f.random_events <= 0) {
         return BadField("faults.random", "events", "must be > 0");
       }
-      if (f.random_horizon_ms <= 0.0) {
-        return BadField("faults.random", "horizon_ms", "must be > 0");
+      if (f.random_horizon.ns() == 0) {
+        return BadField("faults.random", "horizon_ms", "required, must be > 0");
       }
     } else {
       return UnknownKey(context, m.first);
@@ -407,15 +425,15 @@ lv::Result<WorkloadConfig> ParseWorkload(const Value& v) {
     } else if (m.first == "image" && (churn || fleet)) {
       LV_SPEC_ASSIGN(w.image, WantString(context, m));
     } else if (m.first == "concurrency" && (churn || fleet)) {
-      LV_SPEC_ASSIGN(w.concurrency, WantInt(context, m));
+      LV_SPEC_ASSIGN(w.concurrency, WantInt<int>(context, m));
     } else if (m.first == "operations" && churn) {
-      LV_SPEC_ASSIGN(w.operations, WantInt(context, m));
+      LV_SPEC_ASSIGN(w.operations, WantInt<int>(context, m));
     } else if (m.first == "max_live" && churn) {
-      LV_SPEC_ASSIGN(w.max_live, WantInt(context, m));
+      LV_SPEC_ASSIGN(w.max_live, WantInt<int>(context, m));
     } else if (m.first == "destroy_fraction" && churn) {
       LV_SPEC_ASSIGN(w.destroy_fraction, WantNumber(context, m));
     } else if (m.first == "vms" && fleet) {
-      LV_SPEC_ASSIGN(w.vms, WantInt(context, m));
+      LV_SPEC_ASSIGN(w.vms, WantInt<int>(context, m));
     } else if (m.first == "wait_boot" && fleet) {
       LV_SPEC_ASSIGN(w.wait_boot, WantBool(context, m));
     } else if (m.first == "policies" && fleet) {
@@ -614,12 +632,7 @@ lv::Result<Spec> ParseSpec(std::string_view text) {
     } else if (m.first == "title") {
       LV_SPEC_ASSIGN(spec.title, WantString(context, m));
     } else if (m.first == "seed") {
-      int64_t seed = 0;
-      LV_SPEC_ASSIGN(seed, WantInt(context, m));
-      if (seed < 0) {
-        return BadField(context, "seed", "must be >= 0");
-      }
-      spec.seed = static_cast<uint64_t>(seed);
+      LV_SPEC_ASSIGN(spec.seed, WantInt<uint64_t>(context, m));
     } else if (m.first == "mechanisms") {
       LV_SPEC_ASSIGN(spec.mechanisms, WantString(context, m));
     } else if (m.first == "xenstore_policy") {
@@ -686,7 +699,7 @@ lv::Result<Spec> ParseSpec(std::string_view text) {
       }
       for (const Member& om : m.second.AsObject()) {
         if (om.first == "sample_points") {
-          LV_SPEC_ASSIGN(spec.sample_points, WantInt("output", om));
+          LV_SPEC_ASSIGN(spec.sample_points, WantInt<int>("output", om));
         } else {
           return UnknownKey("output", om.first);
         }

@@ -4,10 +4,10 @@
 // A spec describes one full-system experiment — topology (how many nodes,
 // which host preset), the mechanism configuration, the guest mix and the
 // workload that drives it — and `scenario::Run` (runner.h) executes it over
-// the same Host / NodeApi / Cluster control plane the dedicated fig*
-// binaries use. The committed specs under scenarios/ include equivalents of
-// Figure 4 and Figure 10 that are cross-checked against the dedicated
-// binaries, so spec-driven runs carry the same paper fidelity.
+// the same Host / NodeApi / Cluster control plane the fig* binaries use.
+// Figure 4, Figure 10, fleet density and the chaos storm exist only as
+// committed specs under scenarios/; each was proven point-for-point equal
+// to the dedicated binary it replaced before that binary was deleted.
 //
 // Parsing is strict: unknown keys, duplicate keys, wrong types and
 // out-of-range values are errors, not warnings. A spec that silently
@@ -51,7 +51,7 @@ struct TopologyConfig {
   int nodes = 1;
   HostSpecConfig host;
   double link_gbps = 10.0;
-  double link_rtt_us = 200.0;
+  lv::Duration link_rtt = lv::Duration::Micros(200);  // `link_rtt_us`
 };
 
 // Pre-created domain shells (split toolstack). `image` names the registry
@@ -77,10 +77,10 @@ struct GuestGroupConfig {
 // random plan, or both — merged and time-sorted before arming. Applies to
 // churn-storm (single node) and fleet-deploy (cluster) workloads.
 struct FaultsConfig {
-  faults::FaultPlan plan;         // explicit `events` entries
-  int random_events = 0;          // > 0: append FaultPlan::Random(...)
-  double random_horizon_ms = 0.0; // horizon of the random plan
-  uint64_t random_seed = 0;       // 0 = derive from the spec seed
+  faults::FaultPlan plan;               // explicit `events` entries
+  int random_events = 0;                // > 0: append FaultPlan::Random(...)
+  lv::Duration random_horizon;          // horizon of the random plan
+  std::optional<uint64_t> random_seed;  // unset = the spec seed
 };
 
 // Workload kinds.

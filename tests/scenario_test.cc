@@ -10,6 +10,7 @@
 
 #include "src/base/json.h"
 #include "src/core/host.h"
+#include "src/obs/obs.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
 #include "src/sim/engine.h"
@@ -199,6 +200,50 @@ TEST(Spec, UnknownNamesRejected) {
   })").ok());
 }
 
+// Numbers are checked against what their field can hold: an integer that
+// would wrap, or a time that would overflow a Duration or round to zero,
+// is rejected at parse time instead of wrapping or aborting the run.
+TEST(Spec, NumbersOutOfRangeRejected) {
+  auto expect_rejected = [](const std::string& text, const std::string& why) {
+    auto spec = scenario::ParseSpec(text);
+    ASSERT_FALSE(spec.ok()) << "accepted: " << text;
+    EXPECT_NE(spec.error().ToString().find(why), std::string::npos)
+        << spec.error().ToString();
+  };
+  auto boots = [](const std::string& count, const std::string& output) {
+    return R"({"name": "t", "workload": { "kind": "sequential-boots",
+               "guests": [ { "image": "daytime", "count": )" +
+           count + " } ] }" + output + "}";
+  };
+  auto fleet = [](const std::string& faults) {
+    return R"({"name": "t", "topology": { "nodes": 2 },
+               "workload": { "kind": "fleet-deploy", "vms": 4 },
+               "faults": )" +
+           faults + "}";
+  };
+
+  // 2^32 + 3 guests must not boot 3, 2^32 + 10 rows must not print 10.
+  expect_rejected(boots("4294967299", ""), "count: out of range");
+  expect_rejected(boots("1", R"(, "output": { "sample_points": 4294967306 })"),
+                  "sample_points: out of range");
+  // A horizon that rounds to 0 ns, and times no Duration can hold.
+  expect_rejected(fleet(R"({"random": {"events": 2, "horizon_ms": 1e-7}})"),
+                  "horizon_ms: must be > 0");
+  expect_rejected(fleet(R"({"random": {"events": 2, "horizon_ms": 1e300}})"),
+                  "horizon_ms: out of range");
+  expect_rejected(fleet(R"({"events": [{"at_ms": 1e300, "kind": "node-crash", "node": 1}]})"),
+                  "at_ms: out of range");
+
+  // An explicit random-plan seed of 0 is a seed, not "use the spec seed".
+  auto zero = scenario::ParseSpec(
+      fleet(R"({"random": {"events": 2, "horizon_ms": 100, "seed": 0}})"));
+  ASSERT_TRUE(zero.ok()) << zero.error().ToString();
+  EXPECT_EQ(zero->faults->random_seed, std::optional<uint64_t>(0));
+  auto unset = scenario::ParseSpec(fleet(R"({"random": {"events": 2, "horizon_ms": 100}})"));
+  ASSERT_TRUE(unset.ok()) << unset.error().ToString();
+  EXPECT_FALSE(unset->faults->random_seed.has_value());
+}
+
 // --- Runner determinism -----------------------------------------------------
 
 // The churn storm exercises every nondeterminism hazard at once: concurrent
@@ -300,6 +345,74 @@ TEST(Runner, DifferentSeedDiverges) {
     tables[seed - 1] = out.str();
   }
   EXPECT_NE(tables[0], tables[1]);
+}
+
+// --- Chaos fleet runs ---------------------------------------------------------
+
+// Runs `spec_text` and returns its stdout; every `faults` point lands in
+// `faults` (column -> value).
+std::string RunChaosSpec(const std::string& spec_text,
+                         std::map<std::string, double>* faults) {
+  auto spec = scenario::ParseSpec(spec_text);
+  EXPECT_TRUE(spec.ok()) << spec.error().ToString();
+  if (!spec.ok()) {
+    return "";
+  }
+  std::ostringstream out;
+  auto result = scenario::Run(
+      *spec, {}, out,
+      [&](const std::string& series,
+          const std::vector<std::pair<std::string, double>>& row) {
+        if (series == "faults") {
+          faults->insert(row.begin(), row.end());
+        }
+      });
+  EXPECT_TRUE(result.ok()) << result.error().ToString();
+  return out.str();
+}
+
+// Both nodes die before any deploy lands: the run has no deploy latencies
+// at all and must report zeros, not abort on an empty sample set.
+TEST(Runner, FleetWithNoSuccessfulDeployReportsZeros) {
+  std::map<std::string, double> faults;
+  std::string table = RunChaosSpec(R"({
+    "name": "t", "mechanisms": "lightvm", "topology": { "nodes": 2 },
+    "workload": { "kind": "fleet-deploy", "vms": 4, "policies": ["least-loaded"] },
+    "faults": { "events": [ { "at_ms": 0, "kind": "node-crash", "node": 0 },
+                            { "at_ms": 0, "kind": "node-crash", "node": 1 } ] }
+  })", &faults);
+  EXPECT_NE(table.find("deploys_failed=4"), std::string::npos) << table;
+  EXPECT_NE(table.find("vms=0 "), std::string::npos) << table;
+  EXPECT_NE(table.find("deploy_ms: p50=0.00 p90=0.00 p99=0.00 max=0.00"),
+            std::string::npos)
+      << table;
+  EXPECT_EQ(faults["injected"], 2.0);
+}
+
+// A fault planned long after the fleet is deployed (past the runner's 30 s
+// settle window) still fires before the ledger is read: node 1 is crashed
+// at 10 ms and rebooted at 60 s, and ends the run up again.
+TEST(Runner, LateFaultsFireBeforeTheLedgerIsRead) {
+  obs::FlightRecorder::Get().Reset();
+  std::map<std::string, double> faults;
+  std::string table = RunChaosSpec(R"({
+    "name": "t", "mechanisms": "lightvm", "topology": { "nodes": 2 },
+    "workload": { "kind": "fleet-deploy", "vms": 8, "policies": ["least-loaded"] },
+    "faults": { "events": [ { "at_ms": 10, "kind": "node-crash", "node": 1 },
+                            { "at_ms": 60000, "kind": "node-reboot", "node": 1 } ] }
+  })", &faults);
+  EXPECT_EQ(faults["injected"], 2.0) << table;
+  EXPECT_NE(table.find("## faults (2 injected)"), std::string::npos) << table;
+
+  // Node 1's last host-level event is the reboot that followed its crash.
+  std::vector<obs::FlightEvent> events = obs::FlightRecorder::Get().NodeEvents(1);
+  std::string last_host_verb;
+  for (const obs::FlightEvent& ev : events) {
+    if (std::string(ev.layer) == "host") {
+      last_host_verb = ev.verb;
+    }
+  }
+  EXPECT_EQ(last_host_verb, "reboot");
 }
 
 // --- Store policy plumbing and the byte-identity guard ----------------------
@@ -404,11 +517,11 @@ TEST(Runner, ExplicitLegacyPolicyIsByteIdenticalAndIndexedIsFaster) {
 // --- Paper fidelity ---------------------------------------------------------
 
 // A scaled-down fig04 spec must agree with a direct Host loop that uses the
-// dedicated binaries' measurement semantics (create spans CreateVm, boot
-// spans unpause -> boot signal) and naming ("<series>-<i>"). Acceptance for
-// the full-scale spec is the committed scenarios/fig04_instantiation.json,
-// cross-checked in CI via the committed baselines; this test keeps the
-// equivalence enforced at unit-test cost.
+// figures' measurement semantics (create spans CreateVm, boot spans unpause
+// -> boot signal) and naming ("<series>-<i>"). The full-scale
+// scenarios/fig04_instantiation.json runs in CI's perf-gate job and its
+// fast variant is diffed against the committed baselines; this test keeps
+// the semantics enforced at unit-test cost.
 TEST(Runner, Fig04SemanticsMatchDirectHostLoop) {
   constexpr int kCount = 40;
 
@@ -435,8 +548,8 @@ TEST(Runner, Fig04SemanticsMatchDirectHostLoop) {
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   ASSERT_EQ(scenario_ms.size(), static_cast<size_t>(kCount));
 
-  // Direct loop, same semantics as bench::CreateBootTimed in the fig*
-  // binaries.
+  // Direct loop, written out independently of lightvm::CreateBootTimed
+  // (which both the runner and the fig* binaries call).
   auto host_spec = scenario::ResolveHostSpec({});
   ASSERT_TRUE(host_spec.ok());
   auto mechanisms = scenario::MechanismsByName("xl");
