@@ -19,7 +19,7 @@ struct BgSleep {
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     st->parked = h;
-    st->sleep = engine->Schedule(d, [h] { h.resume(); });
+    st->sleep = engine->Schedule(d, h);
   }
   void await_resume() const noexcept { st->parked = nullptr; }
 };

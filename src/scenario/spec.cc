@@ -92,6 +92,23 @@ lv::Result<lv::Duration> WantTime(const std::string& context, const Member& m,
   return t;
 }
 
+// Reads a size given in units of `unit_bytes` (2^30 for `*_gib` keys, 2^20
+// for `*_mib`). Negative sizes, and sizes whose byte count is not finite or
+// does not fit in the int64_t of lv::Bytes, are errors.
+lv::Result<double> WantSize(const std::string& context, const Member& m, double unit_bytes) {
+  auto d = WantNumber(context, m);
+  if (!d.ok()) {
+    return d.error();
+  }
+  if (*d < 0.0) {
+    return BadField(context, m.first, "must be >= 0");
+  }
+  if (!(*d * unit_bytes < 0x1p63)) {
+    return BadField(context, m.first, "out of range");
+  }
+  return *d;
+}
+
 lv::Result<bool> WantBool(const std::string& context, const Member& m) {
   if (!m.second.is_bool()) {
     return BadField(context, m.first,
@@ -128,9 +145,9 @@ lv::Result<HostSpecConfig> ParseHost(const std::string& context, const Value& v)
     } else if (m.first == "dom0_cores") {
       LV_SPEC_ASSIGN(host.dom0_cores, WantInt<int>(context, m));
     } else if (m.first == "memory_gib") {
-      LV_SPEC_ASSIGN(host.memory_gib, WantNumber(context, m));
+      LV_SPEC_ASSIGN(host.memory_gib, WantSize(context, m, 0x1p30));
     } else if (m.first == "dom0_memory_gib") {
-      LV_SPEC_ASSIGN(host.dom0_memory_gib, WantNumber(context, m));
+      LV_SPEC_ASSIGN(host.dom0_memory_gib, WantSize(context, m, 0x1p30));
     } else {
       return UnknownKey(context, m.first);
     }
@@ -215,7 +232,7 @@ lv::Result<GuestGroupConfig> ParseGuestGroup(int index, const Value& v) {
     } else if (m.first == "count") {
       LV_SPEC_ASSIGN(group.count, WantInt<int>(context, m));
     } else if (m.first == "pad_to_mib") {
-      LV_SPEC_ASSIGN(group.pad_to_mib, WantNumber(context, m));
+      LV_SPEC_ASSIGN(group.pad_to_mib, WantSize(context, m, 0x1p20));
     } else if (m.first == "name_prefix") {
       LV_SPEC_ASSIGN(group.name_prefix, WantString(context, m));
     } else {
@@ -235,9 +252,6 @@ lv::Result<GuestGroupConfig> ParseGuestGroup(int index, const Value& v) {
   }
   if (group.count <= 0) {
     return BadField(context, "count", "must be > 0");
-  }
-  if (group.pad_to_mib < 0.0) {
-    return BadField(context, "pad_to_mib", "must be >= 0");
   }
   if (!group.runtime.empty() && group.pad_to_mib > 0.0) {
     return BadField(context, "pad_to_mib", "only applies to VM images");

@@ -103,19 +103,19 @@ void CpuScheduler::Reschedule(int core_idx) {
 void CpuScheduler::OnCompletion(int core_idx) {
   Core& core = cores_[static_cast<size_t>(core_idx)];
   Advance(core);
-  std::vector<std::coroutine_handle<>> done;
+  done_.clear();
   auto it = core.active.begin();
   while (it != core.active.end()) {
     if (it->remaining_ns <= kEpsilonNs) {
-      done.push_back(it->handle);
+      done_.push_back(it->handle);
       it = core.active.erase(it);
     } else {
       ++it;
     }
   }
   Reschedule(core_idx);
-  for (std::coroutine_handle<> h : done) {
-    engine_->Schedule(Duration(), [h] { h.resume(); });
+  for (std::coroutine_handle<> h : done_) {
+    engine_->Schedule(Duration(), h);
   }
 }
 

@@ -92,6 +92,8 @@ class CpuScheduler {
 
   Engine* engine_;
   std::vector<Core> cores_;
+  // OnCompletion's finished jobs, kept to reuse the allocation.
+  std::vector<std::coroutine_handle<>> done_;
   std::unordered_map<CpuOwner, double> consumed_ns_;
   TimePoint window_start_;
 };

@@ -1,5 +1,8 @@
 #include "src/sim/engine.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/obs/obs.h"
 #include "src/trace/trace.h"
@@ -36,16 +39,44 @@ Engine::~Engine() {
 }
 
 EventHandle Engine::ScheduleAt(TimePoint when, std::function<void()> fn) {
+  uint32_t slot = Push(when);
+  slots_[slot].fn = std::move(fn);
+  return EventHandle(this, slot, slots_[slot].generation);
+}
+
+EventHandle Engine::ScheduleAt(TimePoint when, std::coroutine_handle<> h) {
+  uint32_t slot = Push(when);
+  slots_[slot].coro = h;
+  return EventHandle(this, slot, slots_[slot].generation);
+}
+
+uint32_t Engine::Push(TimePoint when) {
   LV_CHECK_MSG(when >= now_, "cannot schedule an event in the simulated past");
-  auto ev = std::make_unique<Event>();
-  ev->when = when;
-  ev->seq = next_seq_++;
-  ev->fn = std::move(fn);
-  ev->state = std::make_shared<EventHandle::State>();
-  ev->state->owner = this;
-  EventHandle handle{std::weak_ptr<EventHandle::State>(ev->state)};
-  queue_.push(std::move(ev));
-  return handle;
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  heap_.push_back(Entry{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return slot;
+}
+
+void Engine::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.generation;
+  s.cancelled = false;
+  free_.push_back(slot);
+}
+
+void Engine::Drop(uint32_t slot) {
+  std::function<void()> dead;
+  dead.swap(slots_[slot].fn);
+  slots_[slot].coro = nullptr;
+  Release(slot);
 }
 
 void Engine::NoteCancelled() {
@@ -53,25 +84,19 @@ void Engine::NoteCancelled() {
   // Lazy compaction: once dead entries dominate, the heap mostly shuffles
   // garbage — rebuild it. The floor keeps tiny queues (where pops drain the
   // dead entries for free) from compacting on every other Cancel.
-  if (queue_.size() >= 64 && cancelled_pending_ * 2 > queue_.size()) {
+  if (heap_.size() >= 64 && cancelled_pending_ * 2 > heap_.size()) {
     Compact();
   }
 }
 
 void Engine::Compact() {
-  std::vector<std::unique_ptr<Event>> live;
-  live.reserve(queue_.size() - cancelled_pending_);
-  while (!queue_.empty()) {
-    auto& top = const_cast<std::unique_ptr<Event>&>(queue_.top());
-    std::unique_ptr<Event> ev = std::move(top);
-    queue_.pop();
-    if (!ev->state->cancelled) {
-      live.push_back(std::move(ev));
-    } else {
-      ev->state->owner = nullptr;
-    }
+  auto dead = std::partition(heap_.begin(), heap_.end(),
+                             [this](const Entry& e) { return !slots_[e.slot].cancelled; });
+  for (auto it = dead; it != heap_.end(); ++it) {
+    Drop(it->slot);
   }
-  queue_ = decltype(queue_)(Later{}, std::move(live));
+  heap_.erase(dead, heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
   cancelled_pending_ = 0;
   ++compactions_;
 }
@@ -93,30 +118,44 @@ void Engine::ReapDetached(void* ctx, uint64_t id) {
   static_cast<Engine*>(ctx)->detached_frames_.erase(id);
 }
 
-std::unique_ptr<Engine::Event> Engine::PopNext() {
-  while (!queue_.empty()) {
-    // priority_queue::top() is const; move is safe because we pop right away.
-    auto& top = const_cast<std::unique_ptr<Event>&>(queue_.top());
-    std::unique_ptr<Event> ev = std::move(top);
-    queue_.pop();
-    ev->state->owner = nullptr;
-    if (!ev->state->cancelled) {
-      return ev;
+bool Engine::SkipCancelled() {
+  while (!heap_.empty()) {
+    uint32_t slot = heap_.front().slot;
+    if (!slots_[slot].cancelled) {
+      return true;
     }
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    Drop(slot);
     --cancelled_pending_;
   }
-  return nullptr;
+  return false;
+}
+
+void Engine::DispatchTop() {
+  const Entry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  now_ = top.when;
+  ++processed_;
+  trace::Count("engine.events", 1);
+  Slot& s = slots_[top.slot];
+  if (std::coroutine_handle<> h = std::exchange(s.coro, nullptr)) {
+    Release(top.slot);
+    h.resume();
+    return;
+  }
+  std::function<void()> fn;
+  fn.swap(s.fn);
+  Release(top.slot);
+  fn();
 }
 
 bool Engine::Step() {
-  std::unique_ptr<Event> ev = PopNext();
-  if (!ev) {
+  if (!SkipCancelled()) {
     return false;
   }
-  now_ = ev->when;
-  ++processed_;
-  trace::Count("engine.events", 1);
-  ev->fn();
+  DispatchTop();
   return true;
 }
 
@@ -126,27 +165,12 @@ void Engine::Run() {
 }
 
 void Engine::RunUntil(TimePoint t) {
-  while (true) {
-    std::unique_ptr<Event> ev = PopNext();
-    if (!ev) {
-      break;
-    }
-    if (ev->when > t) {
-      // Put it back; it stays pending beyond the horizon.
-      ev->state->owner = this;
-      queue_.push(std::move(ev));
-      break;
-    }
-    now_ = ev->when;
-    ++processed_;
-    trace::Count("engine.events", 1);
-    ev->fn();
+  while (SkipCancelled() && heap_.front().when <= t) {
+    DispatchTop();
   }
   if (now_ < t) {
     now_ = t;
   }
 }
-
-size_t Engine::pending_events() const { return queue_.size(); }
 
 }  // namespace sim

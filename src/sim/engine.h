@@ -3,11 +3,10 @@
 // when the engine processes events, so runs are exactly reproducible.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -22,26 +21,32 @@ using lv::TimePoint;
 class Engine;
 
 // Handle to a scheduled event; allows cancellation (used by the CPU
-// scheduler to re-plan core completion events).
+// scheduler to re-plan core completion events). It names the event's slab
+// slot and the slot's generation at scheduling time. The generation moves on
+// when the event is dispatched or its cancelled entry is dropped, so a
+// handle to a fired or dropped event is inert (Cancel() is a no-op, valid()
+// is false) even after its slot is reused. A running event's own handle is
+// already inert.
+//
+// Lifetime: a handle must not outlive its engine. Cancel() and valid() read
+// the engine's slab, so every owner (CPU cores, guest background sleeps,
+// Channel and SharedFuture awaiters) is torn down before the engine it
+// scheduled on.
 class EventHandle {
  public:
   EventHandle() = default;
   // Defined after Engine: a first-time Cancel tells the owning engine so it
   // can compact the queue once dead entries dominate.
   inline void Cancel();
-  bool valid() const { return !state_.expired(); }
+  inline bool valid() const;
 
  private:
   friend class Engine;
-  struct State {
-    bool cancelled = false;
-    // Owning engine while the event sits in the queue; cleared when the
-    // event is popped (cancelling a running event is a no-op for the
-    // dead-entry bookkeeping).
-    Engine* owner = nullptr;
-  };
-  explicit EventHandle(std::weak_ptr<State> s) : state_(std::move(s)) {}
-  std::weak_ptr<State> state_;
+  EventHandle(Engine* engine, uint32_t slot, uint64_t generation)
+      : engine_(engine), slot_(slot), generation_(generation) {}
+  Engine* engine_ = nullptr;
+  uint32_t slot_ = 0;
+  uint64_t generation_ = 0;
 };
 
 class Engine {
@@ -58,6 +63,11 @@ class Engine {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
   EventHandle ScheduleAt(TimePoint when, std::function<void()> fn);
+  // Coroutine wake-ups: the event resumes `h`, with no closure around it.
+  EventHandle Schedule(Duration delay, std::coroutine_handle<> h) {
+    return ScheduleAt(now_ + delay, h);
+  }
+  EventHandle ScheduleAt(TimePoint when, std::coroutine_handle<> h);
 
   // Starts a detached coroutine task. It runs synchronously until its first
   // suspension point; its frame is reclaimed automatically on completion.
@@ -69,9 +79,7 @@ class Engine {
     Engine* engine;
     Duration d;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      engine->Schedule(d, [h] { h.resume(); });
-    }
+    void await_suspend(std::coroutine_handle<> h) { engine->Schedule(d, h); }
     void await_resume() const noexcept {}
   };
   SleepAwaiter Sleep(Duration d) { return SleepAwaiter{this, d}; }
@@ -85,7 +93,8 @@ class Engine {
   // Processes a single event. Returns false if the queue was empty.
   bool Step();
 
-  size_t pending_events() const;
+  // Queue entries, cancelled ones included.
+  size_t pending_events() const { return heap_.size(); }
   uint64_t processed_events() const { return processed_; }
 
   // Cancelled entries still sitting in the queue. EventHandle::Cancel only
@@ -96,23 +105,41 @@ class Engine {
 
  private:
   friend class EventHandle;
-  struct Event {
+  // One scheduled event's callable. Slots are recycled through `free_`;
+  // releasing one bumps its generation, which retires every handle to it.
+  struct Slot {
+    std::function<void()> fn;      // empty for a coroutine wake-up
+    std::coroutine_handle<> coro;  // null for a closure
+    uint64_t generation = 0;
+    bool cancelled = false;
+  };
+  // Heap entry: plain data, so push and pop only move 24 bytes.
+  struct Entry {
     TimePoint when;
     uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
+    uint32_t slot;
   };
   struct Later {
-    bool operator()(const std::unique_ptr<Event>& a, const std::unique_ptr<Event>& b) const {
-      if (a->when != b->when) {
-        return a->when > b->when;
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) {
+        return a.when > b.when;
       }
-      return a->seq > b->seq;
+      return a.seq > b.seq;
     }
   };
 
-  // Pops the next non-cancelled event, or nullptr.
-  std::unique_ptr<Event> PopNext();
+  // Takes a free slot and queues its entry at `when` with the next seq.
+  uint32_t Push(TimePoint when);
+  // Retires the slot's handles and returns it to the free list.
+  void Release(uint32_t slot);
+  // Releases a cancelled slot, destroying its closure once the slot is
+  // consistent again.
+  void Drop(uint32_t slot);
+  // Pops cancelled entries off the top; false once the queue is empty.
+  bool SkipCancelled();
+  // Pops the top entry and runs it. The callable leaves its slot, and the
+  // slot is released, before it runs, so the handler may schedule freely.
+  void DispatchTop();
 
   // First-time Cancel of a queued event; compacts when dead entries exceed
   // half the queue (and the queue is big enough for the rebuild to pay off).
@@ -129,7 +156,10 @@ class Engine {
   uint64_t processed_ = 0;
   size_t cancelled_pending_ = 0;
   uint64_t compactions_ = 0;
-  std::priority_queue<std::unique_ptr<Event>, std::vector<std::unique_ptr<Event>>, Later> queue_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+  // Min-heap on (when, seq) via std::push_heap/pop_heap under Later.
+  std::vector<Entry> heap_;
   lv::Rng rng_;
   // Live detached frames by spawn order: a frame still parked on the queue
   // when the engine dies is unreachable any other way, so ~Engine destroys
@@ -138,14 +168,18 @@ class Engine {
   uint64_t next_detached_id_ = 0;
 };
 
+inline bool EventHandle::valid() const {
+  return engine_ != nullptr && engine_->slots_[slot_].generation == generation_;
+}
+
 inline void EventHandle::Cancel() {
-  if (auto s = state_.lock()) {
-    if (!s->cancelled) {
-      s->cancelled = true;
-      if (s->owner != nullptr) {
-        s->owner->NoteCancelled();
-      }
-    }
+  if (!valid()) {
+    return;
+  }
+  Engine::Slot& slot = engine_->slots_[slot_];
+  if (!slot.cancelled) {
+    slot.cancelled = true;
+    engine_->NoteCancelled();
   }
 }
 

@@ -33,7 +33,7 @@ class OneShotEvent {
     }
     triggered_ = true;
     for (std::coroutine_handle<> h : waiters_) {
-      engine_->Schedule(Duration(), [h] { h.resume(); });
+      engine_->Schedule(Duration(), h);
     }
     waiters_.clear();
   }
@@ -88,7 +88,7 @@ class Semaphore {
     if (!waiters_.empty()) {
       std::coroutine_handle<> h = waiters_.front();
       waiters_.pop_front();
-      engine_->Schedule(Duration(), [h] { h.resume(); });
+      engine_->Schedule(Duration(), h);
     } else {
       ++count_;
     }
@@ -128,8 +128,7 @@ class Channel {
       Awaiter* rx = receivers_.front();
       receivers_.pop_front();
       rx->slot = std::move(value);
-      std::coroutine_handle<> h = rx->handle;
-      rx->wakeup = engine_->Schedule(Duration(), [h] { h.resume(); });
+      rx->wakeup = engine_->Schedule(Duration(), rx->handle);
     } else {
       queue_.push_back(std::move(value));
     }
@@ -205,8 +204,7 @@ class SharedFuture {
     LV_CHECK_MSG(!state_->value.has_value(), "SharedFuture set twice");
     state_->value = std::move(value);
     for (Awaiter* a : state_->waiters) {
-      std::coroutine_handle<> h = a->handle;
-      a->wakeup = state_->engine->Schedule(Duration(), [h] { h.resume(); });
+      a->wakeup = state_->engine->Schedule(Duration(), a->handle);
     }
     state_->waiters.clear();
   }

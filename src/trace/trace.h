@@ -167,12 +167,14 @@ class Tracer {
 class Span {
  public:
   Span() = default;
-  Span(TrackId track, std::string name) {
+  // Takes a C string so a disabled tracer costs one branch: the name is
+  // copied into a std::string only when the span is recorded.
+  Span(TrackId track, const char* name) {
     Tracer& tracer = Tracer::Get();
     if (tracer.enabled()) {
       tracer_ = &tracer;
       track_ = track;
-      tracer.BeginSpan(track, std::move(name));
+      tracer.BeginSpan(track, name);
     }
   }
   Span(Span&& other) noexcept : tracer_(other.tracer_), track_(other.track_) {

@@ -234,6 +234,30 @@ TEST(Spec, NumbersOutOfRangeRejected) {
   expect_rejected(fleet(R"({"events": [{"at_ms": 1e300, "kind": "node-crash", "node": 1}]})"),
                   "at_ms: out of range");
 
+  // Sizes whose byte count lv::Bytes cannot hold (1e400 parses as
+  // infinity; 2^33 GiB is 2^63 bytes), and negative sizes, which used to
+  // fall back to the preset or to an unpadded image.
+  auto host = [](const std::string& field) {
+    return R"({"name": "t", "topology": { "nodes": 2, "host": { )" + field +
+           R"( } }, "workload": { "kind": "fleet-deploy", "vms": 4 } })";
+  };
+  auto padded = [](const std::string& mib) {
+    return R"({"name": "t", "workload": { "kind": "sequential-boots",
+               "guests": [ { "image": "daytime", "count": 1, "pad_to_mib": )" +
+           mib + " } ] } }";
+  };
+  expect_rejected(host(R"("memory_gib": 1e300)"), "memory_gib: out of range");
+  expect_rejected(host(R"("memory_gib": 1e400)"), "memory_gib: out of range");
+  expect_rejected(host(R"("memory_gib": 8589934592)"), "memory_gib: out of range");
+  expect_rejected(host(R"("memory_gib": -4)"), "memory_gib: must be >= 0");
+  expect_rejected(host(R"("dom0_memory_gib": 1e300)"), "dom0_memory_gib: out of range");
+  expect_rejected(host(R"("dom0_memory_gib": -1)"), "dom0_memory_gib: must be >= 0");
+  expect_rejected(padded("1e300"), "pad_to_mib: out of range");
+  expect_rejected(padded("1e400"), "pad_to_mib: out of range");
+  expect_rejected(padded("-1"), "pad_to_mib: must be >= 0");
+  ASSERT_TRUE(scenario::ParseSpec(host(R"("memory_gib": 8589934591)")).ok());
+  ASSERT_TRUE(scenario::ParseSpec(padded("16")).ok());
+
   // An explicit random-plan seed of 0 is a seed, not "use the spec seed".
   auto zero = scenario::ParseSpec(
       fleet(R"({"random": {"events": 2, "horizon_ms": 100, "seed": 0}})"));

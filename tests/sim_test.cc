@@ -2,8 +2,15 @@
 // processor-sharing CPU scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
@@ -467,6 +474,240 @@ TEST(EngineTest, StepSkipsCancelledAndReportsEmptyQueue) {
   EXPECT_EQ(engine.processed_events(), 1u);
   EXPECT_FALSE(engine.Step());
   EXPECT_FALSE(head.valid());  // the popped entry released its state
+}
+
+// --- Slab slots and generation-checked handles -------------------------------
+
+TEST(EngineTest, StaleHandleDoesNotCancelReusedSlot) {
+  Engine engine;
+  int ran = 0;
+  EventHandle a = engine.Schedule(Duration::Millis(1), [&ran] { ran += 1; });
+  engine.Run();
+  ASSERT_EQ(ran, 1);
+  EXPECT_FALSE(a.valid());
+  // The slab holds one free slot, so B takes A's.
+  EventHandle b = engine.Schedule(Duration::Millis(1), [&ran] { ran += 10; });
+  a.Cancel();
+  EXPECT_FALSE(a.valid());
+  EXPECT_TRUE(b.valid());
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  engine.Run();
+  EXPECT_EQ(ran, 11);
+  EXPECT_FALSE(b.valid());
+}
+
+TEST(EngineTest, RunningEventsOwnHandleIsInert) {
+  Engine engine;
+  int ran = 0;
+  EventHandle a;
+  a = engine.Schedule(Duration::Millis(1), [&] {
+    // A's slot is released before A runs: cancelling A is a no-op, and the
+    // event scheduled next reuses the slot without inheriting the cancel.
+    EXPECT_FALSE(a.valid());
+    a.Cancel();
+    engine.Schedule(Duration::Millis(1), [&ran] { ran += 10; });
+    a.Cancel();
+    ran += 1;
+  });
+  engine.Run();
+  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  EXPECT_EQ(engine.processed_events(), 2u);
+}
+
+// Parks a coroutine and hands its handle out, so the differential test can
+// schedule it as a plain coroutine wake-up.
+struct Park {
+  std::coroutine_handle<>* out;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) noexcept { *out = h; }
+  void await_resume() const noexcept {}
+};
+
+Co<void> RecordWhenResumed(int id, std::vector<int>* fired, std::coroutine_handle<>* out) {
+  co_await Park{out};
+  fired->push_back(id);
+}
+
+// Reference for the differential test: the engine's semantics as a sorted
+// map keyed by (when, seq), one seq per schedule, where a cancelled entry
+// stays until it reaches the front.
+struct ReferenceQueue {
+  using Key = std::pair<int64_t, uint64_t>;
+  struct Item {
+    int id;
+    bool cancelled = false;
+  };
+  std::map<Key, Item> items;
+  std::map<int, Key> queued;  // id -> key while its entry is in `items`
+  uint64_t next_seq = 0;
+  int64_t now = 0;
+  uint64_t processed = 0;
+
+  void Schedule(int64_t when, int id) {
+    Key key{when, next_seq++};
+    items.emplace(key, Item{id});
+    queued[id] = key;
+  }
+  void Cancel(int id) {
+    auto it = queued.find(id);
+    if (it != queued.end()) {
+      items.at(it->second).cancelled = true;
+    }
+  }
+  // Pops the next live entry due at or before `horizon`; -1 if none.
+  int Pop(int64_t horizon) {
+    while (!items.empty()) {
+      auto it = items.begin();
+      if (!it->second.cancelled && it->first.first > horizon) {
+        return -1;
+      }
+      int id = it->second.id;
+      bool cancelled = it->second.cancelled;
+      int64_t when = it->first.first;
+      queued.erase(id);
+      items.erase(it);
+      if (!cancelled) {
+        now = when;
+        ++processed;
+        return id;
+      }
+    }
+    return -1;
+  }
+  size_t live() const {
+    size_t n = 0;
+    for (const auto& [key, item] : items) {
+      n += item.cancelled ? 0 : 1;
+    }
+    return n;
+  }
+};
+
+// Random mixes of closure and coroutine schedules (some at now(), some from
+// inside a running handler), cancels of live, fired and already-cancelled
+// events, Step and RunUntil, checked op by op against ReferenceQueue.
+TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
+  constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
+  uint64_t total_compactions = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    lv::Rng rng(seed);
+    std::vector<Co<void>> frames;
+    Engine engine;
+    ReferenceQueue ref;
+    std::vector<int> fired;
+    std::vector<int> ref_fired;
+    std::vector<EventHandle> handles;
+    // child[id] >= 0 marks a closure that schedules event child[id] after
+    // child_delay[id] when it runs.
+    std::vector<int> child;
+    std::vector<int64_t> child_delay;
+
+    auto new_id = [&] {
+      handles.emplace_back();
+      child.push_back(-1);
+      child_delay.push_back(0);
+      return static_cast<int>(handles.size()) - 1;
+    };
+    auto delay = [&] { return rng.Chance(0.25) ? int64_t{0} : rng.Uniform(1, 40); };
+    auto schedule_closure = [&](int64_t d) {
+      int id = new_id();
+      if (rng.Chance(0.2)) {
+        int kid = new_id();
+        child[id] = kid;
+        child_delay[id] = delay();
+      }
+      handles[id] = engine.Schedule(Duration::Nanos(d), [&, id] {
+        fired.push_back(id);
+        if (int kid = child[id]; kid >= 0) {
+          handles[kid] = engine.Schedule(Duration::Nanos(child_delay[id]),
+                                         [&fired, kid] { fired.push_back(kid); });
+        }
+      });
+      ref.Schedule(ref.now + d, id);
+    };
+    auto ref_fire = [&](int id) {
+      ref_fired.push_back(id);
+      if (child[id] >= 0) {
+        ref.Schedule(ref.now + child_delay[id], child[id]);
+      }
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      int64_t roll = rng.Uniform(0, 99);
+      if (roll < 30) {
+        schedule_closure(delay());
+      } else if (roll < 50) {
+        int id = new_id();
+        int64_t d = delay();
+        std::coroutine_handle<> parked;
+        frames.push_back(RecordWhenResumed(id, &fired, &parked));
+        frames.back().Start();
+        handles[id] = engine.Schedule(Duration::Nanos(d), parked);
+        ref.Schedule(ref.now + d, id);
+      } else if (roll < 53) {
+        // A burst deep enough to cross the compaction floor, mostly
+        // cancelled again.
+        int first = static_cast<int>(handles.size());
+        for (int i = 0; i < 80; ++i) {
+          schedule_closure(rng.Uniform(0, 200));
+        }
+        for (int id = first; id < static_cast<int>(handles.size()); ++id) {
+          if (rng.Chance(0.7)) {
+            handles[id].Cancel();
+            ref.Cancel(id);
+          }
+        }
+      } else if (roll < 75 && !handles.empty()) {
+        int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
+        handles[id].Cancel();
+        ref.Cancel(id);
+      } else if (roll < 90) {
+        int id = ref.Pop(kForever);
+        if (id >= 0) {
+          ref_fire(id);
+        }
+        ASSERT_EQ(engine.Step(), id >= 0) << "seed " << seed << " op " << op;
+      } else {
+        int64_t horizon = ref.now + rng.Uniform(0, 30);
+        for (int id; (id = ref.Pop(horizon)) >= 0;) {
+          ref_fire(id);
+        }
+        ref.now = std::max(ref.now, horizon);
+        engine.RunUntil(TimePoint::FromNanos(horizon));
+      }
+
+      ASSERT_EQ(fired, ref_fired) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.now().ns(), ref.now) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.pending_events() - engine.cancelled_pending(), ref.live())
+          << "seed " << seed << " op " << op;
+      // A handle is valid while its entry is queued; compaction may drop a
+      // cancelled entry before the reference pops it, so only live entries
+      // pin valid() to true.
+      if (!handles.empty()) {
+        int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
+        auto q = ref.queued.find(id);
+        if (q == ref.queued.end()) {
+          ASSERT_FALSE(handles[id].valid()) << "seed " << seed << " id " << id;
+        } else if (!ref.items.at(q->second).cancelled) {
+          ASSERT_TRUE(handles[id].valid()) << "seed " << seed << " id " << id;
+        }
+      }
+    }
+    for (int id; (id = ref.Pop(kForever)) >= 0;) {
+      ref_fire(id);
+    }
+    engine.Run();
+    ASSERT_EQ(fired, ref_fired) << "seed " << seed;
+    ASSERT_EQ(engine.now().ns(), ref.now) << "seed " << seed;
+    ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed;
+    ASSERT_EQ(engine.pending_events(), 0u) << "seed " << seed;
+    ASSERT_EQ(engine.cancelled_pending(), 0u) << "seed " << seed;
+    total_compactions += engine.compactions();
+  }
+  // The bursts must have driven the lazy compaction path too.
+  EXPECT_GT(total_compactions, 0u);
 }
 
 }  // namespace
