@@ -7,6 +7,36 @@
 
 namespace xs {
 
+namespace {
+
+// The segment of canonical path `canon` that starts at `pos`; advances `pos`
+// past it and its trailing slash, so canon.substr(0, pos - 1) is then the
+// path of that segment's node.
+std::string_view NextSegment(std::string_view canon, size_t& pos) {
+  size_t end = std::min(canon.find('/', pos), canon.size());
+  std::string_view seg = canon.substr(pos, end - pos);
+  pos = end + 1;
+  return seg;
+}
+
+int64_t SegmentCount(std::string_view canon) {
+  return canon.empty() ? 0 : 1 + std::count(canon.begin(), canon.end(), '/');
+}
+
+std::string_view ParentPath(std::string_view canon) {
+  size_t slash = canon.rfind('/');
+  return slash == std::string_view::npos ? std::string_view() : canon.substr(0, slash);
+}
+
+// Is `path` at or below `prefix`? Everything is below the root "".
+bool Covers(std::string_view prefix, std::string_view path) {
+  return prefix.empty() || path == prefix ||
+         (path.size() > prefix.size() && path.starts_with(prefix) &&
+          path[prefix.size()] == '/');
+}
+
+}  // namespace
+
 Store::Store(StorePolicy policy) : policy_(policy) {}
 
 std::string Store::Canon(const std::string& path) {
@@ -22,37 +52,35 @@ bool Store::MayMutate(hv::DomainId domid, const std::string& canon) {
                           canon[own.size()] == '/');
 }
 
-// --- Index bookkeeping -------------------------------------------------------
-// Maintained under both policies so a store can serve as the differential
-// reference for the other; pure bookkeeping that never touches the effort
-// counters or the generation counter, keeping legacy runs byte-identical.
+// --- Bookkeeping -------------------------------------------------------------
+// Counts and the name index are read by both charge schedules; they never
+// touch the effort counters or the generation counter.
 
-bool Store::IsDomainNamePath(const std::string& canon) {
+bool Store::IsDomainNamePath(std::string_view canon) {
   constexpr std::string_view kPrefix = "local/domain/";
   constexpr std::string_view kSuffix = "/name";
-  if (canon.size() <= kPrefix.size() + kSuffix.size()) {
-    return false;
-  }
-  if (canon.compare(0, kPrefix.size(), kPrefix) != 0 ||
-      canon.compare(canon.size() - kSuffix.size(), kSuffix.size(), kSuffix) != 0) {
+  if (canon.size() <= kPrefix.size() + kSuffix.size() || !canon.starts_with(kPrefix) ||
+      !canon.ends_with(kSuffix)) {
     return false;
   }
   // Exactly one segment (the domid) between prefix and suffix.
-  std::string_view mid(canon.data() + kPrefix.size(),
-                       canon.size() - kPrefix.size() - kSuffix.size());
+  std::string_view mid = canon.substr(kPrefix.size(),
+                                      canon.size() - kPrefix.size() - kSuffix.size());
   return !mid.empty() && mid.find('/') == std::string_view::npos;
 }
 
-void Store::IndexName(const std::string& value, int64_t delta) {
-  int64_t& count = name_index_[value];
-  count += delta;
-  if (count <= 0) {
-    name_index_.erase(value);
+void Store::IndexName(std::string_view value, int64_t delta) {
+  auto it = name_index_.find(value);
+  if (it == name_index_.end()) {
+    it = name_index_.emplace(std::string(value), 0).first;
+  }
+  it->second += delta;
+  if (it->second <= 0) {
+    name_index_.erase(it);
   }
 }
 
-void Store::RegisterNode(const std::string& canon, Node* node) {
-  path_index_[canon] = node;
+void Store::RegisterNode(std::string_view canon, const Node* node) {
   ++node_count_;
   ++owner_nodes_[node->owner];
   if (IsDomainNamePath(canon)) {
@@ -60,22 +88,25 @@ void Store::RegisterNode(const std::string& canon, Node* node) {
   }
 }
 
-void Store::UnregisterSubtree(const std::string& canon, Node* node) {
-  for (auto& [name, child] : node->children) {
-    UnregisterSubtree(canon + "/" + name, child.get());
+void Store::UnregisterSubtree(std::string& path, const Node* node) {
+  for (const auto& [name, child] : node->children) {
+    size_t len = path.size();
+    path += '/';
+    path += name;
+    UnregisterSubtree(path, child.get());
+    path.resize(len);
   }
-  path_index_.erase(canon);
   --node_count_;
   auto it = owner_nodes_.find(node->owner);
   if (it != owner_nodes_.end() && --it->second <= 0) {
     owner_nodes_.erase(it);
   }
-  if (IsDomainNamePath(canon)) {
+  if (IsDomainNamePath(path)) {
     IndexName(node->value, -1);
   }
 }
 
-void Store::SetNodeValue(const std::string& canon, Node* node, const std::string& value) {
+void Store::SetNodeValue(std::string_view canon, Node* node, const std::string& value) {
   if (IsDomainNamePath(canon)) {
     IndexName(node->value, -1);
     IndexName(value, +1);
@@ -90,101 +121,108 @@ int64_t Store::owner_nodes(hv::DomainId domid) const {
 
 // --- Tree access -------------------------------------------------------------
 
-Store::Node* Store::Walk(const std::string& canon, bool create, hv::DomainId owner) {
+Store::Node* Store::Find(std::string_view canon, int64_t* visited) {
   Node* node = &root_;
-  if (canon.empty()) {
-    return node;
-  }
-  std::string prefix;
-  for (const std::string& seg : lv::Split(canon, '/')) {
-    ++effort_.nodes_visited;
-    if (create) {
-      prefix = prefix.empty() ? seg : prefix + "/" + seg;
+  for (size_t pos = 0; pos < canon.size();) {
+    if (visited != nullptr) {
+      ++*visited;
     }
-    auto it = node->children.find(seg);
+    auto it = node->children.find(NextSegment(canon, pos));
     if (it == node->children.end()) {
-      if (!create) {
-        return nullptr;
-      }
-      auto child = std::make_unique<Node>();
-      child->owner = owner;
-      it = node->children.emplace(seg, std::move(child)).first;
-      RegisterNode(prefix, it->second.get());
+      return nullptr;
     }
     node = it->second.get();
   }
   return node;
 }
 
-Store::Node* Store::Lookup(const std::string& canon) {
+Store::Node* Store::Lookup(std::string_view canon) {
+  int64_t walked = 0;
+  Node* node = Find(canon, &walked);
   if (policy_ == StorePolicy::kIndexed) {
-    if (canon.empty()) {
-      return &root_;
-    }
-    ++effort_.nodes_visited;
-    auto it = path_index_.find(canon);
-    return it == path_index_.end() ? nullptr : it->second;
+    walked = canon.empty() ? 0 : 1;
   }
-  return Walk(canon, /*create=*/false, hv::kDom0);
+  effort_.nodes_visited += walked;
+  return node;
 }
 
-void Store::BumpGen(const std::string& canon) {
-  path_gen_[canon] = ++gen_;
+Store::Node* Store::Create(std::string_view canon, hv::DomainId owner, bool* created) {
+  *created = false;
+  Node* node = &root_;
+  for (size_t pos = 0; pos < canon.size();) {
+    std::string_view seg = NextSegment(canon, pos);
+    auto it = node->children.lower_bound(seg);
+    if (it == node->children.end() || it->first != seg) {
+      auto child = std::make_unique<Node>();
+      child->owner = owner;
+      it = node->children.emplace_hint(it, std::string(seg), std::move(child));
+      RegisterNode(canon.substr(0, pos - 1), it->second.get());
+      *created = true;
+    }
+    node = it->second.get();
+  }
+  return node;
+}
+
+void Store::BumpGen(std::string_view canon) {
+  ++gen_;
+  if (txns_.empty()) {
+    return;  // Nothing open can conflict with this modification.
+  }
   // Creating/removing an entry is also a modification of the parent
   // directory for conflict purposes.
-  size_t slash = canon.rfind('/');
-  std::string parent = slash == std::string::npos ? std::string() : canon.substr(0, slash);
-  path_gen_[parent] = gen_;
+  RecordGen(canon);
+  RecordGen(ParentPath(canon));
+  if (path_gen_.size() >= prune_at_) {
+    uint64_t oldest = txns_.begin()->second.start_gen;
+    std::erase_if(path_gen_, [oldest](const auto& entry) { return entry.second <= oldest; });
+    prune_at_ = std::max(kPruneFloor, 2 * path_gen_.size());
+  }
 }
 
-uint64_t Store::PathGen(const std::string& canon) const {
+void Store::RecordGen(std::string_view path) {
+  auto it = path_gen_.find(path);
+  if (it == path_gen_.end()) {
+    path_gen_.emplace(std::string(path), gen_);
+  } else {
+    it->second = gen_;
+  }
+}
+
+uint64_t Store::PathGen(std::string_view canon) const {
   auto it = path_gen_.find(canon);
   return it == path_gen_.end() ? 0 : it->second;
 }
 
 void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) {
-  if (policy_ == StorePolicy::kIndexed) {
-    // One bucket probe per ancestor prefix (including the path itself and
-    // the match-all "" prefix) instead of a scan over every registration.
-    // Matches are re-sorted by registration seq so the hit order is
-    // byte-identical to the legacy scan.
-    std::vector<const Watch*> matched;
-    std::string prefix = canon;
-    while (true) {
-      ++effort_.watch_checks;
-      auto it = watch_index_.find(prefix);
-      if (it != watch_index_.end()) {
-        for (const Watch& w : it->second) {
-          matched.push_back(&w);
-        }
-      }
-      if (prefix.empty()) {
-        break;
-      }
-      size_t slash = prefix.rfind('/');
-      prefix = slash == std::string::npos ? std::string() : prefix.substr(0, slash);
-    }
-    std::sort(matched.begin(), matched.end(),
-              [](const Watch* a, const Watch* b) { return a->seq < b->seq; });
-    for (const Watch* w : matched) {
-      ++effort_.watches_fired;
-      if (hits != nullptr) {
-        hits->push_back(WatchHit{w->client, w->path, w->token, canon});
+  // One bucket probe per ancestor prefix: the path itself, each prefix
+  // ending at a slash, and the match-all "". Matches from several buckets
+  // are merged back into registration order by seq.
+  matched_.clear();
+  int64_t probes = 0;
+  std::string_view prefix = canon;
+  while (true) {
+    ++probes;
+    auto it = watch_buckets_.find(prefix);
+    if (it != watch_buckets_.end()) {
+      for (WatchRef w : it->second) {
+        matched_.push_back(&*w);
       }
     }
-    return;
+    if (prefix.empty()) {
+      break;
+    }
+    prefix = ParentPath(prefix);
   }
-  // oxenstored checks the fired path against every registered watch.
-  for (const Watch& w : watches_) {
-    ++effort_.watch_checks;
-    bool match = canon == w.path || (canon.size() > w.path.size() &&
-                                     lv::HasPrefix(canon, w.path) &&
-                                     (w.path.empty() || canon[w.path.size()] == '/'));
-    if (match) {
-      ++effort_.watches_fired;
-      if (hits != nullptr) {
-        hits->push_back(WatchHit{w.client, w.path, w.token, canon});
-      }
+  std::sort(matched_.begin(), matched_.end(),
+            [](const Watch* a, const Watch* b) { return a->seq < b->seq; });
+  // Legacy charges oxenstored's check of every registration; indexed one
+  // check per bucket probed.
+  effort_.watch_checks += policy_ == StorePolicy::kIndexed ? probes : num_watches();
+  effort_.watches_fired += static_cast<int64_t>(matched_.size());
+  if (hits != nullptr) {
+    for (const Watch* w : matched_) {
+      hits->push_back(WatchHit{w->client, w->path, w->token, canon});
     }
   }
 }
@@ -193,14 +231,10 @@ void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) 
 
 int64_t Store::CountMissingNodes(const std::string& canon,
                                  std::map<std::string, bool>* virtual_nodes) const {
-  if (canon.empty()) {
-    return 0;
-  }
   const Node* node = &root_;
   int64_t missing = 0;
-  std::string prefix;
-  for (const std::string& seg : lv::Split(canon, '/')) {
-    prefix = prefix.empty() ? seg : prefix + "/" + seg;
+  for (size_t pos = 0; pos < canon.size();) {
+    std::string_view seg = NextSegment(canon, pos);
     if (node != nullptr) {
       auto it = node->children.find(seg);
       if (it != node->children.end()) {
@@ -209,12 +243,8 @@ int64_t Store::CountMissingNodes(const std::string& canon,
       }
       node = nullptr;
     }
-    if (virtual_nodes != nullptr) {
-      if (virtual_nodes->count(prefix) == 0) {
-        (*virtual_nodes)[prefix] = true;
-        ++missing;
-      }
-    } else {
+    if (virtual_nodes == nullptr ||
+        virtual_nodes->emplace(canon.substr(0, pos - 1), true).second) {
       ++missing;
     }
   }
@@ -267,25 +297,39 @@ lv::Status Store::PrecheckTxnQuota(const Txn& t) const {
 lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
   effort_.Reset();
   std::string canon = Canon(path);
+  // Set by a buffered write below the path: committing it would create the
+  // path (empty, as Create makes ancestors) if nothing else does.
+  bool recreated = false;
   if (txn != kNoTxn) {
     auto it = txns_.find(txn);
     if (it == txns_.end()) {
       return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
     }
     it->second.reads.push_back(canon);
-    // Read-your-writes within the transaction.
-    for (auto w = it->second.writes.rbegin(); w != it->second.writes.rend(); ++w) {
-      if (w->path == canon) {
-        if (!w->value.has_value()) {
-          return lv::Err(lv::ErrorCode::kNotFound, path);
+    // The transaction's own view, newest buffered mutation first. A write at
+    // the path answers; a removal of the path or an ancestor hides it. A
+    // removal of the root commits as a no-op, so it hides nothing.
+    const std::vector<TxnWrite>& writes = it->second.writes;
+    for (auto w = writes.rbegin(); w != writes.rend(); ++w) {
+      if (w->value.has_value()) {
+        if (w->path == canon) {
+          effort_.value_bytes += static_cast<int64_t>(w->value->size());
+          return *w->value;
         }
-        effort_.value_bytes += static_cast<int64_t>(w->value->size());
-        return *w->value;
+        recreated = recreated || Covers(canon, w->path);
+      } else if (!w->path.empty() && Covers(w->path, canon)) {
+        if (recreated) {
+          return std::string();
+        }
+        return lv::Err(lv::ErrorCode::kNotFound, path);
       }
     }
   }
   Node* node = Lookup(canon);
   if (node == nullptr) {
+    if (recreated) {
+      return std::string();
+    }
     return lv::Err(lv::ErrorCode::kNotFound, path);
   }
   effort_.value_bytes += static_cast<int64_t>(node->value.size());
@@ -295,48 +339,37 @@ lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
 lv::Status Store::ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
                              hv::DomainId owner, std::vector<WatchHit>* hits) {
   if (value.has_value()) {
-    Node* node = nullptr;
+    bool created = false;
+    Node* node = Create(canon, owner, &created);
+    // Legacy walks every segment; indexed probes the path once and walks
+    // only to create it.
+    int64_t segments = SegmentCount(canon);
     if (policy_ == StorePolicy::kIndexed && !canon.empty()) {
-      ++effort_.nodes_visited;
-      auto it = path_index_.find(canon);
-      node = it == path_index_.end() ? nullptr : it->second;
-    }
-    if (node == nullptr) {
-      // Creation (or legacy): walk, charging per segment.
-      node = Walk(canon, /*create=*/true, owner);
+      effort_.nodes_visited += created ? 1 + segments : 1;
+    } else {
+      effort_.nodes_visited += segments;
     }
     SetNodeValue(canon, node, *value);
     effort_.value_bytes += static_cast<int64_t>(value->size());
   } else {
     // Removal.
-    size_t slash = canon.rfind('/');
-    std::string parent_path =
-        slash == std::string::npos ? std::string() : canon.substr(0, slash);
-    std::string leaf = slash == std::string::npos ? canon : canon.substr(slash + 1);
-    Node* parent = nullptr;
+    std::string_view parent_path = ParentPath(canon);
+    std::string_view leaf =
+        std::string_view(canon).substr(parent_path.empty() ? 0 : parent_path.size() + 1);
+    int64_t walked = 0;
+    Node* parent = Find(parent_path, &walked);
+    bool exists = parent != nullptr && parent->children.contains(leaf);
+    // Legacy walks to the parent; indexed probes the path, then its parent.
     if (policy_ == StorePolicy::kIndexed) {
-      ++effort_.nodes_visited;
-      if (!canon.empty() && path_index_.count(canon) == 0) {
-        return lv::Err(lv::ErrorCode::kNotFound, canon);
-      }
-      if (parent_path.empty()) {
-        parent = &root_;
-      } else {
-        ++effort_.nodes_visited;
-        auto it = path_index_.find(parent_path);
-        parent = it == path_index_.end() ? nullptr : it->second;
-      }
-    } else {
-      parent = Walk(parent_path, /*create=*/false, owner);
+      walked = exists && !parent_path.empty() ? 2 : 1;
     }
-    if (parent == nullptr) {
+    effort_.nodes_visited += walked;
+    if (!exists) {
       return lv::Err(lv::ErrorCode::kNotFound, canon);
     }
     auto child = parent->children.find(leaf);
-    if (child == parent->children.end()) {
-      return lv::Err(lv::ErrorCode::kNotFound, canon);
-    }
-    UnregisterSubtree(canon, child->second.get());
+    std::string subtree = canon;
+    UnregisterSubtree(subtree, child->second.get());
     parent->children.erase(child);
   }
   BumpGen(canon);
@@ -407,9 +440,9 @@ lv::Result<std::vector<std::string>> Store::Directory(const std::string& path, T
   std::vector<std::string> out;
   out.reserve(node->children.size());
   for (const auto& [name, child] : node->children) {
-    ++effort_.children_listed;
     out.push_back(name);
   }
+  effort_.children_listed += static_cast<int64_t>(out.size());
   return out;
 }
 
@@ -425,7 +458,7 @@ TxnId Store::TxBegin() {
   TxnId id = next_txn_++;
   Txn txn;
   txn.start_gen = gen_;
-  txns_.emplace(id, std::move(txn));
+  txns_.emplace_hint(txns_.end(), id, std::move(txn));
   return id;
 }
 
@@ -437,46 +470,37 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
   }
   Txn t = std::move(it->second);
   txns_.erase(it);
-  if (abort) {
-    return lv::Status::Ok();
+  lv::Status status = abort ? lv::Status::Ok() : Commit(t, hits);
+  if (txns_.empty() && !path_gen_.empty()) {
+    // No transaction is left for a recorded generation to conflict with.
+    path_gen_.clear();
+    prune_at_ = kPruneFloor;
   }
+  return status;
+}
+
+lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
   // Conflict detection: anything we read or wrote that someone else touched
-  // since the transaction began forces a retry (EAGAIN in real Xen). The
-  // indexed path checks each distinct path once (the predicate is per-path
-  // idempotent, so the first conflicting path — and thus the error — is
-  // identical to the legacy per-entry scan).
-  if (policy_ == StorePolicy::kIndexed) {
-    std::unordered_set<std::string> checked;
-    for (const std::string& p : t.reads) {
-      if (!checked.insert(p).second) {
-        continue;
-      }
-      ++effort_.nodes_visited;
-      if (PathGen(p) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
-      }
+  // since the transaction began forces a retry (EAGAIN in real Xen). Legacy
+  // charges every buffered entry; indexed checks each distinct path once.
+  // The predicate is per path, so the first conflicting path — and thus the
+  // error — is the same either way.
+  std::unordered_set<std::string_view> checked;
+  auto conflicts = [&](const std::string& p) {
+    if (policy_ == StorePolicy::kIndexed && !checked.insert(p).second) {
+      return false;
     }
-    for (const TxnWrite& w : t.writes) {
-      if (!checked.insert(w.path).second) {
-        continue;
-      }
-      ++effort_.nodes_visited;
-      if (PathGen(w.path) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
-      }
+    ++effort_.nodes_visited;
+    return PathGen(p) > t.start_gen;
+  };
+  for (const std::string& p : t.reads) {
+    if (conflicts(p)) {
+      return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
     }
-  } else {
-    for (const std::string& p : t.reads) {
-      ++effort_.nodes_visited;
-      if (PathGen(p) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
-      }
-    }
-    for (const TxnWrite& w : t.writes) {
-      ++effort_.nodes_visited;
-      if (PathGen(w.path) > t.start_gen) {
-        return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
-      }
+  }
+  for (const TxnWrite& w : t.writes) {
+    if (conflicts(w.path)) {
+      return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
     }
   }
   // Quota pre-pass before anything is applied: a rejected commit leaves the
@@ -492,15 +516,11 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
   // only the redundant tree walks and value copies are skipped. Any removal
   // disables batching: rm erases a whole subtree, so write/rm/write to the
   // same path is not last-write-wins.
-  bool batch = policy_ == StorePolicy::kIndexed;
-  for (const TxnWrite& w : t.writes) {
-    if (!w.value.has_value()) {
-      batch = false;
-      break;
-    }
-  }
+  bool batch = policy_ == StorePolicy::kIndexed &&
+               std::all_of(t.writes.begin(), t.writes.end(),
+                           [](const TxnWrite& w) { return w.value.has_value(); });
   if (batch) {
-    std::unordered_map<std::string, size_t> last;
+    std::unordered_map<std::string_view, size_t> last;
     for (size_t i = 0; i < t.writes.size(); ++i) {
       last[t.writes[i].path] = i;
     }
@@ -511,7 +531,7 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
       // skip the tree walk and value copy. Writes that create nodes are
       // never skipped, so creation (and its owner attribution) happens at
       // exactly the same write as the unbatched apply.
-      if (last[w.path] != i && !w.path.empty() && path_index_.count(w.path) != 0) {
+      if (last[w.path] != i && !w.path.empty() && Find(w.path) != nullptr) {
         BumpGen(w.path);
         MatchWatches(w.path, hits);
         continue;
@@ -533,43 +553,54 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
 WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
   std::string canon = Canon(path);
-  Watch watch{client, canon, token, watch_seq_++};
-  watches_.push_back(watch);
-  watch_index_[canon].push_back(watch);
+  WatchRef w = watches_.insert(watches_.end(), Watch{client, canon, token, watch_seq_++});
+  watch_buckets_[canon].push_back(w);
+  client_watches_[client].push_back(w);
   // XenStore fires a watch immediately upon registration.
   return WatchHit{client, canon, token, canon};
 }
 
+void Store::DropWatch(WatchRef w) {
+  auto bucket = watch_buckets_.find(w->path);
+  std::erase(bucket->second, w);
+  if (bucket->second.empty()) {
+    watch_buckets_.erase(bucket);
+  }
+  watches_.erase(w);
+}
+
 void Store::RemoveWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
+  auto it = client_watches_.find(client);
+  if (it == client_watches_.end()) {
+    return;
+  }
   std::string canon = Canon(path);
-  auto matches = [&](const Watch& w) {
-    return w.client == client && w.path == canon && w.token == token;
-  };
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(), matches),
-                 watches_.end());
-  auto bucket = watch_index_.find(canon);
-  if (bucket != watch_index_.end()) {
-    bucket->second.erase(
-        std::remove_if(bucket->second.begin(), bucket->second.end(), matches),
-        bucket->second.end());
-    if (bucket->second.empty()) {
-      watch_index_.erase(bucket);
+  std::vector<WatchRef>& mine = it->second;
+  size_t kept = 0;
+  for (WatchRef w : mine) {
+    if (w->path == canon && w->token == token) {
+      DropWatch(w);
+    } else {
+      mine[kept++] = w;
     }
+  }
+  mine.resize(kept);
+  if (mine.empty()) {
+    client_watches_.erase(it);
   }
 }
 
 void Store::RemoveClientWatches(ClientId client) {
   effort_.Reset();
-  auto matches = [&](const Watch& w) { return w.client == client; };
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(), matches),
-                 watches_.end());
-  for (auto it = watch_index_.begin(); it != watch_index_.end();) {
-    it->second.erase(
-        std::remove_if(it->second.begin(), it->second.end(), matches),
-        it->second.end());
-    it = it->second.empty() ? watch_index_.erase(it) : std::next(it);
+  auto it = client_watches_.find(client);
+  if (it == client_watches_.end()) {
+    return;
   }
+  for (WatchRef w : it->second) {
+    DropWatch(w);
+  }
+  client_watches_.erase(it);
 }
 
 std::vector<WatchHit> Store::ReplayWatches() {
@@ -577,9 +608,9 @@ std::vector<WatchHit> Store::ReplayWatches() {
   std::vector<WatchHit> hits;
   hits.reserve(watches_.size());
   for (const Watch& w : watches_) {
-    ++effort_.watch_checks;
     hits.push_back(WatchHit{w.client, w.path, w.token, w.path});
   }
+  effort_.watch_checks += num_watches();
   return hits;
 }
 
@@ -587,25 +618,27 @@ std::vector<WatchHit> Store::ReplayWatches() {
 
 lv::Status Store::CheckUniqueName(const std::string& name) {
   effort_.Reset();
+  bool taken = name_index_.contains(name);
   if (policy_ == StorePolicy::kIndexed) {
-    // One probe of the name index instead of the O(#domains) scan.
-    ++effort_.names_compared;
-    auto it = name_index_.find(name);
-    if (it != name_index_.end() && it->second > 0) {
-      return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
+    ++effort_.names_compared;  // One probe of the name index.
+  } else if (Node* domains = Lookup("local/domain"); domains != nullptr) {
+    // oxenstored compares `name` with each guest's, in directory order, and
+    // stops at the first holder. A free name costs every comparison; only a
+    // taken one needs the walk to find where the scan would have stopped.
+    if (!taken) {
+      effort_.names_compared += static_cast<int64_t>(domains->children.size());
+    } else {
+      for (const auto& [id, node] : domains->children) {
+        ++effort_.names_compared;
+        auto it = node->children.find("name");
+        if (it != node->children.end() && it->second->value == name) {
+          break;
+        }
+      }
     }
-    return lv::Status::Ok();
   }
-  Node* domains = Walk("local/domain", /*create=*/false, hv::kDom0);
-  if (domains == nullptr) {
-    return lv::Status::Ok();
-  }
-  for (const auto& [id, node] : domains->children) {
-    ++effort_.names_compared;
-    auto it = node->children.find("name");
-    if (it != node->children.end() && it->second->value == name) {
-      return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
-    }
+  if (taken) {
+    return lv::Err(lv::ErrorCode::kAlreadyExists, "guest name in use: " + name);
   }
   return lv::Status::Ok();
 }

@@ -8,23 +8,30 @@
 // O(#children) directory listing are the mechanisms behind the paper's
 // superlinear VM-creation times (§4.2).
 //
-// Two implementations live behind StorePolicy (policy.h): kLegacy charges
-// the faithful O(n) effort above; kIndexed answers the same queries through
-// a hash path index, per-prefix watch buckets and an O(1) name index, and
-// batches shadowed writes at transaction commit. The index structures are
-// maintained under both policies (pure bookkeeping: they never touch the
-// effort counters or the generation counter, so legacy runs stay
-// byte-identical) but only consulted — and only charged — on the indexed
-// path. Both policies must be observably equivalent: identical values,
-// errors, watch hits and counts; tests/property_test.cc enforces this with
-// a differential oracle.
+// StorePolicy (policy.h) is a charge schedule, not an implementation: both
+// policies run on the same host structures and differ only in the effort
+// they report. kLegacy charges what oxenstored does — one node per path
+// segment walked, every registered watch per mutation, every guest name per
+// admission check. kIndexed charges what an indexed store would — one probe
+// per path lookup, one bucket probe per ancestor prefix, one name probe —
+// and batches shadowed writes at transaction commit. The host side is the
+// cheapest for either: one tree of ordered child maps probed by string_view
+// segment, watches stored once in registration order with a bucket per
+// registered path and a list per client, and a refcounted name index. The
+// legacy O(n) charges are counts read off those structures, so the host
+// runs none of the scans it charges for (a unique-name check that fails
+// still walks to the holder); tests/property_test.cc holds the charges, op
+// by op, to a test-only store that does run them.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -73,7 +80,9 @@ class Store {
 
   // --- Core operations (txn == kNoTxn applies directly) ---------------------
 
-  // Reads a node's value.
+  // Reads a node's value. Inside a transaction the read sees that
+  // transaction's buffered mutations: its own writes, and its removals of
+  // the path or of any ancestor.
   lv::Result<std::string> Read(const std::string& path, TxnId txn = kNoTxn);
 
   // Writes a value, creating the node and any missing ancestors (XenStore
@@ -111,11 +120,16 @@ class Store {
   lv::Status TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits);
   int64_t open_txns() const { return static_cast<int64_t>(txns_.size()); }
 
+  // Entries in the generation table the conflict check reads (see
+  // path_gen_ below); zero while no transaction is open.
+  int64_t tracked_paths() const { return static_cast<int64_t>(path_gen_.size()); }
+
   // --- Watches ---------------------------------------------------------------
 
   // Registers a prefix watch. Per XenStore semantics the watch also fires
   // immediately upon registration; the synthetic hit is returned.
   WatchHit AddWatch(ClientId client, const std::string& path, const std::string& token);
+  // Removes every registration of (client, path, token), duplicates included.
   void RemoveWatch(ClientId client, const std::string& path, const std::string& token);
   void RemoveClientWatches(ClientId client);
   int64_t num_watches() const { return static_cast<int64_t>(watches_.size()); }
@@ -126,9 +140,9 @@ class Store {
   std::vector<WatchHit> ReplayWatches();
 
   // --- Domain-name uniqueness (paper §4.2) -----------------------------------
-  // Legacy: scans every registered guest name under /local/domain/*/name and
-  // compares against `name`; O(#domains). Indexed: one probe of the name
-  // index. Returns ALREADY_EXISTS on duplicate either way.
+  // Returns ALREADY_EXISTS if a /local/domain/<id>/name node holds `name`.
+  // Legacy charges the O(#domains) comparisons oxenstored's scan makes;
+  // indexed charges one probe of the name index.
   lv::Status CheckUniqueName(const std::string& name);
 
   // --- Quotas ----------------------------------------------------------------
@@ -146,10 +160,18 @@ class Store {
   uint64_t generation() const { return gen_; }
 
  private:
+  // Transparent string hashing, so lookups by string_view allocate nothing.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  template <typename V>
+  using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
   struct Node {
     std::string value;
     hv::DomainId owner = hv::kDom0;
-    std::map<std::string, std::unique_ptr<Node>> children;
+    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   };
 
   // One buffered transaction mutation; nullopt value = removal. The owner is
@@ -172,38 +194,52 @@ class Store {
     ClientId client = 0;
     std::string path;
     std::string token;
-    // Registration sequence number: the indexed fanout collects matches from
-    // per-prefix buckets and re-sorts by seq so hit order is byte-identical
-    // to the legacy registration-order scan.
+    // Registration sequence number: a mutation collects its matches from
+    // several buckets and sorts them by seq, so hits come out in
+    // registration order, as oxenstored's scan produces them.
     int64_t seq = 0;
   };
+  // Registration order; erasing one watch leaves the others' iterators valid.
+  using WatchList = std::list<Watch>;
+  using WatchRef = WatchList::iterator;
 
   // Canonicalizes a path ("/a//b/" -> "a/b" as joined segments).
   static std::string Canon(const std::string& path);
   // May `domid` mutate `canon`?
   static bool MayMutate(hv::DomainId domid, const std::string& canon);
-  Node* Walk(const std::string& canon, bool create, hv::DomainId owner);
-  // Policy-dispatched existing-node lookup: legacy walks (charging per
-  // segment), indexed probes the path index (charging one visit).
-  Node* Lookup(const std::string& canon);
-  void BumpGen(const std::string& canon);
-  uint64_t PathGen(const std::string& canon) const;
-  // Scans all watches for matches against a mutated path. Legacy: linear
-  // O(#watches) scan. Indexed: one bucket probe per ancestor prefix.
+  // Uncharged tree walk. Returns nullptr at the first missing segment; adds
+  // the segments looked at, that one included, to *visited if non-null.
+  Node* Find(std::string_view canon, int64_t* visited = nullptr);
+  // Policy-charged lookup of an existing node: legacy charges the segments
+  // walked, indexed one probe.
+  Node* Lookup(std::string_view canon);
+  // Finds or creates `canon`, creating missing ancestors with empty values.
+  // Sets *created when `canon` itself did not exist.
+  Node* Create(std::string_view canon, hv::DomainId owner, bool* created);
+  void BumpGen(std::string_view canon);
+  void RecordGen(std::string_view path);
+  uint64_t PathGen(std::string_view canon) const;
+  // Appends the watches registered on `canon` or an ancestor, in
+  // registration order, and charges the match per policy.
   void MatchWatches(const std::string& canon, std::vector<WatchHit>* hits);
   lv::Status ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
                         hv::DomainId owner, std::vector<WatchHit>* hits);
+  // Conflict check, quota pre-pass and apply of a closed transaction.
+  lv::Status Commit(const Txn& t, std::vector<WatchHit>* hits);
+  // Drops `w` from its path's bucket and from the registry.
+  void DropWatch(WatchRef w);
 
-  // --- Index bookkeeping (both policies; never touches effort counters) -----
-  // Registers a freshly created node with the path index, node/owner counts
-  // and (for local/domain/<id>/name paths) the name index.
-  void RegisterNode(const std::string& canon, Node* node);
-  // Unregisters `node` and its whole subtree ahead of removal.
-  void UnregisterSubtree(const std::string& canon, Node* node);
+  // --- Bookkeeping (never touches effort counters or the generation) --------
+  // Counts a freshly created node in the node/owner counts and, for
+  // local/domain/<id>/name paths, the name index.
+  void RegisterNode(std::string_view canon, const Node* node);
+  // Uncounts `node` and its whole subtree ahead of removal; `path` is the
+  // node's canon path, used as scratch and restored on return.
+  void UnregisterSubtree(std::string& path, const Node* node);
   // Sets a node's value, keeping the name index in sync.
-  void SetNodeValue(const std::string& canon, Node* node, const std::string& value);
-  static bool IsDomainNamePath(const std::string& canon);
-  void IndexName(const std::string& value, int64_t delta);
+  void SetNodeValue(std::string_view canon, Node* node, const std::string& value);
+  static bool IsDomainNamePath(std::string_view canon);
+  void IndexName(std::string_view value, int64_t delta);
 
   // --- Quota enforcement -----------------------------------------------------
   // Nodes a write to `canon` would create, given the current tree plus the
@@ -219,19 +255,30 @@ class Store {
   StorePolicy policy_;
   Node root_;
   uint64_t gen_ = 1;
-  std::unordered_map<std::string, uint64_t> path_gen_;
-  std::vector<Watch> watches_;
-  std::unordered_map<TxnId, Txn> txns_;
+  // Last-modified generation per path, for the commit-time conflict check.
+  // Exact pruning: an entry at or below the oldest open transaction's start
+  // can never exceed any open or future transaction's start, so it decides
+  // nothing. Nothing is recorded while no transaction is open, the table is
+  // emptied when the last one closes, and it is pruned whenever it doubles.
+  static constexpr size_t kPruneFloor = 1024;
+  StringMap<uint64_t> path_gen_;
+  size_t prune_at_ = kPruneFloor;
+  // Ordered by id, so begin() is the oldest open transaction.
+  std::map<TxnId, Txn> txns_;
   TxnId next_txn_ = 1;
   OpEffort effort_;
 
-  // Index structures (see RegisterNode). path_index_ maps every canon path to
-  // its node; watch_index_ buckets watch copies by exact registered prefix;
-  // name_index_ refcounts the values of local/domain/<id>/name nodes.
-  std::unordered_map<std::string, Node*> path_index_;
-  std::unordered_map<std::string, std::vector<Watch>> watch_index_;
-  std::unordered_map<std::string, int64_t> name_index_;
+  // Each watch is stored once in watches_; watch_buckets_ lists it under its
+  // exact registered path and client_watches_ under its client, both in
+  // registration order.
+  WatchList watches_;
+  StringMap<std::vector<WatchRef>> watch_buckets_;
+  std::unordered_map<ClientId, std::vector<WatchRef>> client_watches_;
   int64_t watch_seq_ = 0;
+  std::vector<const Watch*> matched_;  // MatchWatches scratch
+
+  // Refcounts the values of local/domain/<id>/name nodes.
+  StringMap<int64_t> name_index_;
   int64_t node_count_ = 0;
   // Deterministic iteration order matters: quota pre-pass failure messages
   // must not depend on hash-map ordering.

@@ -11,6 +11,7 @@
 #include "src/core/host.h"
 #include "src/sim/run.h"
 #include "src/tinyx/builder.h"
+#include "tests/xenstore_scan_store.h"
 
 namespace {
 
@@ -484,10 +485,10 @@ void RecordStatus(std::string* out, const lv::Status& s) {
   }
 }
 
-std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& ops,
-                          int64_t quota) {
-  xs::Store store(policy);
-  store.set_node_quota(quota);
+// Drives `store` (xs::Store or the scanning reference) through `ops`. With
+// `efforts`, each line also records the op's six OpEffort fields.
+template <typename StoreT>
+std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool efforts) {
   std::vector<xs::TxnId> open;
   std::string out;
   int i = 0;
@@ -589,9 +590,24 @@ std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& op
     for (int d = 0; d <= 4; ++d) {
       out += lv::StrFormat(" o%d=%lld", d, (long long)store.owner_nodes(d));
     }
+    if (efforts) {
+      const xs::OpEffort& e = store.last_effort();
+      out += lv::StrFormat(" | nodes=%lld checks=%lld fired=%lld children=%lld names=%lld "
+                           "bytes=%lld",
+                           (long long)e.nodes_visited, (long long)e.watch_checks,
+                           (long long)e.watches_fired, (long long)e.children_listed,
+                           (long long)e.names_compared, (long long)e.value_bytes);
+    }
     out += "\n";
   }
   return out;
+}
+
+std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& ops,
+                          int64_t quota) {
+  xs::Store store(policy);
+  store.set_node_quota(quota);
+  return Transcript(store, ops, /*efforts=*/false);
 }
 
 // On mismatch, reports only the first diverging transcript line (the full
@@ -639,6 +655,36 @@ TEST_P(StorePolicyDifferentialTest, LegacyAndIndexedTranscriptsMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorePolicyDifferentialTest, ::testing::Range(1, 101));
+
+// --- Effort oracle: counted charges vs the scans they stand for --------------
+//
+// Both policies share xs::Store's host structures, so the sweep above
+// compares two charge schedules over one implementation. This sweep checks
+// that implementation against an independent one: the scanning reference in
+// tests/xenstore_scan_store.h, which runs every watch scan, name scan and
+// removal sweep, derives node counts by walking the tree, never prunes its
+// generation table and answers transactional reads by replaying the buffer
+// onto a copy. On the same op streams, every transcript line — outcome,
+// hits, counts and all six OpEffort fields — must match, under each policy.
+
+class StoreEffortOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(StoreEffortOracleTest, ChargesMatchTheScanningReference) {
+  uint64_t seed = static_cast<uint64_t>(GetParam());
+  std::vector<StoreOp> ops = GenStoreOps(seed, 300);
+  int64_t quota = (seed % 3 == 0) ? 12 : 0;
+  for (xs::StorePolicy policy : {xs::StorePolicy::kLegacy, xs::StorePolicy::kIndexed}) {
+    xs::Store store(policy);
+    store.set_node_quota(quota);
+    xs_test::ScanStore reference(policy);
+    reference.set_node_quota(quota);
+    ExpectTranscriptsEqual(Transcript(reference, ops, /*efforts=*/true),
+                           Transcript(store, ops, /*efforts=*/true),
+                           xs::StorePolicyName(policy));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreEffortOracleTest, ::testing::Range(1, 101));
 
 // --- Store permissions -----------------------------------------------------------
 

@@ -2,6 +2,8 @@
 // watches, effort counters and the unique-name admission scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/base/strings.h"
 #include "src/xenstore/store.h"
 
@@ -200,6 +202,9 @@ TEST(StoreTest, CheckUniqueNameScansAllDomains) {
   EXPECT_TRUE(store.CheckUniqueName("fresh").ok());
   EXPECT_EQ(store.last_effort().names_compared, 50);
   EXPECT_EQ(store.CheckUniqueName("vm17").code(), ErrorCode::kAlreadyExists);
+  // The scan stops at the holder, the 9th domain in directory order
+  // (1, 10, 11, ..., 17).
+  EXPECT_EQ(store.last_effort().names_compared, 9);
 }
 
 TEST(StoreTest, CheckUniqueNameEmptyStoreOk) {
@@ -349,6 +354,144 @@ TEST_P(StorePolicyTest, QuotaPrecheckRejectsTxnBeforeApplyingAnything) {
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(store_.open_txns(), 0);
   EXPECT_EQ(store_.owner_nodes(4), 0);
+}
+
+TEST_P(StorePolicyTest, TxnReadSeesItsOwnRemovals) {
+  (void)store_.Write("/a/b", "1", hv::kDom0);
+  (void)store_.Write("/a/x", "2", hv::kDom0);
+  TxnId txn = store_.TxBegin();
+  ASSERT_TRUE(store_.Rm("/a/x", txn).ok());
+  EXPECT_EQ(*store_.Read("/a/b", txn), "1");  // A sibling's removal hides nothing.
+  ASSERT_TRUE(store_.Rm("/a", txn).ok());
+  // xenstored gives each transaction its own tree: removing an ancestor
+  // removes the path from the transaction's view.
+  EXPECT_EQ(store_.Read("/a/b", txn).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store_.Read("/a", txn).code(), ErrorCode::kNotFound);
+  // A later write below recreates the path; the ancestors it implies read
+  // empty, as a write creates them.
+  ASSERT_TRUE(store_.Write("/a/b/c", "3", hv::kDom0, txn).ok());
+  EXPECT_EQ(*store_.Read("/a/b/c", txn), "3");
+  EXPECT_EQ(*store_.Read("/a/b", txn), "");
+  EXPECT_EQ(*store_.Read("/a", txn), "");
+  EXPECT_EQ(store_.Read("/a/x", txn).code(), ErrorCode::kNotFound);
+  // The store itself is untouched until commit, which lands on exactly the
+  // view the transaction read.
+  EXPECT_EQ(*store_.Read("/a/b"), "1");
+  std::vector<WatchHit> hits;
+  ASSERT_TRUE(store_.TxCommit(txn, false, &hits).ok());
+  EXPECT_EQ(*store_.Read("/a/b/c"), "3");
+  EXPECT_EQ(*store_.Read("/a/b"), "");
+  EXPECT_FALSE(store_.Exists("/a/x"));
+}
+
+TEST_P(StorePolicyTest, TxnWriteAfterRemovalRecreatesPath) {
+  (void)store_.Write("/a/b", "1", hv::kDom0);
+  TxnId txn = store_.TxBegin();
+  (void)store_.Rm("/a/b", txn);
+  (void)store_.Write("/a/b", "2", hv::kDom0, txn);
+  EXPECT_EQ(*store_.Read("/a/b", txn), "2");
+  (void)store_.Rm("/a", txn);
+  EXPECT_EQ(store_.Read("/a/b", txn).code(), ErrorCode::kNotFound);
+}
+
+// --- Watch registry edge cases -----------------------------------------------
+
+TEST_P(StorePolicyTest, RemoveWatchDropsEveryDuplicate) {
+  store_.AddWatch(1, "/a", "t");
+  store_.AddWatch(2, "/a", "t");
+  store_.AddWatch(1, "/a", "t");
+  EXPECT_EQ(store_.num_watches(), 3);
+  std::vector<WatchHit> hits;
+  (void)store_.Write("/a/x", "v", hv::kDom0, kNoTxn, &hits);
+  EXPECT_EQ(hits.size(), 3u);
+  store_.RemoveWatch(1, "/a", "t");
+  EXPECT_EQ(store_.num_watches(), 1);
+  hits.clear();
+  (void)store_.Write("/a/y", "v", hv::kDom0, kNoTxn, &hits);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].client, 2);
+  store_.RemoveWatch(1, "/a", "t");  // Nothing left to remove.
+  EXPECT_EQ(store_.num_watches(), 1);
+}
+
+TEST_P(StorePolicyTest, RemoveClientWatchesLeavesOthersInOrder) {
+  store_.AddWatch(1, "/a", "t1");
+  store_.AddWatch(2, "/a", "t2");
+  store_.AddWatch(1, "/b", "t3");
+  store_.AddWatch(3, "/c", "t4");
+  store_.AddWatch(1, "/a", "t5");
+  store_.AddWatch(2, "/d", "t6");
+  store_.RemoveWatch(1, "/b", "t3");  // Partial removal first.
+  EXPECT_EQ(store_.num_watches(), 5);
+  store_.RemoveClientWatches(1);
+  EXPECT_EQ(store_.num_watches(), 3);
+  store_.RemoveClientWatches(1);  // Already gone.
+  store_.RemoveClientWatches(9);  // Never registered.
+  EXPECT_EQ(store_.num_watches(), 3);
+  std::vector<WatchHit> replay = store_.ReplayWatches();
+  ASSERT_EQ(replay.size(), 3u);
+  EXPECT_EQ(replay[0].token, "t2");
+  EXPECT_EQ(replay[1].token, "t4");
+  EXPECT_EQ(replay[2].token, "t6");
+  std::vector<WatchHit> hits;
+  (void)store_.Write("/a/x", "v", hv::kDom0, kNoTxn, &hits);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].token, "t2");
+}
+
+// --- Generation pruning ------------------------------------------------------
+
+TEST_P(StorePolicyTest, GenerationPruningKeepsConflictsExact) {
+  (void)store_.Write("/p", "0", hv::kDom0);
+  (void)store_.Write("/q", "0", hv::kDom0);
+  // While `pin` is open, the first churn is recorded.
+  TxnId pin = store_.TxBegin();
+  for (int i = 0; i < 5000; ++i) {
+    (void)store_.Write(lv::StrFormat("/churn/a/%d", i), "x", hv::kDom0);
+  }
+  TxnId reader = store_.TxBegin();
+  (void)store_.Read("/p", reader);
+  TxnId clean = store_.TxBegin();
+  (void)store_.Read("/q", clean);
+  (void)store_.Write("/q2", "y", hv::kDom0, clean);
+  // Closing `pin` leaves `reader` the oldest open transaction, so the first
+  // churn no longer decides any conflict and may be pruned.
+  std::vector<WatchHit> hits;
+  ASSERT_TRUE(store_.TxCommit(pin, /*abort=*/true, &hits).ok());
+  (void)store_.Write("/p", "external", hv::kDom0);
+  for (int i = 0; i < 10000; ++i) {
+    (void)store_.Write(lv::StrFormat("/churn/b/%d", i), "x", hv::kDom0);
+  }
+  // The first churn was pruned; everything written since `reader` began is
+  // still tracked.
+  EXPECT_LT(store_.tracked_paths(), 15000);
+  EXPECT_GE(store_.tracked_paths(), 10000);
+  (void)store_.Write("/p", "mine", hv::kDom0, reader);
+  EXPECT_EQ(store_.TxCommit(reader, false, &hits).code(), ErrorCode::kConflict);
+  EXPECT_TRUE(store_.TxCommit(clean, false, &hits).ok());
+  EXPECT_EQ(*store_.Read("/p"), "external");
+  EXPECT_EQ(*store_.Read("/q2"), "y");
+  EXPECT_EQ(store_.tracked_paths(), 0);  // Nothing open, nothing tracked.
+}
+
+TEST_P(StorePolicyTest, GenerationTableStaysBoundedWithoutOpenTransactions) {
+  int64_t peak = 0;
+  std::vector<WatchHit> hits;
+  for (int i = 0; i < 50000; ++i) {
+    std::string dir = lv::StrFormat("/churn/%d", i);
+    // Every tenth write happens while a short transaction is open.
+    TxnId txn = i % 10 == 0 ? store_.TxBegin() : kNoTxn;
+    ASSERT_TRUE(store_.Write(dir + "/leaf", "x", hv::kDom0).ok());
+    peak = std::max(peak, store_.tracked_paths());
+    if (txn != kNoTxn) {
+      ASSERT_TRUE(store_.TxCommit(txn, false, &hits).ok());
+    }
+    ASSERT_TRUE(store_.Rm(dir).ok());
+    peak = std::max(peak, store_.tracked_paths());
+  }
+  // Only the leaf and its parent, written while a transaction was open.
+  EXPECT_EQ(peak, 2);
+  EXPECT_EQ(store_.tracked_paths(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, StorePolicyTest,
