@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Compare two BENCH_*.json artifacts (or directories of them) and fail on
-hot-path performance regressions.
+hot-path performance regressions or any change to the metrics registry.
 
 Both inputs must carry the `lightvm-bench/1` schema. Series are matched by
 name, points by index — the simulation is deterministic, so a given spec +
@@ -27,7 +27,15 @@ Those verdicts are surfaced as SLO PASS/FAIL lines, and a bound that passed
 in the baseline but fails in the candidate is a regression even when the
 raw timing change stays under --threshold.
 
-Exit codes: 0 clean, 1 regression found, 2 usage/schema error.
+Registry: each document embeds a snapshot of the metrics registry (its
+"metrics" section: counters, gauges and histograms). Runs are deterministic,
+so the two snapshots must be equal entry by entry, by name and value; any
+difference, or an entry present on one side only, fails the diff and is
+listed. An intended behaviour change updates the baseline, as it does for
+the series.
+
+Exit codes: 0 clean, 1 regression or registry difference found, 2
+usage/schema error.
 
 Usage:
   bench_diff.py old/BENCH_x.json new/BENCH_x.json
@@ -168,6 +176,47 @@ def report_slo(old, new):
     return failures
 
 
+def describe(value):
+    """A registry value for a difference line; bucket lists are summarised."""
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(
+            "%s: %s" % (k, "[%d buckets]" % len(v) if isinstance(v, list)
+                        else json.dumps(v))
+            for k, v in sorted(value.items()))
+    return json.dumps(value)
+
+
+def diff_registry(old, new):
+    """Exact comparison of the embedded registry snapshots."""
+    old_metrics = old.get("metrics") or {}
+    new_metrics = new.get("metrics") or {}
+    differences = []
+    entries = 0
+    for kind in ("counters", "gauges", "histograms"):
+        old_entries = old_metrics.get(kind) or {}
+        new_entries = new_metrics.get(kind) or {}
+        for name in sorted(set(old_entries) | set(new_entries)):
+            entries += 1
+            tag = "REGISTRY: %s %s" % (kind[:-1], name)
+            if name not in new_entries:
+                differences.append("%s only in the baseline (%s)" %
+                                   (tag, describe(old_entries[name])))
+            elif name not in old_entries:
+                differences.append("%s only in the candidate (%s)" %
+                                   (tag, describe(new_entries[name])))
+            elif old_entries[name] != new_entries[name]:
+                ov, nv = old_entries[name], new_entries[name]
+                if isinstance(ov, dict) and isinstance(nv, dict):
+                    keys = sorted(k for k in set(ov) | set(nv)
+                                  if ov.get(k) != nv.get(k))
+                    ov = {k: ov.get(k) for k in keys}
+                    nv = {k: nv.get(k) for k in keys}
+                differences.append("%s %s -> %s" %
+                                   (tag, describe(ov), describe(nv)))
+    print("registry: %d entries, %d differ" % (entries, len(differences)))
+    return differences
+
+
 def diff_files(old_path, new_path, threshold, per_point, gates):
     old = load(old_path)
     new = load(new_path)
@@ -193,6 +242,7 @@ def diff_files(old_path, new_path, threshold, per_point, gates):
         print("note: new series not in baseline (not gated): %s" %
               ", ".join(sorted(extra)))
     failures.extend(report_slo(old, new))
+    failures.extend(diff_registry(old, new))
     return failures
 
 
@@ -242,10 +292,11 @@ def main():
         print()
         for f in failures:
             print(f)
-        print("FAIL: %d hot-path regression(s) above %.1f%%" %
-              (len(failures), args.threshold))
+        print("FAIL: %d hot-path regression(s) above %.1f%% or registry "
+              "difference(s)" % (len(failures), args.threshold))
         sys.exit(1)
-    print("OK: no hot-path regressions above %.1f%%" % args.threshold)
+    print("OK: no hot-path regressions above %.1f%%, registry unchanged" %
+          args.threshold)
 
 
 if __name__ == "__main__":

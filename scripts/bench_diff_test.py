@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for the regression math in bench_diff.py.
+"""Unit tests for the regression math and registry comparison in
+bench_diff.py.
 
 Runs bench_diff.py as a subprocess against synthetic BENCH documents and
 checks the exit code, so the test exercises exactly what CI exercises
@@ -178,6 +179,52 @@ class BenchDiffTest(unittest.TestCase):
         proc = self.run_diff(old, new)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("FAIL", proc.stdout)
+
+    # --- Registry snapshot ----------------------------------------------
+
+    @staticmethod
+    def add_registry(doc):
+        doc["metrics"] = {
+            "counters": {"hv.hypervisor.hypercalls": 120,
+                         "node.jobs.failed": 0},
+            "gauges": {"node.jobs.active": 0},
+            "histograms": {"toolstack.chaos.create_ms": {
+                "unit": "ms", "count": 2, "sum": 3.5, "min": 1.5,
+                "max": 2.0, "p50": 1.5, "buckets": [[1.5, 1.515625, 1],
+                                                    [2.0, 2.03125, 1]]}},
+        }
+        return doc
+
+    def test_identical_registry_passes(self):
+        old = self.add_registry(make_doc([[1, 10.0, 100.0]]))
+        proc = self.run_diff(old, copy.deepcopy(old))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("registry: 4 entries, 0 differ", proc.stdout)
+
+    def test_changed_registry_value_fails(self):
+        old = self.add_registry(make_doc([[1, 10.0, 100.0]]))
+        new = copy.deepcopy(old)
+        new["metrics"]["counters"]["hv.hypervisor.hypercalls"] = 121
+        new["metrics"]["histograms"]["toolstack.chaos.create_ms"][
+            "buckets"][1][2] = 2
+        proc = self.run_diff(old, new)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("REGISTRY: counter hv.hypervisor.hypercalls 120 -> 121",
+                      proc.stdout)
+        self.assertIn("REGISTRY: histogram toolstack.chaos.create_ms",
+                      proc.stdout)
+
+    def test_registry_entry_on_one_side_fails(self):
+        old = self.add_registry(make_doc([[1, 10.0, 100.0]]))
+        new = copy.deepcopy(old)
+        del new["metrics"]["counters"]["node.jobs.failed"]
+        new["metrics"]["gauges"]["toolstack.chaosd.pool_size"] = 8
+        proc = self.run_diff(old, new)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("REGISTRY: counter node.jobs.failed only in the baseline",
+                      proc.stdout)
+        self.assertIn("REGISTRY: gauge toolstack.chaosd.pool_size only in the "
+                      "candidate", proc.stdout)
 
 
 if __name__ == "__main__":

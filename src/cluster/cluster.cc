@@ -124,10 +124,8 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
   for (int placement_round = 0;; ++placement_round) {
     int pick = policy_->Pick(views(), config);
     if (pick < 0) {
-      ++admission_rejects_;
+      admission_rejects_.Inc();
       ++deploy_failures_;
-      static metrics::Counter& rejects = metrics::GetCounter("cluster.admission_rejects");
-      rejects.Inc();
       recorder.Record(0, op, "cluster", "deploy.reject", false);
       co_return lv::Err(lv::ErrorCode::kUnavailable, "no node admits the VM");
     }
@@ -146,9 +144,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
     lv::Duration backoff = spec_.retry_backoff;
     for (int attempt = 0; attempt < std::max(1, spec_.create_retries); ++attempt) {
       if (attempt > 0) {
-        ++deploy_retries_;
-        static metrics::Counter& retries = metrics::GetCounter("cluster.deploy_retries");
-        retries.Inc();
+        deploy_retries_.Inc();
         co_await engine_->Sleep(backoff);
         backoff = backoff * 2.0;
         if (node.generation != gen || node.host->crashed()) {
@@ -174,9 +170,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
     if (created.ok() && node_current && !node.host->crashed()) {
       VmHandle handle{pick, *created};
       placements_[Key(handle)] = std::move(placement);
-      ++vms_deployed_;
-      static metrics::Counter& deploys = metrics::GetCounter("cluster.vms_deployed");
-      deploys.Inc();
+      vms_deployed_.Inc();
       recorder.Record(pick, op, "cluster", "deploy.done", true, *created);
       trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.deploy.done", op.root);
       co_return handle;
@@ -190,9 +184,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
     }
     const bool node_lost = !node_current || node.host->crashed();
     if (node_lost && placement_round == 0) {
-      ++deploy_replacements_;
-      static metrics::Counter& replaced = metrics::GetCounter("cluster.deploy_replacements");
-      replaced.Inc();
+      deploy_replacements_.Inc();
       recorder.Record(pick, op, "cluster", "deploy.replace", false);
       continue;
     }
@@ -271,9 +263,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   const bool target_down = !view(target_node).alive;
   if (target_down || dst.memory_committed + placement.memory > spec_.memory_budget ||
       dst.vcpus_committed + placement.vcpus > spec_.vcpu_budget) {
-    ++admission_rejects_;
-    static metrics::Counter& rejects = metrics::GetCounter("cluster.admission_rejects");
-    rejects.Inc();
+    admission_rejects_.Inc();
     co_return lv::Err(lv::ErrorCode::kUnavailable,
                       target_down ? "target node is down" : "target node over budget");
   }
@@ -322,9 +312,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   VmHandle out{target_node, *moved};
   placement.op = op;  // the migrated VM now belongs to the migrate chain
   placements_[Key(out)] = std::move(placement);
-  ++migrations_;
-  static metrics::Counter& migrations = metrics::GetCounter("cluster.migrations");
-  migrations.Inc();
+  migrations_.Inc();
   obs::FlightRecorder::Get().Record(target_node, op, "cluster", "migrate.done",
                                     true, *moved);
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.migrate.done", op.root);
@@ -405,10 +393,7 @@ void Cluster::CheckInvariants() {
     if (node.memory_committed > spec_.memory_budget ||
         node.vcpus_committed > spec_.vcpu_budget ||
         node.memory_committed < lv::Bytes() || node.vcpus_committed < 0) {
-      ++invariant_failures_;
-      static metrics::Counter& violations =
-          metrics::GetCounter("cluster.invariant_failures");
-      violations.Inc();
+      invariant_failures_.Inc();
       obs::FlightRecorder::Get().Record(i, {}, "cluster", "invariant.budget", false);
       obs::FlightRecorder::Get().MaybeDump();
       LV_ERROR(kMod, "node %d admission out of bounds: mem=%lld vcpus=%lld", i,
@@ -422,10 +407,7 @@ void Cluster::CheckInvariants() {
     if (host.node().jobs_active() == 0 && (!host.crashed() || host.crash_settled())) {
       lv::Status ok = lightvm::VerifyNoLeakedResources(host);
       if (!ok.ok()) {
-        ++invariant_failures_;
-        static metrics::Counter& violations =
-            metrics::GetCounter("cluster.invariant_failures");
-        violations.Inc();
+        invariant_failures_.Inc();
         LV_ERROR(kMod, "node %d leak invariant violated: %s", i,
                  ok.error().message.c_str());
       }
@@ -441,13 +423,9 @@ sim::Co<void> Cluster::HealthLoop() {
     for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
       Node& node = nodes_[i];
       if (node.alive && node.host->crashed()) {
-        ++node_failures_;
-        static metrics::Counter& failures = metrics::GetCounter("cluster.node_failures");
-        failures.Inc();
+        node_failures_.Inc();
         auto lost = WriteOffNode(i);
-        vms_lost_ += static_cast<int64_t>(lost.size());
-        static metrics::Counter& lost_vms = metrics::GetCounter("cluster.vms_lost");
-        lost_vms.Inc(static_cast<double>(lost.size()));
+        vms_lost_.Inc(static_cast<int64_t>(lost.size()));
         lv::TimePoint detected = engine_->now();
         obs::FlightRecorder::Get().Record(i, {}, "cluster", "node.dead", false,
                                           static_cast<int64_t>(lost.size()));
@@ -486,18 +464,13 @@ sim::Co<void> Cluster::RecoveryLoop() {
                                       true, ev.domid);
     auto replaced = co_await Deploy(ev.config, /*wait_boot=*/true, ev.op);
     if (replaced.ok()) {
-      ++vms_recovered_;
+      vms_recovered_.Inc();
       recovery_ms_.push_back((engine_->now() - ev.detected).ms());
-      static metrics::Counter& recovered = metrics::GetCounter("cluster.vms_recovered");
-      recovered.Inc();
       static metrics::Histogram& recovery =
           metrics::GetHistogram("cluster.recovery_ms", "ms");
       recovery.RecordDuration(engine_->now() - ev.detected);
     } else {
-      ++vms_unrecovered_;
-      static metrics::Counter& unrecovered =
-          metrics::GetCounter("cluster.vms_unrecovered");
-      unrecovered.Inc();
+      vms_unrecovered_.Inc();
       LV_WARN(kMod, "evacuation of dom%lld from node %d failed: %s",
               (long long)ev.domid, ev.from_node, replaced.error().message.c_str());
     }

@@ -34,6 +34,7 @@
 
 #include "src/cluster/placement.h"
 #include "src/core/host.h"
+#include "src/metrics/metrics.h"
 #include "src/obs/obs.h"
 #include "src/sim/sync.h"
 
@@ -129,21 +130,21 @@ class Cluster {
   void RequestReboot(int node);
   bool node_alive(int node) const { return nodes_[node].alive; }
 
-  int64_t vms_deployed() const { return vms_deployed_; }
+  int64_t vms_deployed() const { return vms_deployed_.value(); }
   int64_t deploy_failures() const { return deploy_failures_; }
-  int64_t admission_rejects() const { return admission_rejects_; }
-  int64_t migrations() const { return migrations_; }
+  int64_t admission_rejects() const { return admission_rejects_.value(); }
+  int64_t migrations() const { return migrations_.value(); }
   // Total VMs currently running across all nodes.
   int64_t total_vms() const;
 
   // Self-healing bookkeeping (chaos bench + tests).
-  int64_t node_failures() const { return node_failures_; }
-  int64_t vms_lost() const { return vms_lost_; }
-  int64_t vms_recovered() const { return vms_recovered_; }
-  int64_t vms_unrecovered() const { return vms_unrecovered_; }
-  int64_t deploy_retries() const { return deploy_retries_; }
-  int64_t deploy_replacements() const { return deploy_replacements_; }
-  int64_t invariant_failures() const { return invariant_failures_; }
+  int64_t node_failures() const { return node_failures_.value(); }
+  int64_t vms_lost() const { return vms_lost_.value(); }
+  int64_t vms_recovered() const { return vms_recovered_.value(); }
+  int64_t vms_unrecovered() const { return vms_unrecovered_.value(); }
+  int64_t deploy_retries() const { return deploy_retries_.value(); }
+  int64_t deploy_replacements() const { return deploy_replacements_.value(); }
+  int64_t invariant_failures() const { return invariant_failures_.value(); }
   // Detection-to-redeploy latency of every recovered VM, in ms.
   const std::vector<double>& recovery_ms() const { return recovery_ms_; }
 
@@ -197,17 +198,17 @@ class Cluster {
   std::vector<Node> nodes_;
   std::unordered_map<int64_t, std::unique_ptr<xnet::Link>> links_;
   std::unordered_map<int64_t, Placement> placements_;
-  int64_t vms_deployed_ = 0;
+  metrics::Tally vms_deployed_{"cluster.vms_deployed"};
   int64_t deploy_failures_ = 0;
-  int64_t admission_rejects_ = 0;
-  int64_t migrations_ = 0;
-  int64_t node_failures_ = 0;
-  int64_t vms_lost_ = 0;
-  int64_t vms_recovered_ = 0;
-  int64_t vms_unrecovered_ = 0;
-  int64_t deploy_retries_ = 0;
-  int64_t deploy_replacements_ = 0;
-  int64_t invariant_failures_ = 0;
+  metrics::Tally admission_rejects_{"cluster.admission_rejects"};
+  metrics::Tally migrations_{"cluster.migrations"};
+  metrics::Tally node_failures_{"cluster.node_failures"};
+  metrics::Tally vms_lost_{"cluster.vms_lost"};
+  metrics::Tally vms_recovered_{"cluster.vms_recovered"};
+  metrics::Tally vms_unrecovered_{"cluster.vms_unrecovered"};
+  metrics::Tally deploy_retries_{"cluster.deploy_retries"};
+  metrics::Tally deploy_replacements_{"cluster.deploy_replacements"};
+  metrics::Tally invariant_failures_{"cluster.invariant_failures"};
   std::vector<double> recovery_ms_;
   bool monitor_stop_ = false;
   // VMs written off a dead node, waiting for the recovery loop to re-place

@@ -99,25 +99,19 @@ sim::Co<lv::Result<hv::DomainId>> NodeApi::MigrateVm(hv::DomainId domid, NodeApi
 // --- Concurrent jobs ------------------------------------------------------------
 
 int64_t NodeApi::StartJob() {
-  ++jobs_started_;
-  static metrics::Counter& started = metrics::GetCounter("node.jobs.started");
+  jobs_started_.Inc();
   static metrics::Gauge& active = metrics::GetGauge("node.jobs.active");
-  started.Inc();
   active.Add(1.0);
   return ++next_job_;
 }
 
 void NodeApi::FinishJob(bool ok) {
-  ++jobs_completed_;
-  static metrics::Counter& completed = metrics::GetCounter("node.jobs.completed");
-  static metrics::Counter& failed = metrics::GetCounter("node.jobs.failed");
+  jobs_completed_.Inc();
+  // Inc(0) on success keeps node.jobs.failed registered, at 0, in every run
+  // that finishes a job.
+  jobs_failed_.Inc(ok ? 0 : 1);
   static metrics::Gauge& active = metrics::GetGauge("node.jobs.active");
-  completed.Inc();
   active.Add(-1.0);
-  if (!ok) {
-    ++jobs_failed_;
-    failed.Inc();
-  }
 }
 
 CreateJob NodeApi::SubmitCreate(toolstack::VmConfig config, bool wait_boot,

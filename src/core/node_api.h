@@ -23,6 +23,7 @@
 
 #include "src/core/dom0.h"
 #include "src/core/mechanisms.h"
+#include "src/metrics/metrics.h"
 #include "src/obs/obs.h"
 #include "src/sim/sync.h"
 #include "src/toolstack/chaos.h"
@@ -68,10 +69,10 @@ class NodeApi {
   StatusJob SubmitMigrate(hv::DomainId domid, NodeApi* target, xnet::Link* link,
                           obs::OpRef parent = {});
 
-  int64_t jobs_started() const { return jobs_started_; }
-  int64_t jobs_completed() const { return jobs_completed_; }
-  int64_t jobs_failed() const { return jobs_failed_; }
-  int64_t jobs_active() const { return jobs_started_ - jobs_completed_; }
+  int64_t jobs_started() const { return jobs_started_.value(); }
+  int64_t jobs_completed() const { return jobs_completed_.value(); }
+  int64_t jobs_failed() const { return jobs_failed_.value(); }
+  int64_t jobs_active() const { return jobs_started() - jobs_completed(); }
 
   // Fail-fast gate (Host::Crash): while false, submitted jobs complete
   // immediately with kUnavailable instead of touching the dead node.
@@ -141,9 +142,9 @@ class NodeApi {
   bool accepting_ = true;
   int obs_node_ = 0;
   int64_t next_job_ = 0;
-  int64_t jobs_started_ = 0;
-  int64_t jobs_completed_ = 0;
-  int64_t jobs_failed_ = 0;
+  metrics::Tally jobs_started_{"node.jobs.started"};
+  metrics::Tally jobs_completed_{"node.jobs.completed"};
+  metrics::Tally jobs_failed_{"node.jobs.failed"};
 };
 
 }  // namespace lightvm

@@ -178,7 +178,6 @@ sim::Co<void> BackendDriver::XsWatcherLoop(sim::ExecCtx ctx) {
   // there announces a new device (paper Fig. 7a, step 1).
   std::string watch_dir = lv::StrFormat("/local/domain/0/backend/%s", Kind());
   (void)co_await xs_client_->Watch(ctx, watch_dir, kBackendWatchToken);
-  ++stats_.xs_ops;
   while (true) {
     xs::WatchEvent ev = co_await xs_client_->NextWatchEvent();
     if (ev.token == xs::XsClient::kStopToken) {
@@ -192,7 +191,6 @@ sim::Co<void> BackendDriver::XsWatcherLoop(sim::ExecCtx ctx) {
       }
       hv::DomainId domid = std::atoll(segs[5].c_str());
       auto state = co_await xs_client_->Read(ctx, ev.fired_path);
-      ++stats_.xs_ops;
       if (!state.ok()) {
         continue;  // Entry vanished (device being torn down).
       }
@@ -210,7 +208,6 @@ sim::Co<void> BackendDriver::XsWatcherLoop(sim::ExecCtx ctx) {
         continue;
       }
       auto state = co_await xs_client_->Read(ctx, ev.fired_path);
-      ++stats_.xs_ops;
       if (!state.ok()) {
         continue;
       }
@@ -236,18 +233,15 @@ sim::Co<void> BackendDriver::XsBackendInit(sim::ExecCtx ctx, hv::DomainId domid)
   inst.backend_state = XenbusState::kInitWait;
   (void)co_await xs_client_->Write(ctx, be + "/state",
                                    XenbusStateValue(XenbusState::kInitWait));
-  stats_.xs_ops += 3;
   // Watch the front-end's state to complete the handshake later.
   (void)co_await xs_client_->Watch(ctx, FrontendDir(domid) + "/state",
                                    lv::StrFormat("%s%lld", kFrontendTokenPrefix,
                                                  (long long)domid));
-  ++stats_.xs_ops;
   // udev event -> xendevd (chaos+XS mode). Under xl the toolstack runs the
   // hotplug script itself.
   if (udev_hotplug_ != nullptr) {
     engine_->Spawn(DoHotplug(backend_ctx_, udev_hotplug_, domid));
   }
-  ++stats_.created;
   inst.ready->Trigger();
   LV_DEBUG(kMod, "%s backend for dom%lld ready", Kind(), (long long)domid);
 }
@@ -259,7 +253,6 @@ sim::Co<void> BackendDriver::XsBackendOnFrontendConnected(sim::ExecCtx ctx,
   inst.backend_state = XenbusState::kConnected;
   (void)co_await xs_client_->Write(ctx, BackendDir(domid) + "/state",
                                    XenbusStateValue(XenbusState::kConnected));
-  ++stats_.xs_ops;
   inst.connected->Trigger();
 }
 
@@ -282,7 +275,6 @@ sim::Co<void> BackendDriver::XsBackendClose(sim::ExecCtx ctx, hv::DomainId domid
   inst.backend_state = XenbusState::kClosed;
   (void)co_await xs_client_->Write(ctx, BackendDir(domid) + "/state",
                                    XenbusStateValue(XenbusState::kClosed));
-  stats_.xs_ops += 2;
   inst.closed->Trigger();
 }
 
@@ -391,7 +383,6 @@ sim::Co<lv::Status> BackendDriver::XsToolstackDestroy(sim::ExecCtx ctx, xs::XsCl
   }
   (void)co_await client->Rm(ctx, FrontendDir(domid));
   (void)co_await client->Rm(ctx, BackendDir(domid));
-  ++stats_.destroyed;
   instances_.erase(domid);
   co_return lv::Status::Ok();
 }
@@ -435,7 +426,6 @@ sim::Co<lv::Result<hv::DeviceInfo>> BackendDriver::NoxsCreate(sim::ExecCtx ctx,
     engine_->Spawn(DoHotplug(backend_ctx_.cpu != nullptr ? backend_ctx_ : ctx,
                              udev_hotplug_, domid));
   }
-  ++stats_.created;
   inst.ready->Trigger();
   static metrics::Counter& attaches = metrics::GetCounter("devices.backend.attaches");
   attaches.Inc();
@@ -483,7 +473,6 @@ sim::Co<lv::Status> BackendDriver::NoxsDestroy(sim::ExecCtx ctx, hv::DomainId do
   }
   co_await ReleaseResources(ctx, inst);
   inst.closed->Trigger();
-  ++stats_.destroyed;
   instances_.erase(domid);
   co_return lv::Status::Ok();
 }

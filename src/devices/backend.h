@@ -31,12 +31,6 @@ namespace xdev {
 
 class BackendDriver {
  public:
-  struct Stats {
-    int64_t created = 0;
-    int64_t destroyed = 0;
-    int64_t xs_ops = 0;  // store round-trips issued by the back-end itself
-  };
-
   // `sw` may be null for non-network back-ends.
   BackendDriver(sim::Engine* engine, hv::Hypervisor* hv, hv::DeviceType type,
                 ControlPages* control_pages, xnet::Switch* sw, const Costs* costs);
@@ -85,7 +79,6 @@ class BackendDriver {
   bool HasDevice(hv::DomainId domid) const { return instances_.contains(domid); }
   bool IsConnected(hv::DomainId domid) const;
   int64_t num_devices() const { return static_cast<int64_t>(instances_.size()); }
-  const Stats& stats() const { return stats_; }
 
   // Waits until the front/back handshake completes (both Connected).
   sim::Co<void> WaitConnected(hv::DomainId domid);
@@ -139,7 +132,6 @@ class BackendDriver {
   sim::ExecCtx backend_ctx_;
   bool watcher_running_ = false;
   std::unordered_map<hv::DomainId, Instance> instances_;
-  Stats stats_;
   // Owner-held watcher frame (own-and-drain, ROADMAP item 6). Declared last
   // so the frame dies before the client/channel it may be parked on.
   sim::Co<void> watcher_loop_;

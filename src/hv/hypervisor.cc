@@ -76,12 +76,9 @@ int64_t Hypervisor::NumDomainsInState(DomainState state) const {
 }
 
 sim::Co<void> Hypervisor::HypercallEntry(sim::ExecCtx ctx) {
-  ++stats_.hypercalls;
-  trace::Count("hv.hypercalls", 1);
+  hypercalls_.Inc();
   // Every hypercall is a guest->hypervisor->guest privilege transition.
-  static metrics::Counter& hypercalls = metrics::GetCounter("hv.hypervisor.hypercalls");
   static metrics::Counter& crossings = metrics::GetCounter("hv.hypervisor.domain_crossings");
-  hypercalls.Inc();
   crossings.Inc();
   co_await ctx.Work(costs_.hypercall);
 }
@@ -97,14 +94,12 @@ lv::Result<Domain*> Hypervisor::Lookup(DomainId id) {
 sim::Co<lv::Result<DomainId>> Hypervisor::DomainCreate(sim::ExecCtx ctx) {
   trace::Span span(ctx.track, "hv.domain_create");
   static metrics::Counter& hc = HypercallCounter("domain_create");
-  static metrics::Counter& created = metrics::GetCounter("hv.hypervisor.domains_created");
   hc.Inc();
   co_await HypercallEntry(ctx);
   co_await ctx.Work(costs_.domain_create);
   DomainId id = next_id_++;
   domains_.emplace(id, std::make_unique<Domain>(id, engine_->now()));
-  ++stats_.domains_created;
-  created.Inc();
+  domains_created_.Inc();
   LV_DEBUG(kMod, "created dom%lld", (long long)id);
   co_return id;
 }
@@ -138,7 +133,6 @@ sim::Co<lv::Status> Hypervisor::PopulatePhysmap(sim::ExecCtx ctx, DomainId id,
     co_return reserved;
   }
   (*dom)->add_reserved_pages(pages);
-  trace::Count("hv.pages_populated", static_cast<double>(pages));
   populated.Inc(static_cast<double>(pages));
   co_await ctx.Work(costs_.per_page_populate * static_cast<double>(pages));
   co_return lv::Status::Ok();
@@ -176,12 +170,10 @@ sim::Co<lv::Status> Hypervisor::PopulatePhysmapShared(sim::ExecCtx ctx, DomainId
     ++it->second.refs;
     // Mapping existing read-only pages is cheap; only private pages are
     // populated.
-    trace::Count("hv.pages_populated", static_cast<double>(private_pages));
     populated.Inc(static_cast<double>(private_pages));
     co_await ctx.Work(costs_.per_page_populate * static_cast<double>(private_pages));
   } else {
     templates_.emplace(template_key, SharedTemplate{shared_pages, 1});
-    trace::Count("hv.pages_populated", static_cast<double>(total_pages));
     populated.Inc(static_cast<double>(total_pages));
     co_await ctx.Work(costs_.per_page_populate * static_cast<double>(total_pages));
   }
@@ -226,7 +218,6 @@ sim::Co<lv::Status> Hypervisor::CopyToDomain(sim::ExecCtx ctx, DomainId id, lv::
   if (!dom.ok()) {
     co_return dom.error();
   }
-  trace::Count("hv.bytes_copied", static_cast<double>(bytes.count()));
   copied.Inc(static_cast<double>(bytes.count()));
   co_await ctx.Work(costs_.per_page_copy * static_cast<double>(lv::PagesFor(bytes)));
   co_return lv::Status::Ok();
@@ -243,7 +234,6 @@ sim::Co<lv::Status> Hypervisor::CopyFromDomain(sim::ExecCtx ctx, DomainId id,
   if (!dom.ok()) {
     co_return dom.error();
   }
-  trace::Count("hv.bytes_copied", static_cast<double>(bytes.count()));
   copied.Inc(static_cast<double>(bytes.count()));
   co_await ctx.Work(costs_.per_page_copy * static_cast<double>(lv::PagesFor(bytes)));
   co_return lv::Status::Ok();
@@ -326,11 +316,11 @@ sim::Co<lv::Status> Hypervisor::DomainShutdown(sim::ExecCtx ctx, DomainId id,
 sim::Co<lv::Status> Hypervisor::DomainDestroy(sim::ExecCtx ctx, DomainId id) {
   trace::Span span(ctx.track, "hv.domain_destroy");
   static metrics::Counter& hc = HypercallCounter("domain_destroy");
-  static metrics::Counter& destroyed = metrics::GetCounter("hv.hypervisor.domains_destroyed");
   hc.Inc();
   co_await HypercallEntry(ctx);
   auto dom_r = Lookup(id);
   if (!dom_r.ok()) {
+    domains_destroyed_.Inc(0);  // A failed destroy still registers the count.
     co_return dom_r.error();
   }
   Domain* dom = *dom_r;
@@ -347,8 +337,7 @@ sim::Co<lv::Status> Hypervisor::DomainDestroy(sim::ExecCtx ctx, DomainId id) {
     }
   }
   domains_.erase(id);
-  ++stats_.domains_destroyed;
-  destroyed.Inc();
+  domains_destroyed_.Inc();
   LV_DEBUG(kMod, "destroyed dom%lld", (long long)id);
   co_return lv::Status::Ok();
 }
@@ -408,7 +397,7 @@ sim::Co<lv::Result<int>> Hypervisor::DevicePageWrite(sim::ExecCtx ctx, DomainId 
   }
   co_await ctx.Work(costs_.device_page_op);
   (*dom)->AppendDevice(info);
-  ++stats_.device_page_writes;
+  ++device_page_writes_;
   co_return static_cast<int>((*dom)->device_page().size()) - 1;
 }
 
@@ -422,7 +411,7 @@ sim::Co<lv::Result<std::vector<DeviceInfo>>> Hypervisor::DevicePageRead(sim::Exe
     co_return dom.error();
   }
   co_await ctx.Work(costs_.device_page_op);
-  ++stats_.device_page_reads;
+  ++device_page_reads_;
   co_return (*dom)->device_page();
 }
 

@@ -18,6 +18,7 @@
 #include "src/hv/grant_table.h"
 #include "src/hv/memory.h"
 #include "src/hv/types.h"
+#include "src/metrics/metrics.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 
@@ -48,7 +49,13 @@ class Hypervisor {
   MemoryPool& memory() { return memory_; }
   EventChannelTable& event_channels() { return event_channels_; }
   GrantTable& grant_table() { return grant_table_; }
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    return {.hypercalls = hypercalls_.value(),
+            .domains_created = domains_created_.value(),
+            .domains_destroyed = domains_destroyed_.value(),
+            .device_page_writes = device_page_writes_,
+            .device_page_reads = device_page_reads_};
+  }
 
   // Observer invoked whenever a domain shuts down (any reason). The control
   // plane uses this the way xl uses the @releaseDomain special watch.
@@ -131,7 +138,11 @@ class Hypervisor {
   MemoryPool memory_;
   EventChannelTable event_channels_;
   GrantTable grant_table_;
-  Stats stats_;
+  metrics::Tally hypercalls_{"hv.hypervisor.hypercalls"};
+  metrics::Tally domains_created_{"hv.hypervisor.domains_created"};
+  metrics::Tally domains_destroyed_{"hv.hypervisor.domains_destroyed"};
+  int64_t device_page_writes_ = 0;
+  int64_t device_page_reads_ = 0;
   ShutdownObserver shutdown_observer_;
   DomainId next_id_ = 1;
   // Ordered map: ListDomains returns ids in creation order like Xen does.

@@ -112,84 +112,6 @@ lv::Status WriteJsonFile(const Registry& registry, const std::string& path) {
   return lv::Status::Ok();
 }
 
-namespace {
-
-// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted names map
-// dots (and anything else) to underscores.
-std::string PromName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-              c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
-std::string PromNumber(double v) {
-  if (std::isnan(v)) {
-    return "NaN";
-  }
-  if (std::isinf(v)) {
-    return v > 0 ? "+Inf" : "-Inf";
-  }
-  if (v == static_cast<double>(static_cast<int64_t>(v)) && std::fabs(v) < 1e15) {
-    return lv::StrFormat("%lld", (long long)v);
-  }
-  return lv::StrFormat("%.17g", v);
-}
-
-}  // namespace
-
-void WritePrometheus(const Registry& registry, std::ostream& out) {
-  Snapshot snap = registry.TakeSnapshot();
-  for (const auto& [name, value] : snap.counters) {
-    std::string p = PromName(name);
-    out << lv::StrFormat("# TYPE %s counter\n%s %s\n", p.c_str(), p.c_str(),
-                         PromNumber(value).c_str());
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    std::string p = PromName(name);
-    out << lv::StrFormat("# TYPE %s gauge\n%s %s\n", p.c_str(), p.c_str(),
-                         PromNumber(value).c_str());
-  }
-  for (const auto& h : snap.histograms) {
-    std::string p = PromName(h.name);
-    out << lv::StrFormat("# TYPE %s histogram\n", p.c_str());
-    int64_t cumulative = 0;
-    for (const auto& b : h.buckets) {
-      cumulative += b.count;
-      out << lv::StrFormat("%s_bucket{le=\"%s\"} %lld\n", p.c_str(),
-                           PromNumber(b.hi).c_str(), (long long)cumulative);
-    }
-    // The exposition format requires a final +Inf bucket equal to _count.
-    if (h.buckets.empty() || !std::isinf(h.buckets.back().hi)) {
-      out << lv::StrFormat("%s_bucket{le=\"+Inf\"} %lld\n", p.c_str(), (long long)h.count);
-    }
-    out << lv::StrFormat("%s_sum %s\n%s_count %lld\n", p.c_str(), PromNumber(h.sum).c_str(),
-                         p.c_str(), (long long)h.count);
-  }
-}
-
-lv::Status WritePrometheusFile(const Registry& registry, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return lv::Err(lv::ErrorCode::kUnavailable,
-                   lv::StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  WritePrometheus(registry, out);
-  out.flush();
-  if (!out) {
-    return lv::Err(lv::ErrorCode::kUnavailable,
-                   lv::StrFormat("short write to %s", path.c_str()));
-  }
-  return lv::Status::Ok();
-}
-
 void WriteText(const Registry& registry, std::ostream& out) {
   Snapshot snap = registry.TakeSnapshot();
   if (!snap.counters.empty()) {

@@ -1,4 +1,4 @@
-// Exporters for the metrics registry (src/metrics/metrics.h). Three
+// Exporters for the metrics registry (src/metrics/metrics.h). Two
 // formats:
 //
 //  * JSON — the `metrics` object embedded in every BENCH_*.json artifact
@@ -7,10 +7,6 @@
 //    count, sum, min, max, p50, p90, p99, max_rel_error, buckets:
 //    [[lo,hi,count],...]}}}. Quantiles are nearest-rank bucket midpoints,
 //    within max_rel_error of the exact order statistic.
-//  * Prometheus text exposition format — counters/gauges with dots mapped
-//    to underscores, histograms as cumulative `_bucket{le="..."}` series
-//    plus `_sum` and `_count` (only non-empty buckets are emitted; the
-//    cumulative counts make that lossless).
 //  * Aligned text — a terminal dump, used by the chaos_cli `stats`
 //    command.
 //
@@ -37,9 +33,6 @@ std::string JsonNumber(double v);
 
 void WriteJson(const Registry& registry, std::ostream& out);
 lv::Status WriteJsonFile(const Registry& registry, const std::string& path);
-
-void WritePrometheus(const Registry& registry, std::ostream& out);
-lv::Status WritePrometheusFile(const Registry& registry, const std::string& path);
 
 void WriteText(const Registry& registry, std::ostream& out);
 

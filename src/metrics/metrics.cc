@@ -204,6 +204,8 @@ Snapshot Registry::TakeSnapshot() const {
   return snap;
 }
 
+void Tally::Bind() { counter_ = &GetCounter(name_); }
+
 void Registry::ResetAll() {
   for (auto& [name, c] : counters_) {
     c.Reset();

@@ -12,15 +12,24 @@
 // Cost model: metrics never charge simulated work, so recording cannot
 // perturb measured results (same invariant as the tracer). Real-time cost
 // per record is one branch plus an array increment for histograms, one add
-// for counters. Call sites cache the handle once:
+// for counters.
 //
-//   static metrics::Counter& hypercalls =
-//       metrics::GetCounter("hv.hypervisor.hypercalls");
-//   hypercalls.Inc();
+// One sink per counted fact. A count that only the registry keeps caches
+// its handle in a function-local static at the call site:
+//
+//   static metrics::Counter& crossings =
+//       metrics::GetCounter("hv.hypervisor.domain_crossings");
+//   crossings.Inc();
+//
+// A count that an object also reports per instance (its stats() or an
+// accessor) is a Tally member instead, so one Inc feeds both views:
+//
+//   metrics::Tally hypercalls_{"hv.hypervisor.hypercalls"};
+//   hypercalls_.Inc();
 //
 // Handles returned by the registry are valid for the process lifetime —
 // ResetAll() zeroes values but never invalidates a handle (call sites hold
-// static references).
+// static references, tallies a pointer).
 //
 // Naming convention: `layer.component.metric` (e.g. `xenstore.daemon.ops`,
 // `toolstack.chaos.create_ms`). Histograms carry a unit suffix in the name
@@ -206,5 +215,33 @@ inline Gauge& GetGauge(const std::string& name) { return Registry::Get().GetGaug
 inline Histogram& GetHistogram(const std::string& name, const std::string& unit = "") {
   return Registry::Get().GetHistogram(name, unit);
 }
+
+// A per-object count and its registry twin of the same name. Several
+// objects of one type (the nodes of a cluster, two hosts in one test) each
+// keep their own value() while the registry counter sums them. The counter
+// is bound on the first Inc, exactly where a function-local static at the
+// increment would register: a tally that never moves leaves no registry
+// entry, and Inc(0) creates the entry at 0. ResetAll() zeroes only the
+// registry side.
+class Tally {
+ public:
+  explicit Tally(const char* name) : name_(name) {}
+
+  void Inc(int64_t delta = 1) {
+    if (counter_ == nullptr) {
+      Bind();
+    }
+    value_ += delta;
+    counter_->Inc(static_cast<double>(delta));
+  }
+  int64_t value() const { return value_; }
+
+ private:
+  void Bind();  // Out of line: runs once per tally.
+
+  const char* name_;
+  Counter* counter_ = nullptr;
+  int64_t value_ = 0;
+};
 
 }  // namespace metrics

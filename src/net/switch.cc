@@ -1,7 +1,6 @@
 #include "src/net/switch.h"
 
 #include "src/base/log.h"
-#include "src/metrics/metrics.h"
 
 namespace xnet {
 
@@ -40,17 +39,13 @@ bool Switch::OverCapacity() {
 
 sim::Co<void> Switch::Forward(sim::ExecCtx ctx, Packet packet) {
   if (OverCapacity()) {
-    ++stats_.dropped_overload;
-    static metrics::Counter& dropped = metrics::GetCounter("net.switch.dropped_overload");
-    dropped.Inc();
+    dropped_overload_.Inc();
     co_return;
   }
   co_await ctx.Work(costs_.per_packet);
   if (packet.dst.empty()) {
     // Broadcast: deliver to every port except the ingress.
-    ++stats_.broadcasts;
-    static metrics::Counter& broadcasts = metrics::GetCounter("net.switch.broadcasts");
-    broadcasts.Inc();
+    broadcasts_.Inc();
     co_await ctx.Work(costs_.per_broadcast_port * static_cast<double>(ports_.size()));
     for (const auto& [name, handler] : ports_) {
       if (name == packet.src) {
@@ -64,14 +59,10 @@ sim::Co<void> Switch::Forward(sim::ExecCtx ctx, Packet packet) {
   }
   auto it = ports_.find(packet.dst);
   if (it == ports_.end()) {
-    ++stats_.dropped_no_port;
-    static metrics::Counter& dropped = metrics::GetCounter("net.switch.dropped_no_port");
-    dropped.Inc();
+    dropped_no_port_.Inc();
     co_return;
   }
-  ++stats_.forwarded;
-  static metrics::Counter& forwarded = metrics::GetCounter("net.switch.forwarded");
-  forwarded.Inc();
+  forwarded_.Inc();
   RxHandler h = it->second;
   engine_->Schedule(lv::Duration::Micros(1), [h, packet] { h(packet); });
 }

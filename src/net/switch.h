@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/base/result.h"
+#include "src/metrics/metrics.h"
 #include "src/net/packet.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
@@ -58,7 +59,12 @@ class Switch {
   // are silent (counted in stats), like a real bridge.
   sim::Co<void> Forward(sim::ExecCtx ctx, Packet packet);
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    return {.forwarded = forwarded_.value(),
+            .broadcasts = broadcasts_.value(),
+            .dropped_no_port = dropped_no_port_.value(),
+            .dropped_overload = dropped_overload_.value()};
+  }
   const Costs& costs() const { return costs_; }
   // Reconfigures the cost model (e.g. a lower-capacity edge bridge).
   void set_costs(Costs costs) { costs_ = costs; }
@@ -70,7 +76,10 @@ class Switch {
   sim::Engine* engine_;
   Costs costs_;
   std::map<std::string, RxHandler> ports_;
-  Stats stats_;
+  metrics::Tally forwarded_{"net.switch.forwarded"};
+  metrics::Tally broadcasts_{"net.switch.broadcasts"};
+  metrics::Tally dropped_no_port_{"net.switch.dropped_no_port"};
+  metrics::Tally dropped_overload_{"net.switch.dropped_overload"};
   // Packet arrivals in the current 10ms accounting window.
   lv::TimePoint window_start_;
   int64_t window_packets_ = 0;

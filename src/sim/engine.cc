@@ -104,7 +104,6 @@ void Engine::Compact() {
 void Engine::Spawn(Co<void> task) {
   auto h = task.Release();
   LV_CHECK_MSG(h != nullptr, "spawning an empty task");
-  trace::Count("engine.tasks_spawned", 1);
   internal::Promise<void>& p = h.promise();
   p.detached = true;
   p.reap = &Engine::ReapDetached;
@@ -138,7 +137,6 @@ void Engine::DispatchTop() {
   heap_.pop_back();
   now_ = top.when;
   ++processed_;
-  trace::Count("engine.events", 1);
   Slot& s = slots_[top.slot];
   if (std::coroutine_handle<> h = std::exchange(s.coro, nullptr)) {
     Release(top.slot);

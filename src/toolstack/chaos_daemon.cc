@@ -164,10 +164,8 @@ sim::Co<void> ChaosDaemon::RefillLoop(sim::ExecCtx ctx) {
     refill.End();
     if (shell.ok()) {
       pool_.push_back(*shell);
-      ++shells_built_;
-      static metrics::Counter& built = metrics::GetCounter("toolstack.chaosd.shells_built");
+      shells_built_.Inc();
       static metrics::Gauge& pooled = metrics::GetGauge("toolstack.chaosd.pool_size");
-      built.Inc();
       pooled.Set(static_cast<double>(pool_.size()));
       LV_DEBUG(kMod, "pooled shell dom%lld (%lld pooled)", (long long)shell->domid,
                (long long)pool_.size());

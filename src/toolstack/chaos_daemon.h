@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/metrics/metrics.h"
 #include "src/toolstack/costs.h"
 #include "src/toolstack/env.h"
 
@@ -61,7 +62,7 @@ class ChaosDaemon {
   std::optional<Shell> TryTake(lv::Bytes memory, bool wants_net);
 
   int64_t pool_size() const { return static_cast<int64_t>(pool_.size()); }
-  int64_t shells_built() const { return shells_built_; }
+  int64_t shells_built() const { return shells_built_.value(); }
   bool use_noxs() const { return use_noxs_; }
 
  private:
@@ -77,7 +78,7 @@ class ChaosDaemon {
   std::unique_ptr<xs::XsClient> xs_client_;
   std::unique_ptr<sim::Semaphore> work_;
   bool running_ = false;
-  int64_t shells_built_ = 0;
+  metrics::Tally shells_built_{"toolstack.chaosd.shells_built"};
   // The running RefillLoop frame. Owned (not detached onto the engine) so
   // that teardown with the loop still parked on `work_` destroys the frame
   // instead of leaking it. Declared last: it is destroyed before the

@@ -80,12 +80,6 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
                              "\"name\":\"%s\"}",
                              ev.track, ToUs(ev.ts), JsonEscape(ev.name).c_str());
         break;
-      case EventType::kCounter:
-        out << lv::StrFormat(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
-                             "\"name\":\"%s\",\"args\":{\"value\":%.0f}}",
-                             ev.track, ToUs(ev.ts), JsonEscape(ev.name).c_str(),
-                             ev.value);
-        break;
       case EventType::kInstant:
         out << lv::StrFormat(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
                              "\"name\":\"%s\",\"s\":\"t\"}",
@@ -125,23 +119,6 @@ lv::Status WriteChromeTraceFile(const Tracer& tracer, const std::string& path) {
                    lv::StrFormat("short write to %s", path.c_str()));
   }
   return lv::Status::Ok();
-}
-
-void WriteSummary(const Tracer& tracer, std::ostream& out) {
-  auto stats = tracer.SpanStats();
-  out << lv::StrFormat("%-28s %8s %12s %12s\n", "span", "count", "total_ms", "mean_ms");
-  for (const auto& [name, stat] : stats) {
-    double total_ms = stat.total.ms();
-    out << lv::StrFormat("%-28s %8lld %12.3f %12.3f\n", name.c_str(),
-                         (long long)stat.count, total_ms,
-                         stat.count == 0 ? 0.0 : total_ms / static_cast<double>(stat.count));
-  }
-  if (!tracer.counters().empty()) {
-    out << lv::StrFormat("%-28s %12s\n", "counter", "total");
-    for (const auto& [name, total] : tracer.counters()) {
-      out << lv::StrFormat("%-28s %12.0f\n", name.c_str(), total);
-    }
-  }
 }
 
 }  // namespace trace

@@ -1,19 +1,17 @@
-// Exporters for the tracing layer (src/trace/trace.h). Two formats:
-//
-//  * Chrome trace_event JSON — loadable in chrome://tracing or
-//    https://ui.perfetto.dev. Tracks become threads of one "lightvm"
-//    process, spans become B/E duration events, counters become "C"
-//    counter rows and instants become "i" marks. Timestamps are the
-//    simulated clock converted to microseconds (the format's native unit).
-//  * Plain-text summary — per-span-name count/total/mean plus counter
-//    totals, for quick terminal inspection of where a boot's time went.
+// Chrome trace_event JSON exporter for the tracing layer
+// (src/trace/trace.h), loadable in chrome://tracing or
+// https://ui.perfetto.dev. Tracks become threads of one "lightvm" process,
+// spans become B/E duration events, instants become "i" marks and flows
+// become s/t/f arcs. Timestamps are the simulated clock converted to
+// microseconds (the format's native unit). The trace carries no counts:
+// those live in the metrics registry (src/metrics), which the same run
+// writes with --json or --metrics-out.
 //
 // Clock/threading assumptions match the Tracer's: single-threaded
 // simulation, simulated timestamps, events already in non-decreasing time
-// order (exporters emit them verbatim in recording order).
+// order (the exporter emits them verbatim in recording order).
 //
 // Example:
-//   trace::WriteSummary(trace::Tracer::Get(), std::cout);
 //   lv::Status s = trace::WriteChromeTraceFile(trace::Tracer::Get(), "trace.json");
 #pragma once
 
@@ -30,8 +28,5 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out);
 
 // Same, to a file. Fails if the file cannot be opened or written.
 lv::Status WriteChromeTraceFile(const Tracer& tracer, const std::string& path);
-
-// Writes the per-span-name aggregate table and counter totals to `out`.
-void WriteSummary(const Tracer& tracer, std::ostream& out);
 
 }  // namespace trace

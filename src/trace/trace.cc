@@ -22,7 +22,7 @@ void Tracer::BeginSpan(TrackId track, std::string name) {
     track = kHostTrack;
   }
   open_[static_cast<size_t>(track)].push_back(events_.size());
-  events_.push_back(Event{EventType::kBegin, track, Now(), std::move(name), 0.0});
+  events_.push_back(Event{EventType::kBegin, track, Now(), std::move(name)});
 }
 
 void Tracer::EndSpan(TrackId track) {
@@ -38,7 +38,7 @@ void Tracer::EndSpan(TrackId track) {
   // Name the end event after its begin so exporters and queries never have
   // to re-derive the pairing.
   events_.push_back(
-      Event{EventType::kEnd, track, Now(), events_[begin_index].name, 0.0});
+      Event{EventType::kEnd, track, Now(), events_[begin_index].name});
 }
 
 void Tracer::Instant(TrackId track, std::string name) {
@@ -48,7 +48,7 @@ void Tracer::Instant(TrackId track, std::string name) {
   if (track < 0 || static_cast<size_t>(track) >= open_.size()) {
     track = kHostTrack;
   }
-  events_.push_back(Event{EventType::kInstant, track, Now(), std::move(name), 0.0});
+  events_.push_back(Event{EventType::kInstant, track, Now(), std::move(name)});
 }
 
 void Tracer::Flow(TrackId track, std::string name, int64_t id) {
@@ -58,20 +58,7 @@ void Tracer::Flow(TrackId track, std::string name, int64_t id) {
   if (track < 0 || static_cast<size_t>(track) >= open_.size()) {
     track = kHostTrack;
   }
-  events_.push_back(Event{EventType::kFlow, track, Now(), std::move(name), 0.0, id});
-}
-
-void Tracer::Count(const std::string& name, double delta) {
-  if (!enabled_) {
-    return;
-  }
-  double total = (counters_[name] += delta);
-  events_.push_back(Event{EventType::kCounter, kHostTrack, Now(), name, total});
-}
-
-double Tracer::counter_total(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
+  events_.push_back(Event{EventType::kFlow, track, Now(), std::move(name), id});
 }
 
 std::map<std::string, SpanStat> Tracer::SpanStats() const {
@@ -120,11 +107,11 @@ std::vector<std::string> Tracer::TopLevelSpans(TrackId track) const {
 
 void Tracer::Clear() {
   events_.clear();
-  counters_.clear();
   for (auto& stack : open_) {
     stack.clear();
   }
   epoch_ = lv::Duration();
+  end_ = lv::TimePoint();
 }
 
 void Tracer::Reset() {

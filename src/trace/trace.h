@@ -1,10 +1,15 @@
-// Cross-layer boot tracing: spans, counters and instant events keyed to
-// simulated time. The control plane (engine, hypervisor, XenStore,
-// toolstacks) records onto a process-wide Tracer; exporters under
-// src/trace/export.h turn the buffer into a Chrome trace_event JSON file
-// (chrome://tracing, Perfetto) or a plain-text per-phase summary, and the
+// Cross-layer boot tracing: spans, instants and flows keyed to simulated
+// time. The control plane (engine, hypervisor, XenStore, toolstacks)
+// records onto a process-wide Tracer; src/trace/export.h turns the buffer
+// into a Chrome trace_event JSON file (chrome://tracing, Perfetto), and the
 // Figure 5 breakdown is derived from the recorded spans rather than
 // hand-placed timers.
+//
+// The trace records *when* things happened, not *how many*: counts
+// (hypercalls, pages populated, store ops) live only in the always-on
+// metrics registry (src/metrics) and dispatched events in
+// sim::Engine::processed_events(), so a traced run pays nothing per counted
+// operation.
 //
 // Clock: like lv::Logger, the Tracer carries no clock of its own — the
 // sim::Engine attaches a callback (AttachClock) so every event is stamped
@@ -31,7 +36,6 @@
 //       trace::Span phase(track, "create.config");   // nested child
 //       ...
 //     }
-//     tracer.Count("hv.hypercalls", 1);
 //   }
 //   trace::WriteChromeTraceFile(tracer, "trace.json");
 #pragma once
@@ -50,15 +54,14 @@ namespace trace {
 using TrackId = int32_t;
 inline constexpr TrackId kHostTrack = 0;
 
-enum class EventType : uint8_t { kBegin, kEnd, kCounter, kInstant, kFlow };
+enum class EventType : uint8_t { kBegin, kEnd, kInstant, kFlow };
 
 struct Event {
   EventType type = EventType::kInstant;
   TrackId track = kHostTrack;
   lv::TimePoint ts;
   std::string name;
-  double value = 0.0;  // Running total at ts (kCounter only).
-  int64_t flow = 0;    // Flow id binding causally-linked events (kFlow only).
+  int64_t flow = 0;  // Flow id binding causally-linked events (kFlow only).
 };
 
 // Aggregate over all closed spans with one name (see Tracer::SpanStats).
@@ -86,19 +89,18 @@ class Tracer {
     now_ctx_ = ctx;
   }
   void DetachClock() {
+    end_ = Now();
     now_fn_ = nullptr;
     now_ctx_ = nullptr;
   }
 
   // Re-bases the clock for a new simulated-time epoch. A fresh sim::Engine
   // restarts simulated time at zero; calling this between engines shifts
-  // all subsequent stamps to start where the recorded buffer ends, so one
-  // exported file stays in a single monotonic time domain across engines
-  // (the scenario runner uses one engine per benchmark series).
-  void BeginEpoch() {
-    epoch_ = events_.empty() ? lv::Duration()
-                             : events_.back().ts - lv::TimePoint();
-  }
+  // all subsequent stamps to start where the last engine's clock stopped
+  // (at or after every event it stamped), so one exported file stays in a
+  // single monotonic time domain across engines (the scenario runner uses
+  // one engine per benchmark series).
+  void BeginEpoch() { epoch_ = events_.empty() ? lv::Duration() : end_ - lv::TimePoint(); }
 
   // Registers a named track. Cheap (one string); long-lived components
   // (daemons) register unconditionally, per-VM tracks only when enabled.
@@ -118,14 +120,10 @@ class Tracer {
   // Deploy — creates, evacuation, re-create on another node — renders as a
   // single arc.
   void Flow(TrackId track, std::string name, int64_t id);
-  // Adds `delta` to the named counter and records the new running total.
-  void Count(const std::string& name, double delta);
 
   // --- Queries -------------------------------------------------------------
 
   const std::vector<Event>& events() const { return events_; }
-  double counter_total(const std::string& name) const;
-  const std::map<std::string, double>& counters() const { return counters_; }
   // Aggregates every *closed* span by name, across all tracks.
   std::map<std::string, SpanStat> SpanStats() const;
   // Total duration of all closed spans named `name` (zero if none).
@@ -133,8 +131,8 @@ class Tracer {
   // Names of depth-0 spans begun on `track`, in begin order.
   std::vector<std::string> TopLevelSpans(TrackId track) const;
 
-  // Drops events and counter totals; tracks and the clock survive. Used by
-  // benches to bound memory when tracing long runs (one Clear per sample).
+  // Drops events; tracks and the clock survive. Used by benches to bound
+  // memory when tracing long runs (one Clear per sample).
   void Clear();
   // Back to a freshly constructed tracer (tests).
   void Reset();
@@ -149,11 +147,11 @@ class Tracer {
   NowFn now_fn_ = nullptr;
   void* now_ctx_ = nullptr;
   lv::Duration epoch_;  // Stamp shift for the current engine epoch.
+  lv::TimePoint end_;   // Clock reading at the last DetachClock.
   std::vector<Event> events_;
   std::vector<std::string> track_names_{"host"};
   // Per-track stack of open-span event indices (drives EndSpan naming).
   std::vector<std::vector<size_t>> open_{{}};
-  std::map<std::string, double> counters_;
 };
 
 // RAII span guard: begins on construction (when tracing is enabled), ends
@@ -204,13 +202,5 @@ class Span {
   Tracer* tracer_ = nullptr;
   TrackId track_ = kHostTrack;
 };
-
-// Counter helper for hot call sites: one branch when disabled.
-inline void Count(const char* name, double delta) {
-  Tracer& tracer = Tracer::Get();
-  if (tracer.enabled()) {
-    tracer.Count(name, delta);
-  }
-}
 
 }  // namespace trace

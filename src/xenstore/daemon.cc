@@ -230,9 +230,7 @@ sim::Co<void> Daemon::Run(sim::ExecCtx ctx) {
 }
 
 sim::Co<void> Daemon::Restart(sim::ExecCtx ctx, Request req) {
-  ++stats_.restarts;
-  static metrics::Counter& restarts = metrics::GetCounter("xenstore.daemon.restarts");
-  restarts.Inc();
+  restarts_.Inc();
   trace::Span span(ctx.track, "xsd.restart");
   LV_DEBUG(kMod, "restarting (down %lld ns)", (long long)req.downtime.ns());
   // The dying daemon drops its ring: every queued request fails like a
@@ -292,9 +290,7 @@ sim::Co<void> Daemon::AppendAccessLog(sim::ExecCtx ctx) {
   ++log_lines_;
   if (log_lines_ >= costs_.log_rotate_lines) {
     log_lines_ = 0;
-    ++stats_.rotations;
-    static metrics::Counter& rotations = metrics::GetCounter("xenstore.daemon.log_rotations");
-    rotations.Inc();
+    rotations_.Inc();
     LV_DEBUG(kMod, "rotating %d access logs", costs_.log_files);
     co_await ctx.Work(costs_.log_rotate_per_file * static_cast<double>(costs_.log_files));
   }
@@ -306,20 +302,14 @@ void Daemon::DeliverWatchHits(const std::vector<WatchHit>& hits) {
     if (it == clients_.end()) {
       continue;  // Watcher died; drop the event like real xenstored.
     }
-    ++stats_.watch_events;
-    trace::Count("xs.watch_events", 1);
-    static metrics::Counter& watch_events = metrics::GetCounter("xenstore.daemon.watch_events");
-    watch_events.Inc();
+    watch_events_.Inc();
     it->second->Send(WatchEvent{hit.watch_path, hit.token, hit.fired_path});
   }
 }
 
 sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
-  ++stats_.ops;
+  ops_.Inc();
   trace::Span span(ctx.track, DaemonSpanName(req.op));
-  trace::Count("xs.ops", 1);
-  static metrics::Counter& ops = metrics::GetCounter("xenstore.daemon.ops");
-  ops.Inc();
   OpCounter(req.op).Inc();
   // Request arrival: daemon-side interrupts + base processing.
   co_await ctx.Work(costs_.soft_interrupt * static_cast<double>(costs_.daemon_interrupts) +
@@ -396,11 +386,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
         if (s.code() == lv::ErrorCode::kConflict) {
-          ++stats_.conflicts;
-          trace::Count("xs.conflicts", 1);
-          static metrics::Counter& conflicts =
-              metrics::GetCounter("xenstore.daemon.tx_conflicts");
-          conflicts.Inc();
+          conflicts_.Inc();
         }
       }
       break;
@@ -434,10 +420,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
   // Quota rejections are worth a post-mortem breadcrumb: which domain hit
   // its node budget, and on which verb.
   if (resp.code == lv::ErrorCode::kQuotaExceeded) {
-    ++stats_.quota_rejects;
-    static metrics::Counter& quota_rejects =
-        metrics::GetCounter("xenstore.daemon.quota_rejects");
-    quota_rejects.Inc();
+    quota_rejects_.Inc();
     obs::FlightRecorder::Get().Record(obs_node_, {}, "xenstore", "quota.reject",
                                       false, static_cast<int64_t>(req.domid));
   }
@@ -613,7 +596,6 @@ sim::Co<lv::Status> RunTransaction(sim::ExecCtx ctx, XsClient* client, int max_r
       co_return last;
     }
     // Conflict: pay the whole transaction again, like a real client.
-    trace::Count("xs.txn_retries", 1);
     static metrics::Counter& retries = metrics::GetCounter("xenstore.client.tx_retries");
     retries.Inc();
   }

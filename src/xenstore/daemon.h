@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/metrics/metrics.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
@@ -103,7 +104,14 @@ class Daemon {
   void Submit(Request req);
 
   Store& store() { return store_; }
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    return {.ops = ops_.value(),
+            .conflicts = conflicts_.value(),
+            .rotations = rotations_.value(),
+            .watch_events = watch_events_.value(),
+            .restarts = restarts_.value(),
+            .quota_rejects = quota_rejects_.value()};
+  }
   // Which node's flight-recorder ring daemon events (quota rejections) land
   // in; single-host runs keep the default 0.
   void set_obs_node(int node) { obs_node_ = node; }
@@ -132,7 +140,12 @@ class Daemon {
   int64_t log_lines_ = 0;
   bool running_ = false;
   int obs_node_ = 0;
-  Stats stats_;
+  metrics::Tally ops_{"xenstore.daemon.ops"};
+  metrics::Tally conflicts_{"xenstore.daemon.tx_conflicts"};
+  metrics::Tally rotations_{"xenstore.daemon.log_rotations"};
+  metrics::Tally watch_events_{"xenstore.daemon.watch_events"};
+  metrics::Tally restarts_{"xenstore.daemon.restarts"};
+  metrics::Tally quota_rejects_{"xenstore.daemon.quota_rejects"};
   // Owner-held loop frame (own-and-drain teardown, see Stop()). Declared last
   // so the frame dies before any member it references.
   sim::Co<void> loop_;

@@ -4,6 +4,8 @@
 // node, and same-seed runs place and time identically.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "src/base/strings.h"
@@ -495,6 +497,188 @@ TEST_F(ClusterTest, ChaosRunsAreByteIdenticalAcrossRuns) {
     EXPECT_EQ(a.metrics_text, b.metrics_text) << "seed " << seed;
     EXPECT_EQ(a.flight_json, b.flight_json) << "seed " << seed;
   }
+}
+
+// --- One sink per counted fact ------------------------------------------------
+
+// Every count an object reports per instance has a registry twin of the same
+// name (one metrics::Tally feeds both). Sums each over the cluster's objects.
+std::map<std::string, int64_t> PerObjectCounts(Cluster& cl) {
+  std::map<std::string, int64_t> sum;
+  for (int n = 0; n < cl.num_nodes(); ++n) {
+    lightvm::Host& host = cl.host(n);
+    const hv::Hypervisor::Stats hv = host.hv().stats();
+    sum["hv.hypervisor.hypercalls"] += hv.hypercalls;
+    sum["hv.hypervisor.domains_created"] += hv.domains_created;
+    sum["hv.hypervisor.domains_destroyed"] += hv.domains_destroyed;
+    const xs::Daemon::Stats xs =
+        host.store() != nullptr ? host.store()->stats() : xs::Daemon::Stats{};
+    sum["xenstore.daemon.ops"] += xs.ops;
+    sum["xenstore.daemon.tx_conflicts"] += xs.conflicts;
+    sum["xenstore.daemon.log_rotations"] += xs.rotations;
+    sum["xenstore.daemon.watch_events"] += xs.watch_events;
+    sum["xenstore.daemon.restarts"] += xs.restarts;
+    sum["xenstore.daemon.quota_rejects"] += xs.quota_rejects;
+    const xnet::Switch::Stats sw = host.network_switch().stats();
+    sum["net.switch.forwarded"] += sw.forwarded;
+    sum["net.switch.broadcasts"] += sw.broadcasts;
+    sum["net.switch.dropped_no_port"] += sw.dropped_no_port;
+    sum["net.switch.dropped_overload"] += sw.dropped_overload;
+    sum["node.jobs.started"] += host.node().jobs_started();
+    sum["node.jobs.completed"] += host.node().jobs_completed();
+    sum["node.jobs.failed"] += host.node().jobs_failed();
+    sum["toolstack.chaosd.shells_built"] +=
+        host.chaos_daemon() != nullptr ? host.chaos_daemon()->shells_built() : 0;
+  }
+  sum["cluster.vms_deployed"] = cl.vms_deployed();
+  sum["cluster.admission_rejects"] = cl.admission_rejects();
+  sum["cluster.deploy_retries"] = cl.deploy_retries();
+  sum["cluster.deploy_replacements"] = cl.deploy_replacements();
+  sum["cluster.migrations"] = cl.migrations();
+  sum["cluster.invariant_failures"] = cl.invariant_failures();
+  sum["cluster.node_failures"] = cl.node_failures();
+  sum["cluster.vms_lost"] = cl.vms_lost();
+  sum["cluster.vms_recovered"] = cl.vms_recovered();
+  sum["cluster.vms_unrecovered"] = cl.vms_unrecovered();
+  return sum;
+}
+
+// Compares each per-object sum with its registry counter (which started the
+// run at zero, as every object did) and collects the facts the run moved.
+void ExpectOneSinkPerFact(Cluster& cl, const char* run, std::set<std::string>* moved) {
+  std::map<std::string, int64_t> sums = PerObjectCounts(cl);
+  ASSERT_EQ(sums.size(), 27u);
+  for (const auto& [name, sum] : sums) {
+    const metrics::Counter* counter = metrics::Registry::Get().FindCounter(name);
+    EXPECT_EQ(counter == nullptr ? 0.0 : counter->value(), static_cast<double>(sum))
+        << run << ": " << name;
+    if (sum > 0) {
+      moved->insert(name);
+    }
+  }
+}
+
+// Deploys `vms` daytime guests with four concurrent callers; returns how
+// many succeeded.
+int64_t DeployFleet(sim::Engine& engine, Cluster& cl, int vms) {
+  int next = 0;
+  int done = 0;
+  int64_t ok = 0;
+  auto worker = [&]() -> sim::Co<void> {
+    while (next < vms) {
+      int i = next++;
+      auto h = co_await cl.Deploy(DaytimeConfig(lv::StrFormat("vm%d", i)), true);
+      ok += h.ok();
+      ++done;
+    }
+  };
+  for (int w = 0; w < 4; ++w) {
+    engine.Spawn(worker());
+  }
+  LV_CHECK(sim::RunUntilCondition(engine, [&] { return done >= vms; },
+                                  Duration::Seconds(600)));
+  return ok;
+}
+
+// Moves the store and switch counts a deploy run leaves at zero: one
+// transaction conflict, one quota rejection and one packet of each switch
+// outcome, all on an idle node.
+sim::Co<void> MoveStoreAndSwitchCounts(lightvm::Host& host) {
+  const sim::ExecCtx ctx = host.Dom0Ctx();
+  xs::Daemon* store = host.store();
+  xs::XsClient dom0(&host.engine(), store, hv::kDom0);
+  lv::Result<xs::TxnId> first = co_await dom0.TxBegin(ctx);
+  lv::Result<xs::TxnId> second = co_await dom0.TxBegin(ctx);
+  LV_CHECK(first.ok() && second.ok());
+  LV_CHECK((co_await dom0.Write(ctx, "/probe", "a", *first)).ok());
+  LV_CHECK((co_await dom0.Write(ctx, "/probe", "b", *second)).ok());
+  LV_CHECK((co_await dom0.TxCommit(ctx, *first)).ok());
+  LV_CHECK((co_await dom0.TxCommit(ctx, *second)).code() == lv::ErrorCode::kConflict);
+
+  LV_CHECK((co_await dom0.Write(ctx, "/local/domain/900", "")).ok());
+  store->store().set_node_quota(1);
+  xs::XsClient guest(&host.engine(), store, 900);
+  LV_CHECK((co_await guest.Write(ctx, "/local/domain/900/a", "1")).ok());
+  LV_CHECK((co_await guest.Write(ctx, "/local/domain/900/b", "2")).code() ==
+           lv::ErrorCode::kQuotaExceeded);
+  store->store().set_node_quota(0);
+
+  xnet::Switch& sw = host.network_switch();
+  LV_CHECK(sw.AddPort("probe", [](const xnet::Packet&) {}).ok());
+  xnet::Packet packet;
+  const char* const destinations[] = {"probe", "", "nowhere"};
+  for (const char* dst : destinations) {  // forwarded, broadcast, no port
+    packet.dst = dst;
+    co_await sw.Forward(ctx, packet);
+  }
+  const xnet::Switch::Costs costs = sw.costs();
+  xnet::Switch::Costs starved = costs;
+  starved.capacity_pps = 0.0;
+  sw.set_costs(starved);
+  packet.dst = "probe";
+  co_await sw.Forward(ctx, packet);  // over capacity
+  sw.set_costs(costs);
+  LV_CHECK(sw.RemovePort("probe").ok());
+}
+
+// Several hosts share the process, so each object's count must add up to the
+// registry counter exactly. Two 3-node runs move the facts between them. On
+// chaos+XenStore (split): deploys under injected create faults, an
+// admission reject, a short log-rotation period, an idle xenstored restart
+// and the store and switch probes above; no retires or migrations, whose
+// destroys trip known defects in this mode (ROADMAP item 1). On LightVM: a
+// fleet through a node crash and reboot, then a migration.
+TEST_F(ClusterTest, PerObjectCountsSumToTheirRegistryCounters) {
+  std::set<std::string> moved;
+  {
+    ResetObservability();
+    sim::Engine engine(5);
+    ClusterSpec spec = SmallSpec(3);
+    spec.mechanisms = lightvm::Mechanisms::ChaosXsSplit();
+    spec.create_retries = 2;
+    Cluster cl(&engine, spec, std::make_unique<LeastLoaded>());
+    Prefill(cl);
+    cl.StartHealthMonitor();
+    cl.host(0).store()->mutable_costs()->log_rotate_lines = 64;
+    cl.host(1).fault_hooks().fail_next_creates += 5;
+    EXPECT_GT(DeployFleet(engine, cl, 15), 0);
+
+    toolstack::VmConfig huge = DaytimeConfig("huge");
+    huge.image.memory = Bytes::GiB(1024);
+    EXPECT_FALSE(sim::RunToCompletion(engine, cl.Deploy(huge, true)).ok());
+
+    cl.host(2).store()->InjectRestart(Duration::Millis(5));
+    ASSERT_TRUE(sim::RunUntilCondition(
+        engine, [&] { return cl.host(2).store()->stats().restarts == 1; },
+        Duration::Seconds(60)));
+    sim::RunToCompletion(engine, MoveStoreAndSwitchCounts(cl.host(0)));
+    ExpectOneSinkPerFact(cl, "chaos-xs-split", &moved);
+  }
+  {
+    ResetObservability();
+    sim::Engine engine(9);
+    Cluster cl(&engine, SmallSpec(3), std::make_unique<LeastLoaded>());
+    Prefill(cl);
+    cl.StartHealthMonitor();
+    engine.Schedule(Duration::Millis(20), [&] { cl.CrashNode(1); });
+    engine.Schedule(Duration::Millis(120), [&] { cl.RequestReboot(1); });
+    EXPECT_GT(DeployFleet(engine, cl, 24), 0);
+    ASSERT_TRUE(sim::RunUntilCondition(
+        engine,
+        [&] {
+          return cl.node_alive(1) && cl.node_failures() == 1 &&
+                 cl.vms_lost() == cl.vms_recovered() + cl.vms_unrecovered();
+        },
+        Duration::Seconds(600)));
+    auto h = sim::RunToCompletion(engine, cl.Deploy(DaytimeConfig("mover"), true));
+    ASSERT_TRUE(h.ok()) << h.error().message;
+    EXPECT_TRUE(sim::RunToCompletion(engine, cl.Migrate(*h, (h->node + 1) % 3)).ok());
+    ExpectOneSinkPerFact(cl, "lightvm", &moved);
+  }
+  // Every fact moved except the two failure counts a healthy run keeps at 0.
+  EXPECT_EQ(moved.size(), 25u);
+  EXPECT_FALSE(moved.contains("cluster.invariant_failures"));
+  EXPECT_FALSE(moved.contains("cluster.vms_unrecovered"));
 }
 
 // A node dying between placement and create completion: Deploy releases the

@@ -1,7 +1,7 @@
 // Tests for the always-on metrics registry: bucket boundaries, the
 // histogram's documented relative-error bound against exact quantiles,
-// merging, snapshot/reset semantics, and the Welford accumulator against a
-// two-pass reference.
+// merging, snapshot/reset semantics, tally binding, and the Welford
+// accumulator against a two-pass reference.
 #include <algorithm>
 #include <cmath>
 #include <random>
@@ -283,6 +283,43 @@ TEST(RegistryTest, HistogramSumRepeatsExactlyAfterResetAll) {
   }
 }
 
+// A tally binds its registry counter on the first Inc, where a
+// function-local static at the increment would have registered it.
+TEST(TallyTest, NeverIncrementedLeavesNoRegistryEntry) {
+  metrics::Registry& reg = metrics::Registry::Get();
+  metrics::Tally idle("test.tally.idle");
+  EXPECT_EQ(idle.value(), 0);
+  EXPECT_EQ(reg.FindCounter("test.tally.idle"), nullptr);
+}
+
+TEST(TallyTest, IncZeroCreatesTheEntryAtZero) {
+  metrics::Registry& reg = metrics::Registry::Get();
+  metrics::Tally failed("test.tally.zero");
+  failed.Inc(0);
+  EXPECT_EQ(failed.value(), 0);
+  const metrics::Counter* counter = reg.FindCounter("test.tally.zero");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->value(), 0.0);
+}
+
+// Each object keeps its own count; the registry counter of the same name
+// sums every object's, and ResetAll clears only the registry side.
+TEST(TallyTest, ObjectsKeepTheirOwnCountAndTheRegistrySumsThem) {
+  metrics::Registry& reg = metrics::Registry::Get();
+  metrics::Tally a("test.tally.shared");
+  metrics::Tally b("test.tally.shared");
+  a.Inc();
+  b.Inc(5);
+  a.Inc(2);
+  EXPECT_EQ(a.value(), 3);
+  EXPECT_EQ(b.value(), 5);
+  EXPECT_EQ(reg.FindCounter("test.tally.shared")->value(), 8.0);
+  reg.ResetAll();
+  b.Inc();
+  EXPECT_EQ(b.value(), 6);
+  EXPECT_EQ(reg.FindCounter("test.tally.shared")->value(), 1.0);
+}
+
 TEST(ExportTest, JsonSnapshotRoundTripsValues) {
   metrics::Registry& reg = metrics::Registry::Get();
   reg.GetCounter("test.export.counter").Inc(5.0);
@@ -293,18 +330,6 @@ TEST(ExportTest, JsonSnapshotRoundTripsValues) {
   EXPECT_NE(json.find("\"test.export.counter\":5"), std::string::npos);
   EXPECT_NE(json.find("\"test.export.hist_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"unit\":\"ms\""), std::string::npos);
-}
-
-TEST(ExportTest, PrometheusSanitizesNamesAndEndsWithInf) {
-  metrics::Registry& reg = metrics::Registry::Get();
-  reg.GetCounter("test.prom.counter").Inc();
-  reg.GetHistogram("test.prom.lat_ms", "ms").Record(1.0);
-  std::ostringstream out;
-  metrics::WritePrometheus(reg, out);
-  std::string text = out.str();
-  EXPECT_NE(text.find("test_prom_counter"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_EQ(text.find("test.prom"), std::string::npos);  // dots sanitized
 }
 
 // Satellite check: the Welford accumulator agrees with a two-pass reference

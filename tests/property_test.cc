@@ -303,8 +303,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Tinyx build properties ----------------------------------------------------
 
-class TinyxPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, tinyx::Platform>> {};
+struct TinyxCase {
+  std::string app;
+  tinyx::Platform platform;
+};
+
+// gtest names each case after its printed parameter, and ctest takes that
+// name. A bare `const char*` would print as its address, which moves with
+// every run, so print the app and the platform instead.
+void PrintTo(const TinyxCase& c, std::ostream* os) {
+  *os << c.app << (c.platform == tinyx::Platform::kXen ? " on xen" : " on kvm");
+}
+
+class TinyxPropertyTest : public ::testing::TestWithParam<TinyxCase> {};
 
 TEST_P(TinyxPropertyTest, EveryBuildIsBootableAndMinimal) {
   const auto& [app, platform] = GetParam();
@@ -343,8 +354,12 @@ TEST_P(TinyxPropertyTest, EveryBuildIsBootableAndMinimal) {
 
 INSTANTIATE_TEST_SUITE_P(
     AppsByPlatform, TinyxPropertyTest,
-    ::testing::Combine(::testing::Values("nginx", "micropython", "tls-proxy"),
-                       ::testing::Values(tinyx::Platform::kXen, tinyx::Platform::kKvm)));
+    ::testing::Values(TinyxCase{"nginx", tinyx::Platform::kXen},
+                      TinyxCase{"nginx", tinyx::Platform::kKvm},
+                      TinyxCase{"micropython", tinyx::Platform::kXen},
+                      TinyxCase{"micropython", tinyx::Platform::kKvm},
+                      TinyxCase{"tls-proxy", tinyx::Platform::kXen},
+                      TinyxCase{"tls-proxy", tinyx::Platform::kKvm}));
 
 // --- Store policy differential oracle ----------------------------------------
 //
