@@ -338,6 +338,26 @@ void Cluster::RequestReboot(int node) {
   reboot_waiters_.back().Start();
 }
 
+faults::FaultTargets Cluster::fault_targets() {
+  faults::FaultTargets targets;
+  targets.crash_node = [this](int node) { CrashNode(node); };
+  targets.reboot_node = [this](int node) { RequestReboot(node); };
+  // The single-host kinds go to the sinks of the host the fault names.
+  targets.restart_xenstore = [this](int node, lv::Duration downtime) {
+    host(node).fault_targets().restart_xenstore(node, downtime);
+  };
+  targets.stall_hotplug = [this](int node, lv::Duration stall, int count) {
+    host(node).fault_targets().stall_hotplug(node, stall, count);
+  };
+  targets.partition_link = [this](int node, int peer, lv::Duration length) {
+    link(node, peer)->Partition(length);
+  };
+  targets.fail_creates = [this](int node, int count) {
+    host(node).fault_targets().fail_creates(node, count);
+  };
+  return targets;
+}
+
 sim::Co<void> Cluster::RebootWhenSettled(int node) {
   lightvm::Host* host = nodes_[node].host.get();
   // Reboot only after the crash settled AND (when a monitor runs) after the

@@ -128,6 +128,9 @@ class Cluster {
   // detection and recovery stay with the health monitor).
   void CrashNode(int node);
   void RequestReboot(int node);
+  // Fault-plan sinks for every kind: each host's own sinks for the node a
+  // fault names, plus crash, reboot and link partition.
+  faults::FaultTargets fault_targets();
   bool node_alive(int node) const { return nodes_[node].alive; }
 
   int64_t vms_deployed() const { return vms_deployed_.value(); }

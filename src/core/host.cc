@@ -163,6 +163,21 @@ sim::Co<void> Host::SettleCrash() {
   crash_settled_ = true;
 }
 
+faults::FaultTargets Host::fault_targets() {
+  faults::FaultTargets targets;
+  targets.restart_xenstore = [this](int, lv::Duration downtime) {
+    if (store() != nullptr) {
+      store()->InjectRestart(downtime);
+    }
+  };
+  targets.stall_hotplug = [this](int, lv::Duration stall, int count) {
+    fault_hooks_.hotplug_stall = stall;
+    fault_hooks_.stall_next_hotplugs += count;
+  };
+  targets.fail_creates = [this](int, int count) { fault_hooks_.fail_next_creates += count; };
+  return targets;
+}
+
 void Host::Reboot() {
   if (!crashed_) {
     return;

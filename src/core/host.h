@@ -20,6 +20,7 @@
 #include "src/core/mechanisms.h"
 #include "src/core/node_api.h"
 #include "src/faults/hooks.h"
+#include "src/faults/injector.h"
 #include "src/guests/guest.h"
 
 namespace lightvm {
@@ -88,6 +89,10 @@ class Host {
   // leak invariants hold from this point until Reboot().
   bool crash_settled() const { return crash_settled_; }
   faults::FaultHooks& fault_hooks() { return fault_hooks_; }
+  // Fault-plan sinks for the kinds one host takes on its own: xenstored
+  // restart, hotplug stall and injected create failures. The node index is
+  // ignored; crash, reboot and partition need a cluster to heal them.
+  faults::FaultTargets fault_targets();
   const ResourceBaseline& resource_baseline() const { return baseline_; }
 
   // Flight-recorder ring for this host's events (the cluster assigns its

@@ -17,8 +17,7 @@ NodeApi::NodeApi(Dom0Services::Deps deps, Dom0Services* dom0, const Mechanisms& 
     toolstack_ = std::make_unique<toolstack::XlToolstack>(env, ts_costs);
   } else {
     if (mechanisms_.split) {
-      chaos_daemon_ = std::make_unique<toolstack::ChaosDaemon>(env, ts_costs,
-                                                               mechanisms_.noxs);
+      chaos_daemon_ = std::make_unique<toolstack::ChaosDaemon>(env, mechanisms_.noxs);
       chaos_daemon_->Start(Dom0Ctx());
     }
     toolstack_ = std::make_unique<toolstack::ChaosToolstack>(env, ts_costs,
@@ -142,20 +141,6 @@ StatusJob NodeApi::SubmitDestroy(hv::DomainId domid, obs::OpRef parent) {
   return result;
 }
 
-StatusJob NodeApi::SubmitMigrate(hv::DomainId domid, NodeApi* target, xnet::Link* link,
-                                 obs::OpRef parent) {
-  StatusJob result(deps_.engine);
-  if (!accepting_) {
-    obs::FlightRecorder::Get().Record(obs_node_, obs::NewOp(parent), "node", "migrate",
-                                      false, domid);
-    result.Set(lv::Err(lv::ErrorCode::kUnavailable, "node not accepting work"));
-    return result;
-  }
-  int64_t job = StartJob();
-  deps_.engine->Spawn(RunMigrateJob(job, obs::NewOp(parent), domid, target, link, result));
-  return result;
-}
-
 sim::Co<void> NodeApi::RunCreateJob(int64_t job, obs::OpRef op, toolstack::VmConfig config,
                                     bool wait_boot, CreateJob result) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Get();
@@ -189,30 +174,6 @@ sim::Co<void> NodeApi::RunDestroyJob(int64_t job, obs::OpRef op, hv::DomainId do
   recorder.Record(obs_node_, op, "node", "destroy.done", destroyed.ok(), domid);
   FinishJob(destroyed.ok());
   result.Set(std::move(destroyed));
-}
-
-sim::Co<void> NodeApi::RunMigrateJob(int64_t job, obs::OpRef op, hv::DomainId domid,
-                                     NodeApi* target, xnet::Link* link, StatusJob result) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Get();
-  recorder.Record(obs_node_, op, "node", "migrate", true, domid);
-  lv::Status status = lv::Status::Ok();
-  {
-    VmOpGuard guard(this, domid);
-    if (!guard.held()) {
-      status = lv::Err(lv::ErrorCode::kUnavailable,
-                       "concurrent lifecycle operation on domain");
-    } else {
-      auto moved = co_await toolstack::Migrate(toolstack_.get(),
-                                               Dom0Ctx().WithJob(job).WithOp(op.id, op.root),
-                                               domid, &target->migration_daemon(), link);
-      if (!moved.ok()) {
-        status = lv::Err(moved.error().code, moved.error().message);
-      }
-    }
-  }
-  recorder.Record(obs_node_, op, "node", "migrate.done", status.ok(), domid);
-  FinishJob(status.ok());
-  result.Set(std::move(status));
 }
 
 // --- Shell pool -----------------------------------------------------------------

@@ -7,11 +7,12 @@
 //  * Synchronous coroutines (CreateVm, DestroyVm, ...): the caller awaits
 //    the operation on a Dom0 execution context. These are what Host exposes
 //    and what the serial benchmarks drive.
-//  * Submitted jobs (SubmitCreate, SubmitDestroy, SubmitMigrate): each spawns
-//    a detached coroutine and returns a SharedFuture for its result, so any
-//    number of lifecycle operations can be in flight on Dom0's vCPUs at
-//    once. Every job gets a node-local id that is threaded into trace track
-//    names ("vm:web0#j7") and job metrics.
+//  * Submitted jobs (SubmitCreate, SubmitDestroy): each spawns a detached
+//    coroutine and returns a SharedFuture for its result, so any number of
+//    lifecycle operations can be in flight on Dom0's vCPUs at once. Every
+//    job gets a node-local id that is threaded into trace track names
+//    ("vm:web0#j7") and job metrics. Migration has only the synchronous
+//    shape; Cluster::Migrate and Host::MigrateVm await MigrateVm.
 //
 // Destructive operations (destroy / save / migrate) on one domain are
 // mutually exclusive: a second such operation while one is in flight fails
@@ -66,8 +67,6 @@ class NodeApi {
   CreateJob SubmitCreate(toolstack::VmConfig config, bool wait_boot,
                          obs::OpRef parent = {});
   StatusJob SubmitDestroy(hv::DomainId domid, obs::OpRef parent = {});
-  StatusJob SubmitMigrate(hv::DomainId domid, NodeApi* target, xnet::Link* link,
-                          obs::OpRef parent = {});
 
   int64_t jobs_started() const { return jobs_started_.value(); }
   int64_t jobs_completed() const { return jobs_completed_.value(); }
@@ -127,8 +126,6 @@ class NodeApi {
                              bool wait_boot, CreateJob result);
   sim::Co<void> RunDestroyJob(int64_t job, obs::OpRef op, hv::DomainId domid,
                               StatusJob result);
-  sim::Co<void> RunMigrateJob(int64_t job, obs::OpRef op, hv::DomainId domid,
-                              NodeApi* target, xnet::Link* link, StatusJob result);
   int64_t StartJob();
   void FinishJob(bool ok);
 

@@ -459,20 +459,7 @@ class Runner {
     // rejects node-crash/reboot/partition for one-node topologies).
     std::optional<faults::FaultInjector> injector;
     if (spec_.faults.has_value()) {
-      faults::FaultTargets targets;
-      targets.restart_xenstore = [&host](int, lv::Duration downtime) {
-        if (host.store() != nullptr) {
-          host.store()->InjectRestart(downtime);
-        }
-      };
-      targets.stall_hotplug = [&host](int, lv::Duration stall, int count) {
-        host.fault_hooks().hotplug_stall = stall;
-        host.fault_hooks().stall_next_hotplugs += count;
-      };
-      targets.fail_creates = [&host](int, int count) {
-        host.fault_hooks().fail_next_creates += count;
-      };
-      injector.emplace(&engine, BuildFaultPlan(spec_), std::move(targets));
+      injector.emplace(&engine, BuildFaultPlan(spec_), host.fault_targets());
       injector->Arm();
     }
 
@@ -596,25 +583,7 @@ class Runner {
     std::optional<faults::FaultInjector> injector;
     if (spec_.faults.has_value()) {
       cl.StartHealthMonitor();
-      faults::FaultTargets targets;
-      targets.crash_node = [&cl](int node) { cl.CrashNode(node); };
-      targets.reboot_node = [&cl](int node) { cl.RequestReboot(node); };
-      targets.restart_xenstore = [&cl](int node, lv::Duration downtime) {
-        if (cl.host(node).store() != nullptr) {
-          cl.host(node).store()->InjectRestart(downtime);
-        }
-      };
-      targets.stall_hotplug = [&cl](int node, lv::Duration stall, int count) {
-        cl.host(node).fault_hooks().hotplug_stall = stall;
-        cl.host(node).fault_hooks().stall_next_hotplugs += count;
-      };
-      targets.partition_link = [&cl](int node, int peer, lv::Duration length) {
-        cl.link(node, peer)->Partition(length);
-      };
-      targets.fail_creates = [&cl](int node, int count) {
-        cl.host(node).fault_hooks().fail_next_creates += count;
-      };
-      injector.emplace(&engine, BuildFaultPlan(spec_), std::move(targets));
+      injector.emplace(&engine, BuildFaultPlan(spec_), cl.fault_targets());
       injector->Arm();
     }
 

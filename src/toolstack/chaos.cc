@@ -13,7 +13,9 @@ constexpr const char* kMod = "chaos";
 }  // namespace
 
 ChaosToolstack::ChaosToolstack(HostEnv env, Costs costs, bool use_noxs, ChaosDaemon* daemon)
-    : Toolstack(std::move(env)), costs_(costs), use_noxs_(use_noxs), daemon_(daemon) {
+    : Toolstack(std::move(env), costs, "chaos", costs.chaos_state_keeping),
+      use_noxs_(use_noxs),
+      daemon_(daemon) {
   if (!use_noxs_) {
     LV_CHECK_MSG(env_.store != nullptr, "chaos [XS] requires the XenStore");
     client_ = std::make_unique<xs::XsClient>(env_.engine, env_.store, hv::kDom0);
@@ -43,8 +45,8 @@ sim::Co<lv::Result<Shell>> ChaosToolstack::ObtainShell(sim::ExecCtx ctx,
     static metrics::Counter& misses = metrics::GetCounter("toolstack.chaos.shell_pool_misses");
     misses.Inc();
   }
-  co_return co_await PrepareShell(env_, costs_, ctx, config.image.memory,
-                                  config.image.wants_net, use_noxs_, client_.get());
+  co_return co_await PrepareShell(env_, ctx, config.image.memory, config.image.wants_net,
+                                  use_noxs_, client_.get());
 }
 
 sim::Co<lv::Status> ChaosToolstack::ExecutePhase(sim::ExecCtx ctx, Shell& shell,
@@ -118,54 +120,11 @@ sim::Co<lv::Status> ChaosToolstack::ExecutePhase(sim::ExecCtx ctx, Shell& shell,
   co_return lv::Status::Ok();
 }
 
-sim::Co<void> ChaosToolstack::BootGuest(sim::ExecCtx ctx, const Shell& shell,
-                                        const VmConfig& config, bool resume) {
-  trace::Span span(ctx.track, "create.boot");
-  VmRecord record;
-  record.config = config;
-  record.core = shell.core;
-  record.created_at = env_.engine->now();
-  record.guest = std::make_unique<guests::Guest>(
-      env_.engine, config.image, shell.domid, MakeBootEnv(shell.core, !use_noxs_));
-  record.guest->set_resume(resume);
-  env_.hv->FindDomain(shell.domid)->set_start_fn(record.guest->MakeStartFn());
-  TrackVm(shell.domid, std::move(record));
-  (void)co_await env_.hv->DomainFinishBuild(ctx, shell.domid);
-  (void)co_await env_.hv->DomainUnpause(ctx, shell.domid);
-}
-
-sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::Create(sim::ExecCtx ctx, VmConfig config) {
-  // Accumulated locally and committed to breakdown_ at every exit so that
-  // overlapping creations (concurrent jobs) do not clobber each other
-  // mid-flight; last_breakdown() reports the last creation to finish.
-  CreateBreakdown bd;
-  // One trace row per creation; ExecutePhase/BootGuest spans land on it too
-  // because the track rides in ctx. Async jobs get the job id in the row
-  // name so overlapping creations of the same VM name stay distinguishable.
-  trace::Tracer& tracer = trace::Tracer::Get();
-  if (tracer.enabled()) {
-    std::string row = ctx.job != 0
-                          ? lv::StrFormat("vm:%s#j%lld", config.name.c_str(),
-                                          (long long)ctx.job)
-                          : lv::StrFormat("vm:%s", config.name.c_str());
-    ctx = ctx.OnTrack(tracer.NewTrack(row));
-  }
-  trace::Span create_span(ctx.track, "vm.create");
-  // Join the caller's causal flow (cluster Deploy, NodeApi job): this
-  // create's row becomes one step of the operation's arc.
-  tracer.Flow(ctx.track, "vm.create", ctx.op_root);
+sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::BuildDomain(sim::ExecCtx ctx,
+                                                              const VmConfig& config,
+                                                              CreateBreakdown& bd) {
   const obs::OpRef op{ctx.op, ctx.op_root, 0};
-  // Fault checkpoint (entry): injected transient faults and node death are
-  // taken before any state is built, so there is nothing to roll back.
-  if (env_.faults != nullptr && env_.faults->ShouldFailCreate()) {
-    obs::FlightRecorder::Get().Record(ctx.node, op, "toolstack", "vm.create.fault",
-                                      false);
-    co_return lv::Err(lv::ErrorCode::kUnavailable,
-                      env_.faults->node_crashed ? "node crashed"
-                                                : "injected transient create fault");
-  }
-  lv::TimePoint create_start = env_.engine->now();
-  lv::TimePoint t0 = create_start;
+  lv::TimePoint t0 = env_.engine->now();
   trace::Span phase(ctx.track, "create.config");
   co_await ctx.Work(costs_.chaos_config_parse);
   phase.End();
@@ -183,7 +142,6 @@ sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::Create(sim::ExecCtx ctx, VmCon
   phase.End();
   bd.hypervisor = env_.engine->now() - t0;
   if (!shell.ok()) {
-    breakdown_ = bd;
     co_return shell.error();
   }
   // Fault checkpoint (post-shell): a node that died while the shell was being
@@ -194,7 +152,6 @@ sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::Create(sim::ExecCtx ctx, VmCon
     // point of the split toolstack), so the rollback must close them too.
     (void)co_await DestroyDevices(ctx, shell->domid, config);
     (void)co_await env_.hv->DomainDestroy(ctx, shell->domid);
-    breakdown_ = bd;
     obs::FlightRecorder::Get().Record(ctx.node, op, "toolstack", "vm.rollback", false,
                                       shell->domid);
     co_return lv::Err(lv::ErrorCode::kUnavailable, "node crashed during create");
@@ -212,17 +169,15 @@ sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::Create(sim::ExecCtx ctx, VmCon
     // leak invariant trips on the next sweep.
     (void)co_await DestroyDevices(ctx, shell->domid, config);
     (void)co_await env_.hv->DomainDestroy(ctx, shell->domid);
-    breakdown_ = bd;
     obs::FlightRecorder::Get().Record(ctx.node, op, "toolstack", "vm.rollback", false,
                                       shell->domid);
     co_return exec.error();
   }
-  co_await BootGuest(ctx, *shell, config, /*resume=*/false);
-  static metrics::Histogram& create_ms =
-      metrics::GetHistogram("toolstack.chaos.create_ms", "ms");
-  create_ms.RecordDuration(env_.engine->now() - create_start);
+  trace::Span boot(ctx.track, "create.boot");
+  co_await InstallGuest(ctx, shell->domid, config, shell->core, /*use_store=*/!use_noxs_,
+                        /*resume=*/false);
+  boot.End();
   LV_DEBUG(kMod, "created dom%lld (%s)", (long long)shell->domid, config.name.c_str());
-  breakdown_ = bd;
   co_return shell->domid;
 }
 
@@ -246,21 +201,6 @@ sim::Co<lv::Status> ChaosToolstack::DestroyDevices(sim::ExecCtx ctx, hv::DomainI
   co_return lv::Status::Ok();
 }
 
-sim::Co<lv::Status> ChaosToolstack::Destroy(sim::ExecCtx ctx, hv::DomainId domid) {
-  trace::Span span(ctx.track, "vm.destroy");
-  trace::Tracer::Get().Flow(ctx.track, "vm.destroy", ctx.op_root);
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
-  }
-  co_await ctx.Work(costs_.chaos_state_keeping);
-  it->second.guest->Stop();
-  (void)co_await DestroyDevices(ctx, domid, it->second.config);
-  lv::Status destroyed = co_await env_.hv->DomainDestroy(ctx, domid);
-  UntrackVm(domid);
-  co_return destroyed;
-}
-
 sim::Co<lv::Status> ChaosToolstack::SuspendForMigration(sim::ExecCtx ctx,
                                                         hv::DomainId domid) {
   if (use_noxs_) {
@@ -268,47 +208,7 @@ sim::Co<lv::Status> ChaosToolstack::SuspendForMigration(sim::ExecCtx ctx,
     co_return co_await env_.sysctl->RequestShutdown(ctx, domid,
                                                     hv::ShutdownReason::kSuspend);
   }
-  // XS mode: the control/shutdown dance.
-  lv::Status req = co_await client_->Write(
-      ctx, lv::StrFormat("/local/domain/%lld/control/shutdown", (long long)domid),
-      "suspend");
-  if (!req.ok()) {
-    co_return req;
-  }
-  while (true) {
-    auto info = co_await env_.hv->DomainGetInfo(ctx, domid);
-    if (!info.ok()) {
-      co_return info.error();
-    }
-    if (info->state == hv::DomainState::kSuspended) {
-      co_return lv::Status::Ok();
-    }
-    co_await env_.engine->Sleep(lv::Duration::Micros(500));
-  }
-}
-
-sim::Co<lv::Result<Snapshot>> ChaosToolstack::Save(sim::ExecCtx ctx, hv::DomainId domid) {
-  trace::Span span(ctx.track, "vm.save");
-  lv::TimePoint save_start = env_.engine->now();
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
-  }
-  VmConfig config = it->second.config;
-  co_await ctx.Work(costs_.chaos_state_keeping);
-  lv::Status suspended = co_await SuspendForMigration(ctx, domid);
-  if (!suspended.ok()) {
-    co_return suspended.error();
-  }
-  co_await ctx.Work(costs_.snapshot_file_overhead);
-  (void)co_await env_.hv->CopyFromDomain(ctx, domid, config.image.memory);
-  (void)co_await DestroyDevices(ctx, domid, config);
-  (void)co_await env_.hv->DomainDestroy(ctx, domid);
-  UntrackVm(domid);
-  static metrics::Histogram& save_ms = metrics::GetHistogram("toolstack.chaos.save_ms", "ms");
-  save_ms.RecordDuration(env_.engine->now() - save_start);
-  lv::Bytes memory = config.image.memory;
-  co_return Snapshot{std::move(config), memory};
+  co_return co_await XsSuspend(ctx, client_.get(), domid);
 }
 
 sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::PrepareIncoming(sim::ExecCtx ctx,
@@ -342,7 +242,9 @@ sim::Co<lv::Status> ChaosToolstack::FinishIncoming(sim::ExecCtx ctx, hv::DomainI
   if (!exec.ok()) {
     co_return exec;
   }
-  co_await BootGuest(ctx, shell, snap.config, /*resume=*/true);
+  trace::Span boot(ctx.track, "create.boot");
+  co_await InstallGuest(ctx, shell.domid, snap.config, shell.core, /*use_store=*/!use_noxs_,
+                        /*resume=*/true);
   co_return lv::Status::Ok();
 }
 
@@ -356,23 +258,6 @@ sim::Co<lv::Status> ChaosToolstack::TeardownAfterMigration(sim::ExecCtx ctx,
   lv::Status destroyed = co_await env_.hv->DomainDestroy(ctx, domid);
   UntrackVm(domid);
   co_return destroyed;
-}
-
-sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::Restore(sim::ExecCtx ctx, Snapshot snap) {
-  trace::Span span(ctx.track, "vm.restore");
-  lv::TimePoint restore_start = env_.engine->now();
-  auto domid = co_await PrepareIncoming(ctx, snap.config);
-  if (!domid.ok()) {
-    co_return domid;
-  }
-  lv::Status finished = co_await FinishIncoming(ctx, *domid, snap);
-  if (!finished.ok()) {
-    co_return finished.error();
-  }
-  static metrics::Histogram& restore_ms =
-      metrics::GetHistogram("toolstack.chaos.restore_ms", "ms");
-  restore_ms.RecordDuration(env_.engine->now() - restore_start);
-  co_return *domid;
 }
 
 }  // namespace toolstack

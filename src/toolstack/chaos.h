@@ -24,11 +24,6 @@ class ChaosToolstack : public Toolstack {
 
   const char* name() const override;
 
-  sim::Co<lv::Result<hv::DomainId>> Create(sim::ExecCtx ctx, VmConfig config) override;
-  sim::Co<lv::Status> Destroy(sim::ExecCtx ctx, hv::DomainId domid) override;
-  sim::Co<lv::Result<Snapshot>> Save(sim::ExecCtx ctx, hv::DomainId domid) override;
-  sim::Co<lv::Result<hv::DomainId>> Restore(sim::ExecCtx ctx, Snapshot snap) override;
-
   sim::Co<lv::Result<hv::DomainId>> PrepareIncoming(sim::ExecCtx ctx,
                                                     VmConfig config) override;
   sim::Co<lv::Status> FinishIncoming(sim::ExecCtx ctx, hv::DomainId domid,
@@ -41,6 +36,8 @@ class ChaosToolstack : public Toolstack {
   bool split() const { return daemon_ != nullptr; }
 
  private:
+  sim::Co<lv::Result<hv::DomainId>> BuildDomain(sim::ExecCtx ctx, const VmConfig& config,
+                                                CreateBreakdown& bd) override;
   // Obtains a shell: from the pool when split, built inline otherwise.
   sim::Co<lv::Result<Shell>> ObtainShell(sim::ExecCtx ctx, const VmConfig& config);
   // Executes the per-VM phase on a shell: records/device pages, image load.
@@ -51,11 +48,7 @@ class ChaosToolstack : public Toolstack {
                                    CreateBreakdown& bd);
   sim::Co<lv::Status> DestroyDevices(sim::ExecCtx ctx, hv::DomainId domid,
                                      const VmConfig& config);
-  // Installs the guest and unpauses.
-  sim::Co<void> BootGuest(sim::ExecCtx ctx, const Shell& shell, const VmConfig& config,
-                          bool resume);
 
-  Costs costs_;
   bool use_noxs_;
   ChaosDaemon* daemon_;
   std::unique_ptr<xs::XsClient> client_;  // XS mode only

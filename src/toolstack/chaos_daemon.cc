@@ -1,8 +1,8 @@
 #include "src/toolstack/chaos_daemon.h"
 
 #include "src/base/log.h"
-#include "src/base/strings.h"
 #include "src/metrics/metrics.h"
+#include "src/toolstack/toolstack.h"
 #include "src/trace/trace.h"
 
 namespace toolstack {
@@ -11,10 +11,9 @@ namespace {
 constexpr const char* kMod = "chaosd";
 }  // namespace
 
-sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, const Costs& costs, sim::ExecCtx ctx,
-                                        lv::Bytes memory, bool wants_net, bool use_noxs,
+sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, sim::ExecCtx ctx, lv::Bytes memory,
+                                        bool wants_net, bool use_noxs,
                                         xs::XsClient* xs_client) {
-  (void)costs;
   trace::Span span(ctx.track, "shell.prepare");
   Shell shell;
   shell.memory = memory;
@@ -22,28 +21,12 @@ sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, const Costs& costs, sim::E
 
   // 1-4: hypervisor reservation, compute allocation, memory reservation and
   // preparation (Figure 8, prepare phase).
-  auto domid_r = co_await env.hv->DomainCreate(ctx);
-  if (!domid_r.ok()) {
-    co_return domid_r.error();
+  auto reserved = co_await ReserveDomain(env, ctx, memory, /*vcpus=*/1, env.page_sharing);
+  if (!reserved.ok()) {
+    co_return reserved.error();
   }
-  shell.domid = *domid_r;
-  shell.core = env.placer->NextGuestCore();
-  (void)co_await env.hv->DomainSetMaxMem(ctx, shell.domid, memory);
-  // Note: braced-init-list arguments inside co_await trip GCC 12 (PR105426).
-  std::vector<int> cores(1, shell.core);
-  (void)co_await env.hv->VcpuInit(ctx, shell.domid, std::move(cores));
-  lv::Status mem = lv::Status::Ok();
-  if (env.page_sharing) {
-    std::string key = lv::StrFormat("flavor-%lld", (long long)memory.count());
-    mem = co_await env.hv->PopulatePhysmapShared(ctx, shell.domid, memory, key,
-                                                 env.page_sharing_fraction);
-  } else {
-    mem = co_await env.hv->PopulatePhysmap(ctx, shell.domid, memory);
-  }
-  if (!mem.ok()) {
-    (void)co_await env.hv->DomainDestroy(ctx, shell.domid);
-    co_return mem.error();
-  }
+  shell.domid = reserved->domid;
+  shell.core = reserved->core;
 
   // 5: device pre-creation.
   if (use_noxs) {
@@ -73,8 +56,8 @@ sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, const Costs& costs, sim::E
   co_return shell;
 }
 
-ChaosDaemon::ChaosDaemon(HostEnv env, Costs costs, bool use_noxs)
-    : env_(std::move(env)), costs_(costs), use_noxs_(use_noxs) {
+ChaosDaemon::ChaosDaemon(HostEnv env, bool use_noxs)
+    : env_(std::move(env)), use_noxs_(use_noxs) {
   work_ = std::make_unique<sim::Semaphore>(env_.engine, 0);
   if (!use_noxs_ && env_.store != nullptr) {
     xs_client_ = std::make_unique<xs::XsClient>(env_.engine, env_.store, hv::kDom0);
@@ -159,8 +142,8 @@ sim::Co<void> ChaosDaemon::RefillLoop(sim::ExecCtx ctx) {
       continue;  // Pool already at target.
     }
     trace::Span refill(ctx.track, "chaosd.refill");
-    auto shell = co_await PrepareShell(env_, costs_, ctx, flavor->memory,
-                                       flavor->wants_net, use_noxs_, xs_client_.get());
+    auto shell = co_await PrepareShell(env_, ctx, flavor->memory, flavor->wants_net,
+                                       use_noxs_, xs_client_.get());
     refill.End();
     if (shell.ok()) {
       pool_.push_back(*shell);

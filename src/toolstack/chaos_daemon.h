@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/metrics/metrics.h"
-#include "src/toolstack/costs.h"
 #include "src/toolstack/env.h"
 
 namespace toolstack {
@@ -36,8 +35,8 @@ struct Shell {
 
 // Builds one shell synchronously on `ctx` (used by the daemon in the
 // background and by chaos inline when the pool is empty).
-sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, const Costs& costs, sim::ExecCtx ctx,
-                                        lv::Bytes memory, bool wants_net, bool use_noxs,
+sim::Co<lv::Result<Shell>> PrepareShell(HostEnv& env, sim::ExecCtx ctx, lv::Bytes memory,
+                                        bool wants_net, bool use_noxs,
                                         xs::XsClient* xs_client);
 
 class ChaosDaemon {
@@ -48,7 +47,7 @@ class ChaosDaemon {
     int target = 4;  // shells to keep pooled
   };
 
-  ChaosDaemon(HostEnv env, Costs costs, bool use_noxs);
+  ChaosDaemon(HostEnv env, bool use_noxs);
   ~ChaosDaemon();
 
   void AddFlavor(Flavor flavor);
@@ -71,7 +70,6 @@ class ChaosDaemon {
   std::optional<Flavor> NextDeficit() const;
 
   HostEnv env_;
-  Costs costs_;
   bool use_noxs_;
   std::vector<Flavor> flavors_;
   std::deque<Shell> pool_;

@@ -7,6 +7,12 @@
 //  * ChaosToolstack — the paper's replacement (§5): lean parsing, minimal
 //    state, optional noxs (no XenStore) and optional split toolstack
 //    (pre-created domain shells from the chaos daemon).
+//
+// The two differ in how they build a domain, not in how the lifecycle verbs
+// are assembled. A toolstack supplies a domain build and the four migration
+// steps; Create, Destroy, Save and Restore are written once, here, over
+// them — as libxl's `xl save` and `xl migrate` share one suspend path and
+// `xl restore` shares the migration receiver.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +23,8 @@
 
 #include "src/base/result.h"
 #include "src/guests/guest.h"
+#include "src/metrics/metrics.h"
+#include "src/toolstack/costs.h"
 #include "src/toolstack/env.h"
 
 namespace toolstack {
@@ -47,9 +55,27 @@ struct Snapshot {
   lv::Bytes memory;  // guest memory stream size
 };
 
+// A reserved domain: Figure 8's prepare steps 1-4.
+struct Reservation {
+  hv::DomainId domid = hv::kInvalidDomain;
+  int core = 0;
+};
+
+// Creates a domain, places its vCPUs on the next guest core, then sets and
+// populates its memory (sharing read-only pages with domains of the same
+// size when `share_pages`). A domain whose memory cannot be populated is
+// destroyed before the error returns.
+sim::Co<lv::Result<Reservation>> ReserveDomain(HostEnv& env, sim::ExecCtx ctx,
+                                               lv::Bytes memory, int vcpus,
+                                               bool share_pages);
+
 class Toolstack {
  public:
-  explicit Toolstack(HostEnv env) : env_(std::move(env)) {}
+  // `family` names the latency histograms (`toolstack.<family>.create_ms`,
+  // `save_ms`, `restore_ms`); `state_keeping` is the per-command bookkeeping
+  // that Destroy and Save charge before they act.
+  Toolstack(HostEnv env, Costs costs, const char* family, lv::Duration state_keeping)
+      : env_(std::move(env)), costs_(costs), family_(family), state_keeping_(state_keeping) {}
   virtual ~Toolstack() = default;
   Toolstack(const Toolstack&) = delete;
   Toolstack& operator=(const Toolstack&) = delete;
@@ -58,12 +84,14 @@ class Toolstack {
 
   // Creates and boots a VM. Returns once the domain is unpaused (the guest
   // boots asynchronously; use guest()->WaitBooted()).
-  virtual sim::Co<lv::Result<hv::DomainId>> Create(sim::ExecCtx ctx, VmConfig config) = 0;
-  virtual sim::Co<lv::Status> Destroy(sim::ExecCtx ctx, hv::DomainId domid) = 0;
-  // Checkpoint to the (ram)disk; the domain is torn down afterwards, like
-  // `xl save` / `chaos save`.
-  virtual sim::Co<lv::Result<Snapshot>> Save(sim::ExecCtx ctx, hv::DomainId domid) = 0;
-  virtual sim::Co<lv::Result<hv::DomainId>> Restore(sim::ExecCtx ctx, Snapshot snap) = 0;
+  sim::Co<lv::Result<hv::DomainId>> Create(sim::ExecCtx ctx, VmConfig config);
+  // Stops the guest, then tears it down as a migration source does.
+  sim::Co<lv::Status> Destroy(sim::ExecCtx ctx, hv::DomainId domid);
+  // Checkpoint to the (ram)disk: suspend, stream the memory to the save file,
+  // then tear the domain down, like `xl save` / `chaos save`.
+  sim::Co<lv::Result<Snapshot>> Save(sim::ExecCtx ctx, hv::DomainId domid);
+  // The migration receiver fed from a save file.
+  sim::Co<lv::Result<hv::DomainId>> Restore(sim::ExecCtx ctx, Snapshot snap);
 
   // Migration protocol pieces (paper §5.1): the remote migration daemon
   // pre-creates the domain and devices from the streamed configuration, the
@@ -109,17 +137,46 @@ class Toolstack {
     lv::TimePoint created_at;
   };
 
+  // Create's toolstack-specific part, after the entry fault checkpoint:
+  // every phase from config parsing to unpause. Phase times accumulate into
+  // `bd`, which Create commits to last_breakdown() at every exit.
+  virtual sim::Co<lv::Result<hv::DomainId>> BuildDomain(sim::ExecCtx ctx,
+                                                        const VmConfig& config,
+                                                        CreateBreakdown& bd) = 0;
+
+  // The XenStore suspend: writes "suspend" to the guest's control/shutdown
+  // node, then polls the hypervisor every 500 µs until the domain reports
+  // suspended (xl-style wait).
+  sim::Co<lv::Status> XsSuspend(sim::ExecCtx ctx, xs::XsClient* client, hv::DomainId domid);
+  // Installs the guest on a built domain, tracks it, then finishes the build
+  // and unpauses the domain. `resume` boots a restored image.
+  sim::Co<void> InstallGuest(sim::ExecCtx ctx, hv::DomainId domid, const VmConfig& config,
+                             int core, bool use_store, bool resume);
+  void UntrackVm(hv::DomainId domid);
+
+  HostEnv env_;
+  Costs costs_;
+  CreateBreakdown breakdown_;
+  std::unordered_map<hv::DomainId, VmRecord> vms_;
+
+ private:
   // Builds the guest's boot environment for a given core.
   guests::BootEnv MakeBootEnv(int core, bool use_store);
   // Guests co-located on `core` (drives boot-time contention, Fig. 11).
   int64_t PeersOnCore(int core) const;
   void TrackVm(hv::DomainId domid, VmRecord record);
-  void UntrackVm(hv::DomainId domid);
+  // Records one Create, Save or Restore latency into `toolstack.<family>.
+  // <verb>_ms`. The histogram registers on first use, as a function-local
+  // static at the call site would, but per family: xl and chaos instances
+  // in one process keep separate histograms.
+  void RecordLatency(metrics::Histogram*& histogram, const char* verb, lv::TimePoint start);
 
-  HostEnv env_;
-  CreateBreakdown breakdown_;
-  std::unordered_map<hv::DomainId, VmRecord> vms_;
   std::unordered_map<int, int64_t> core_population_;
+  const char* family_;
+  lv::Duration state_keeping_;
+  metrics::Histogram* create_ms_ = nullptr;
+  metrics::Histogram* save_ms_ = nullptr;
+  metrics::Histogram* restore_ms_ = nullptr;
 };
 
 }  // namespace toolstack

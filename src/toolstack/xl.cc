@@ -2,8 +2,6 @@
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
-#include "src/metrics/metrics.h"
-#include "src/obs/obs.h"
 #include "src/trace/trace.h"
 
 namespace toolstack {
@@ -13,7 +11,7 @@ constexpr const char* kMod = "xl";
 }  // namespace
 
 XlToolstack::XlToolstack(HostEnv env, Costs costs)
-    : Toolstack(std::move(env)), costs_(costs) {
+    : Toolstack(std::move(env), costs, "xl", costs.xl_state_keeping) {
   LV_CHECK_MSG(env_.store != nullptr, "xl requires the XenStore");
   client_ = std::make_unique<xs::XsClient>(env_.engine, env_.store, hv::kDom0);
 }
@@ -77,53 +75,10 @@ sim::Co<lv::Status> XlToolstack::RemoveGuestRecords(sim::ExecCtx ctx, hv::Domain
   co_return co_await client_->Rm(ctx, base);
 }
 
-sim::Co<lv::Status> XlToolstack::WaitForState(sim::ExecCtx ctx, hv::DomainId domid,
-                                              hv::DomainState state) {
-  while (true) {
-    auto info = co_await env_.hv->DomainGetInfo(ctx, domid);
-    if (!info.ok()) {
-      co_return info.error();
-    }
-    if (info->state == state) {
-      co_return lv::Status::Ok();
-    }
-    co_await env_.engine->Sleep(lv::Duration::Micros(500));
-  }
-}
-
-sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig config) {
-  // Accumulated locally and committed to breakdown_ at every exit so that
-  // overlapping creations (concurrent jobs) do not clobber each other
-  // mid-flight; last_breakdown() reports the last creation to finish.
-  CreateBreakdown bd;
-  // Each creation gets its own trace row; every span below (and every
-  // hypercall/store span further down the call chain) records onto it, so
-  // the Fig. 5 phase breakdown is derivable from the trace alone. Async
-  // jobs get the job id in the row name so overlapping creations of the
-  // same VM name stay distinguishable.
-  trace::Tracer& tracer = trace::Tracer::Get();
-  if (tracer.enabled()) {
-    std::string row = ctx.job != 0
-                          ? lv::StrFormat("vm:%s#j%lld", config.name.c_str(),
-                                          (long long)ctx.job)
-                          : lv::StrFormat("vm:%s", config.name.c_str());
-    ctx = ctx.OnTrack(tracer.NewTrack(row));
-  }
-  trace::Span create_span(ctx.track, "vm.create");
-  // Join the caller's causal flow so this create renders as one step of the
-  // operation's arc across tracks.
-  tracer.Flow(ctx.track, "vm.create", ctx.op_root);
-  // Fault checkpoint (entry): same contract as the chaos toolstack — injected
-  // faults abort before any state exists.
-  if (env_.faults != nullptr && env_.faults->ShouldFailCreate()) {
-    obs::FlightRecorder::Get().Record(ctx.node, obs::OpRef{ctx.op, ctx.op_root, 0},
-                                      "toolstack", "vm.create.fault", false);
-    co_return lv::Err(lv::ErrorCode::kUnavailable,
-                      env_.faults->node_crashed ? "node crashed"
-                                                : "injected transient create fault");
-  }
-  lv::TimePoint create_start = env_.engine->now();
-  lv::TimePoint t0 = create_start;
+sim::Co<lv::Result<hv::DomainId>> XlToolstack::BuildDomain(sim::ExecCtx ctx,
+                                                           const VmConfig& config,
+                                                           CreateBreakdown& bd) {
+  lv::TimePoint t0 = env_.engine->now();
 
   // --- Config parsing ----------------------------------------------------------
   trace::Span phase(ctx.track, "create.config");
@@ -137,7 +92,6 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
   co_await ctx.Work(costs_.xl_state_keeping);
   auto domains = co_await env_.hv->ListDomains(ctx);
   if (!domains.ok()) {
-    breakdown_ = bd;
     co_return domains.error();
   }
   // libxl scans its own records per existing domain (name collisions,
@@ -150,21 +104,12 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
   // --- Hypervisor reservation ---------------------------------------------------
   t0 = env_.engine->now();
   phase = trace::Span(ctx.track, "create.hypervisor");
-  auto domid_r = co_await env_.hv->DomainCreate(ctx);
-  if (!domid_r.ok()) {
-    breakdown_ = bd;
-    co_return domid_r.error();
+  auto reserved = co_await ReserveDomain(env_, ctx, config.image.memory, config.vcpus,
+                                         /*share_pages=*/false);
+  if (!reserved.ok()) {
+    co_return reserved.error();
   }
-  hv::DomainId domid = *domid_r;
-  int core = env_.placer->NextGuestCore();
-  (void)co_await env_.hv->DomainSetMaxMem(ctx, domid, config.image.memory);
-  (void)co_await env_.hv->VcpuInit(ctx, domid, std::vector<int>(config.vcpus, core));
-  lv::Status mem = co_await env_.hv->PopulatePhysmap(ctx, domid, config.image.memory);
-  if (!mem.ok()) {
-    (void)co_await env_.hv->DomainDestroy(ctx, domid);
-    breakdown_ = bd;
-    co_return mem.error();
-  }
+  hv::DomainId domid = reserved->domid;
   phase.End();
   bd.hypervisor = env_.engine->now() - t0;
 
@@ -176,7 +121,6 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
   bd.xenstore = env_.engine->now() - t0;
   if (!records.ok()) {
     (void)co_await env_.hv->DomainDestroy(ctx, domid);
-    breakdown_ = bd;
     co_return records.error();
   }
 
@@ -188,7 +132,6 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
     lv::Status s = co_await env_.netback->XsToolstackCreate(ctx, client_.get(), domid,
                                                             env_.bash_hotplug);
     if (!s.ok()) {
-      breakdown_ = bd;
       co_return s.error();
     }
   }
@@ -196,7 +139,6 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
     lv::Status s = co_await env_.blkback->XsToolstackCreate(ctx, client_.get(), domid,
                                                             env_.bash_hotplug);
     if (!s.ok()) {
-      breakdown_ = bd;
       co_return s.error();
     }
   }
@@ -214,108 +156,23 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::Create(sim::ExecCtx ctx, VmConfig
 
   // --- Boot -------------------------------------------------------------------------
   phase = trace::Span(ctx.track, "create.boot");
-  VmRecord record;
-  record.config = config;
-  record.core = core;
-  record.created_at = env_.engine->now();
-  record.guest = std::make_unique<guests::Guest>(env_.engine, config.image, domid,
-                                                 MakeBootEnv(core, /*use_store=*/true));
-  env_.hv->FindDomain(domid)->set_start_fn(record.guest->MakeStartFn());
-  TrackVm(domid, std::move(record));
-  (void)co_await env_.hv->DomainFinishBuild(ctx, domid);
-  (void)co_await env_.hv->DomainUnpause(ctx, domid);
+  co_await InstallGuest(ctx, domid, config, reserved->core, /*use_store=*/true,
+                        /*resume=*/false);
   phase.End();
-  static metrics::Histogram& create_ms = metrics::GetHistogram("toolstack.xl.create_ms", "ms");
-  create_ms.RecordDuration(env_.engine->now() - create_start);
   LV_DEBUG(kMod, "created dom%lld (%s)", (long long)domid, config.name.c_str());
-  breakdown_ = bd;
   co_return domid;
-}
-
-sim::Co<lv::Status> XlToolstack::Destroy(sim::ExecCtx ctx, hv::DomainId domid) {
-  trace::Span span(ctx.track, "vm.destroy");
-  trace::Tracer::Get().Flow(ctx.track, "vm.destroy", ctx.op_root);
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
-  }
-  co_await ctx.Work(costs_.xl_state_keeping);
-  it->second.guest->Stop();
-  if (it->second.config.image.wants_net && env_.netback != nullptr &&
-      env_.netback->HasDevice(domid)) {
-    (void)co_await env_.netback->XsToolstackDestroy(ctx, client_.get(), domid,
-                                                    env_.bash_hotplug);
-  }
-  if (it->second.config.image.wants_block && env_.blkback != nullptr &&
-      env_.blkback->HasDevice(domid)) {
-    (void)co_await env_.blkback->XsToolstackDestroy(ctx, client_.get(), domid,
-                                                    env_.bash_hotplug);
-  }
-  (void)co_await RemoveGuestRecords(ctx, domid);
-  lv::Status destroyed = co_await env_.hv->DomainDestroy(ctx, domid);
-  UntrackVm(domid);
-  co_return destroyed;
-}
-
-sim::Co<lv::Result<Snapshot>> XlToolstack::Save(sim::ExecCtx ctx, hv::DomainId domid) {
-  trace::Span span(ctx.track, "vm.save");
-  lv::TimePoint save_start = env_.engine->now();
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
-  }
-  VmConfig config = it->second.config;
-  co_await ctx.Work(costs_.xl_state_keeping);
-  // Ask the guest to suspend through the store's control node.
-  std::string control =
-      lv::StrFormat("/local/domain/%lld/control/shutdown", (long long)domid);
-  lv::Status req = co_await client_->Write(ctx, control, "suspend");
-  if (!req.ok()) {
-    co_return req.error();
-  }
-  lv::Status suspended = co_await WaitForState(ctx, domid, hv::DomainState::kSuspended);
-  if (!suspended.ok()) {
-    co_return suspended.error();
-  }
-  // libxc streams the guest memory to the save file.
-  co_await ctx.Work(costs_.snapshot_file_overhead);
-  (void)co_await env_.hv->CopyFromDomain(ctx, domid, config.image.memory);
-  // Tear down devices and records, then the domain.
-  if (config.image.wants_net && env_.netback != nullptr && env_.netback->HasDevice(domid)) {
-    (void)co_await env_.netback->XsToolstackDestroy(ctx, client_.get(), domid,
-                                                    env_.bash_hotplug);
-  }
-  if (config.image.wants_block && env_.blkback != nullptr &&
-      env_.blkback->HasDevice(domid)) {
-    (void)co_await env_.blkback->XsToolstackDestroy(ctx, client_.get(), domid,
-                                                    env_.bash_hotplug);
-  }
-  (void)co_await RemoveGuestRecords(ctx, domid);
-  (void)co_await env_.hv->DomainDestroy(ctx, domid);
-  UntrackVm(domid);
-  static metrics::Histogram& save_ms = metrics::GetHistogram("toolstack.xl.save_ms", "ms");
-  save_ms.RecordDuration(env_.engine->now() - save_start);
-  lv::Bytes memory = config.image.memory;
-  co_return Snapshot{std::move(config), memory};
 }
 
 sim::Co<lv::Result<hv::DomainId>> XlToolstack::PrepareIncoming(sim::ExecCtx ctx,
                                                                VmConfig config) {
   trace::Span span(ctx.track, "vm.prepare_incoming");
   co_await ctx.Work(costs_.xl_config_parse + costs_.xl_state_keeping);
-  auto domid_r = co_await env_.hv->DomainCreate(ctx);
-  if (!domid_r.ok()) {
-    co_return domid_r.error();
+  auto reserved = co_await ReserveDomain(env_, ctx, config.image.memory, config.vcpus,
+                                         /*share_pages=*/false);
+  if (!reserved.ok()) {
+    co_return reserved.error();
   }
-  hv::DomainId domid = *domid_r;
-  int core = env_.placer->NextGuestCore();
-  (void)co_await env_.hv->DomainSetMaxMem(ctx, domid, config.image.memory);
-  (void)co_await env_.hv->VcpuInit(ctx, domid, std::vector<int>(config.vcpus, core));
-  lv::Status mem = co_await env_.hv->PopulatePhysmap(ctx, domid, config.image.memory);
-  if (!mem.ok()) {
-    (void)co_await env_.hv->DomainDestroy(ctx, domid);
-    co_return mem.error();
-  }
+  hv::DomainId domid = reserved->domid;
   lv::Status records = co_await WriteGuestRecords(ctx, domid, config);
   if (!records.ok()) {
     (void)co_await env_.hv->DomainDestroy(ctx, domid);
@@ -329,7 +186,7 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::PrepareIncoming(sim::ExecCtx ctx,
     (void)co_await env_.blkback->XsToolstackCreate(ctx, client_.get(), domid,
                                                    env_.bash_hotplug);
   }
-  pending_incoming_.emplace(domid, PendingIncoming{std::move(config), core});
+  pending_incoming_.emplace(domid, PendingIncoming{std::move(config), reserved->core});
   co_return domid;
 }
 
@@ -345,49 +202,16 @@ sim::Co<lv::Status> XlToolstack::FinishIncoming(sim::ExecCtx ctx, hv::DomainId d
   // Stream the memory image back in.
   co_await ctx.Work(costs_.snapshot_file_overhead);
   (void)co_await env_.hv->CopyToDomain(ctx, domid, snap.memory);
-
-  VmRecord record;
-  record.config = pending.config;
-  record.core = pending.core;
-  record.created_at = env_.engine->now();
-  record.guest =
-      std::make_unique<guests::Guest>(env_.engine, pending.config.image, domid,
-                                      MakeBootEnv(pending.core, /*use_store=*/true));
-  record.guest->set_resume(true);
-  env_.hv->FindDomain(domid)->set_start_fn(record.guest->MakeStartFn());
-  TrackVm(domid, std::move(record));
-  (void)co_await env_.hv->DomainFinishBuild(ctx, domid);
-  (void)co_await env_.hv->DomainUnpause(ctx, domid);
+  co_await InstallGuest(ctx, domid, pending.config, pending.core, /*use_store=*/true,
+                        /*resume=*/true);
   co_return lv::Status::Ok();
 }
 
-sim::Co<lv::Result<hv::DomainId>> XlToolstack::Restore(sim::ExecCtx ctx, Snapshot snap) {
-  trace::Span span(ctx.track, "vm.restore");
-  lv::TimePoint restore_start = env_.engine->now();
-  auto domid = co_await PrepareIncoming(ctx, snap.config);
-  if (!domid.ok()) {
-    co_return domid;
-  }
-  lv::Status finished = co_await FinishIncoming(ctx, *domid, snap);
-  if (!finished.ok()) {
-    co_return finished.error();
-  }
-  static metrics::Histogram& restore_ms =
-      metrics::GetHistogram("toolstack.xl.restore_ms", "ms");
-  restore_ms.RecordDuration(env_.engine->now() - restore_start);
-  co_return *domid;
-}
-
 sim::Co<lv::Status> XlToolstack::SuspendForMigration(sim::ExecCtx ctx, hv::DomainId domid) {
-  std::string control =
-      lv::StrFormat("/local/domain/%lld/control/shutdown", (long long)domid);
-  lv::Status req = co_await client_->Write(ctx, control, "suspend");
-  if (!req.ok()) {
-    co_return req;
-  }
-  co_return co_await WaitForState(ctx, domid, hv::DomainState::kSuspended);
+  co_return co_await XsSuspend(ctx, client_.get(), domid);
 }
 
+// xl's one device-teardown path: Destroy and Save end here too.
 sim::Co<lv::Status> XlToolstack::TeardownAfterMigration(sim::ExecCtx ctx,
                                                         hv::DomainId domid) {
   auto it = vms_.find(domid);

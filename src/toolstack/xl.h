@@ -18,11 +18,6 @@ class XlToolstack : public Toolstack {
 
   const char* name() const override { return "xl"; }
 
-  sim::Co<lv::Result<hv::DomainId>> Create(sim::ExecCtx ctx, VmConfig config) override;
-  sim::Co<lv::Status> Destroy(sim::ExecCtx ctx, hv::DomainId domid) override;
-  sim::Co<lv::Result<Snapshot>> Save(sim::ExecCtx ctx, hv::DomainId domid) override;
-  sim::Co<lv::Result<hv::DomainId>> Restore(sim::ExecCtx ctx, Snapshot snap) override;
-
   sim::Co<lv::Result<hv::DomainId>> PrepareIncoming(sim::ExecCtx ctx,
                                                     VmConfig config) override;
   sim::Co<lv::Status> FinishIncoming(sim::ExecCtx ctx, hv::DomainId domid,
@@ -36,15 +31,13 @@ class XlToolstack : public Toolstack {
     VmConfig config;
     int core = 0;
   };
+  sim::Co<lv::Result<hv::DomainId>> BuildDomain(sim::ExecCtx ctx, const VmConfig& config,
+                                                CreateBreakdown& bd) override;
   // Writes the ~20 non-device store records for a new guest.
   sim::Co<lv::Status> WriteGuestRecords(sim::ExecCtx ctx, hv::DomainId domid,
                                         const VmConfig& config);
   sim::Co<lv::Status> RemoveGuestRecords(sim::ExecCtx ctx, hv::DomainId domid);
-  // Polls the hypervisor until the domain reaches `state` (xl-style wait).
-  sim::Co<lv::Status> WaitForState(sim::ExecCtx ctx, hv::DomainId domid,
-                                   hv::DomainState state);
 
-  Costs costs_;
   std::unique_ptr<xs::XsClient> client_;
   std::unordered_map<hv::DomainId, PendingIncoming> pending_incoming_;
 };

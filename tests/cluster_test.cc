@@ -375,25 +375,7 @@ ChaosOutcome RunChaos(uint64_t seed, int nodes, int vms, int events) {
 
   faults::FaultPlan plan =
       faults::FaultPlan::Random(seed, nodes, events, Duration::Millis(150));
-  faults::FaultTargets targets;
-  targets.crash_node = [&](int node) { cl.CrashNode(node); };
-  targets.reboot_node = [&](int node) { cl.RequestReboot(node); };
-  targets.restart_xenstore = [&](int node, Duration downtime) {
-    if (cl.host(node).store() != nullptr) {
-      cl.host(node).store()->InjectRestart(downtime);
-    }
-  };
-  targets.stall_hotplug = [&](int node, Duration stall, int count) {
-    cl.host(node).fault_hooks().hotplug_stall = stall;
-    cl.host(node).fault_hooks().stall_next_hotplugs += count;
-  };
-  targets.partition_link = [&](int a, int b, Duration length) {
-    cl.link(a, b)->Partition(length);
-  };
-  targets.fail_creates = [&](int node, int count) {
-    cl.host(node).fault_hooks().fail_next_creates += count;
-  };
-  faults::FaultInjector injector(&engine, std::move(plan), std::move(targets));
+  faults::FaultInjector injector(&engine, std::move(plan), cl.fault_targets());
   injector.Arm();
 
   ChaosOutcome out;

@@ -4,8 +4,12 @@
 // split toolstack's pool refills; LightVM beats xl by orders of magnitude).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "src/base/strings.h"
 #include "src/core/host.h"
+#include "src/metrics/metrics.h"
 #include "src/sim/run.h"
 
 namespace lightvm {
@@ -20,6 +24,20 @@ toolstack::VmConfig DaytimeConfig(const std::string& name) {
   config.name = name;
   config.image = guests::DaytimeUnikernel();
   return config;
+}
+
+// Samples so far in the four save/restore latency histograms, keyed
+// "<family>.<verb>"; a histogram not yet registered counts zero.
+std::map<std::string, int64_t> SaveRestoreSamples() {
+  std::map<std::string, int64_t> samples;
+  for (const char* family : {"xl", "chaos"}) {
+    for (const char* verb : {"save", "restore"}) {
+      const metrics::Histogram* h = metrics::Registry::Get().FindHistogram(
+          lv::StrFormat("toolstack.%s.%s_ms", family, verb));
+      samples[lv::StrFormat("%s.%s", family, verb)] = h == nullptr ? 0 : h->count();
+    }
+  }
+  return samples;
 }
 
 class CoreTest : public ::testing::Test {
@@ -173,16 +191,29 @@ TEST_F(CoreTest, SaveAndRestoreRoundTrip) {
   for (Mechanisms m : {Mechanisms::Xl(), Mechanisms::LightVm()}) {
     auto host = MakeHost(m);
     auto [domid, elapsed] = CreateBootTimed(*host, DaytimeConfig("vm0"));
+    std::map<std::string, int64_t> before = SaveRestoreSamples();
     TimePoint t0 = engine_.now();
     auto snap = Run(host->SaveVm(domid));
     ASSERT_TRUE(snap.ok()) << m.label();
     Duration save_time = engine_.now() - t0;
     EXPECT_EQ(host->num_vms(), 0) << m.label();
+    std::map<std::string, int64_t> saved = SaveRestoreSamples();
 
     t0 = engine_.now();
     auto restored = Run(host->RestoreVm(*snap));
     ASSERT_TRUE(restored.ok()) << m.label();
     Duration restore_time = engine_.now() - t0;
+    std::map<std::string, int64_t> restored_samples = SaveRestoreSamples();
+
+    // Save and Restore are written once for both toolstacks, yet each sample
+    // lands in its own toolstack's histogram and in no other. The registry
+    // is process-wide, so compare counts.
+    const std::string family = m.toolstack == ToolstackKind::kXl ? "xl" : "chaos";
+    for (const auto& [key, count] : before) {
+      EXPECT_EQ(saved[key] - count, key == family + ".save" ? 1 : 0) << m.label() << ": " << key;
+      EXPECT_EQ(restored_samples[key] - saved[key], key == family + ".restore" ? 1 : 0)
+          << m.label() << ": " << key;
+    }
     EXPECT_EQ(host->num_vms(), 1) << m.label();
     Run(host->WaitBooted(*restored));
     EXPECT_TRUE(host->guest(*restored)->booted()) << m.label();
@@ -266,9 +297,10 @@ TEST_F(CoreTest, CreationTimeStaysFlatUnderLightVm) {
   EXPECT_LT(last.ns(), first.ns() * 2);
 }
 
-// Concurrent-job lifecycle: overlapping creates, destroys and a migration
-// submitted through the NodeApi job layer must interleave safely on every
-// toolstack variant — and leave no domains, pages, grants or channels behind.
+// Concurrent-job lifecycle: creates and destroys submitted through the
+// NodeApi job layer, overlapping a synchronous migration, must interleave
+// safely on every toolstack variant — and leave no domains, pages, grants or
+// channels behind.
 TEST_F(CoreTest, ConcurrentLifecycleJobsAcrossMechanisms) {
   for (Mechanisms m : {Mechanisms::Xl(), Mechanisms::ChaosXs(), Mechanisms::ChaosNoxs(),
                        Mechanisms::LightVm()}) {
@@ -312,7 +344,12 @@ TEST_F(CoreTest, ConcurrentLifecycleJobsAcrossMechanisms) {
     for (int i = 0; i < 3; ++i) {
       destroys.push_back(src->node().SubmitDestroy(ids[static_cast<size_t>(i)]));
     }
-    StatusJob migrate = src->node().SubmitMigrate(ids[3], &dst->node(), &link);
+    // Migration has no job shape: spawn the synchronous call so it overlaps.
+    std::optional<lv::Result<hv::DomainId>> migrated;
+    engine_.Spawn([](sim::Co<lv::Result<hv::DomainId>> co,
+                     std::optional<lv::Result<hv::DomainId>>& out) -> sim::Co<void> {
+      out = co_await std::move(co);
+    }(src->node().MigrateVm(ids[3], &dst->node(), &link), migrated));
     std::vector<CreateJob> more;
     for (int i = 6; i < 8; ++i) {
       more.push_back(
@@ -331,20 +368,24 @@ TEST_F(CoreTest, ConcurrentLifecycleJobsAcrossMechanisms) {
               return false;
             }
           }
-          return migrate.has_value();
+          return migrated.has_value();
         },
         Duration::Seconds(60)))
         << m.label();
     for (StatusJob& job : destroys) {
       EXPECT_TRUE(job.value().ok()) << m.label();
     }
-    EXPECT_TRUE(migrate.value().ok()) << m.label();
+    EXPECT_TRUE(migrated->ok()) << m.label();
     EXPECT_EQ(dst->num_vms(), 1) << m.label();
     EXPECT_EQ(dst->migration_daemon().migrations_received(), 1) << m.label();
     for (CreateJob& job : more) {
       ASSERT_TRUE(job.value().ok()) << m.label();
       ids.push_back(*job.value());
     }
+    // 8 creates and 3 destroys; the migration is not a job.
+    EXPECT_EQ(src->node().jobs_started(), 11) << m.label();
+    EXPECT_EQ(src->node().jobs_completed(), 11) << m.label();
+    EXPECT_EQ(src->node().jobs_failed(), 0) << m.label();
 
     // Phase 3: tear the rest down; resources must return to baseline.
     EXPECT_EQ(src->num_vms(), 4) << m.label();  // 6 - 3 destroyed - 1 migrated + 2.

@@ -130,22 +130,9 @@ TEST_P(FailureTest, RandomTransientFaultPlansRollBackCleanly) {
     faults::FaultPlan plan =
         faults::FaultPlan::Random(seed, /*nodes=*/1, /*num_events=*/6,
                                   Duration::Millis(50));
-    faults::FaultTargets targets;
-    // Crash / reboot / partition sinks stay unbound: a single host has no
+    // A single host binds no crash / reboot / partition sinks: it has no
     // cluster to heal it, so this sweep drives only the transient kinds.
-    targets.restart_xenstore = [&](int, Duration downtime) {
-      if (host.store() != nullptr) {
-        host.store()->InjectRestart(downtime);
-      }
-    };
-    targets.stall_hotplug = [&](int, Duration stall, int count) {
-      host.fault_hooks().hotplug_stall = stall;
-      host.fault_hooks().stall_next_hotplugs += count;
-    };
-    targets.fail_creates = [&](int, int count) {
-      host.fault_hooks().fail_next_creates += count;
-    };
-    faults::FaultInjector injector(&engine, std::move(plan), std::move(targets));
+    faults::FaultInjector injector(&engine, std::move(plan), host.fault_targets());
     injector.Arm();
 
     int created = 0;
