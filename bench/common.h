@@ -45,12 +45,14 @@ class Report {
     return *report;
   }
 
-  // Parses benchmark command-line flags. Currently: --json=<file>.
+  // Parses benchmark command-line flags. Currently: --json=<file>. An empty
+  // file name is a usage error, like an unknown flag: it would drop the
+  // results silently.
   void Init(int argc, char** argv, const std::string& name) {
     name_ = name;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
-      if (std::strncmp(arg, "--json=", 7) == 0) {
+      if (std::strncmp(arg, "--json=", 7) == 0 && arg[7] != '\0') {
         json_path_ = arg + 7;
       } else {
         std::fprintf(stderr, "usage: %s [--json=<file>]\n", argv[0]);

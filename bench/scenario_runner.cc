@@ -16,6 +16,8 @@
 //                  section, additionally run it and fail (non-zero exit) on
 //                  any violated bound
 //
+// An output flag with an empty file name is a usage error (exit 2).
+//
 // Examples:
 //   scenario_runner scenarios/fig04_instantiation.json --json=BENCH_fig04.json
 //   scenario_runner scenarios/churn_storm.json --trace-out=churn_trace.json
@@ -47,16 +49,25 @@ int main(int argc, char** argv) {
   scenario::RunOptions options;
   bool check_only = false;
   std::vector<char*> report_args{argv[0]};
+  // The file name of `--<flag>=<file>`; an empty one would write nothing.
+  auto file_of = [&](const char* arg) {
+    const char* file = std::strchr(arg, '=') + 1;
+    if (*file == '\0') {
+      Usage(argv[0]);
+    }
+    return file;
+  };
   for (int i = 1; i < argc; ++i) {
     char* arg = argv[i];
     if (std::strncmp(arg, "--json=", 7) == 0) {
+      file_of(arg);
       report_args.push_back(arg);
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      options.trace_out = arg + 12;
+      options.trace_out = file_of(arg);
     } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      options.metrics_out = arg + 14;
+      options.metrics_out = file_of(arg);
     } else if (std::strncmp(arg, "--flight-out=", 13) == 0) {
-      options.flight_out = arg + 13;
+      options.flight_out = file_of(arg);
     } else if (std::strcmp(arg, "--check") == 0) {
       check_only = true;
     } else if (arg[0] == '-') {
@@ -87,7 +98,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     options.enforce_slo = true;
-    auto result = scenario::Run(*spec, options, std::cout);
+    lv::Status result = scenario::Run(*spec, options, std::cout);
     if (!result.ok()) {
       std::fprintf(stderr, "FAIL: %s: %s\n", spec->name.c_str(),
                    result.error().message.c_str());
@@ -114,7 +125,7 @@ int main(int argc, char** argv) {
   bench::Report::Get().Config("nodes", static_cast<double>(spec->topology.nodes));
   bench::Report::Get().Config("spec", spec_path);
 
-  auto result = scenario::Run(
+  lv::Status result = scenario::Run(
       *spec, options, std::cout,
       [](const std::string& series,
          const std::vector<std::pair<std::string, double>>& row) {

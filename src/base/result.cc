@@ -24,8 +24,6 @@ const char* ErrorCodeName(ErrorCode code) {
       return "ABORTED";
     case ErrorCode::kTimeout:
       return "TIMEOUT";
-    case ErrorCode::kQuotaExceeded:
-      return "QUOTA_EXCEEDED";
     case ErrorCode::kInternal:
       return "INTERNAL";
   }

@@ -25,7 +25,6 @@ enum class ErrorCode {
   kUnavailable,       // EBUSY / resource exhausted
   kAborted,           // operation cancelled (e.g. domain destroyed mid-boot)
   kTimeout,           // deadline exceeded
-  kQuotaExceeded,     // EDQUOT: per-domain resource quota hit
   kInternal,          // invariant violation surfaced as an error
 };
 

@@ -52,9 +52,6 @@ class Rng {
     return Duration::Nanos(static_cast<int64_t>(static_cast<double>(median.ns()) * f));
   }
 
-  // Derives an independent child generator (stable w.r.t. call order).
-  Rng Fork() { return Rng(gen_()); }
-
   std::mt19937_64& engine() { return gen_; }
 
  private:

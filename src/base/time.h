@@ -20,7 +20,6 @@ class Duration {
   static constexpr Duration Millis(int64_t ms) { return Duration(ms * 1000000); }
   static constexpr Duration Seconds(int64_t s) { return Duration(s * 1000000000); }
   // Fractional factories, useful for cost models expressed in fractional units.
-  static constexpr Duration MicrosF(double us) { return Duration(static_cast<int64_t>(us * 1e3)); }
   static constexpr Duration MillisF(double ms) { return Duration(static_cast<int64_t>(ms * 1e6)); }
   static constexpr Duration SecondsF(double s) { return Duration(static_cast<int64_t>(s * 1e9)); }
   static constexpr Duration Max() { return Duration(INT64_MAX); }
@@ -31,7 +30,6 @@ class Duration {
   constexpr double secs() const { return static_cast<double>(ns_) / 1e9; }
 
   constexpr bool is_zero() const { return ns_ == 0; }
-  constexpr bool is_negative() const { return ns_ < 0; }
 
   constexpr Duration operator+(Duration o) const { return Duration(ns_ + o.ns_); }
   constexpr Duration operator-(Duration o) const { return Duration(ns_ - o.ns_); }

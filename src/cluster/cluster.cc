@@ -16,6 +16,14 @@ namespace {
 
 constexpr const char* kMod = "cluster";
 
+// Migration fabric between each pair of nodes.
+constexpr double kLinkGbps = 10.0;
+constexpr lv::Duration kLinkRtt = lv::Duration::Micros(200);
+// Period of the health monitor and of the idle recovery loop.
+constexpr lv::Duration kHealthPeriod = lv::Duration::Millis(10);
+// Backoff before the first create retry; it doubles after each.
+constexpr lv::Duration kRetryBackoff = lv::Duration::Millis(10);
+
 }  // namespace
 
 Cluster::Cluster(sim::Engine* engine, ClusterSpec spec,
@@ -70,8 +78,7 @@ xnet::Link* Cluster::link(int a, int b) {
   auto it = links_.find(key);
   if (it == links_.end()) {
     it = links_
-             .emplace(key, std::make_unique<xnet::Link>(engine_, spec_.link_gbps,
-                                                        spec_.link_rtt))
+             .emplace(key, std::make_unique<xnet::Link>(engine_, kLinkGbps, kLinkRtt))
              .first;
   }
   return it->second.get();
@@ -141,7 +148,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Deploy(toolstack::VmConfig config,
 
     lv::Result<hv::DomainId> created =
         lv::Err(lv::ErrorCode::kUnavailable, "create not attempted");
-    lv::Duration backoff = spec_.retry_backoff;
+    lv::Duration backoff = kRetryBackoff;
     for (int attempt = 0; attempt < std::max(1, spec_.create_retries); ++attempt) {
       if (attempt > 0) {
         deploy_retries_.Inc();
@@ -463,7 +470,7 @@ sim::Co<void> Cluster::HealthLoop() {
       }
     }
     CheckInvariants();
-    co_await engine_->Sleep(spec_.health_period);
+    co_await engine_->Sleep(kHealthPeriod);
   }
 }
 
@@ -473,7 +480,7 @@ sim::Co<void> Cluster::RecoveryLoop() {
   // migration), budget-accounted through the regular Deploy path.
   while (!monitor_stop_) {
     if (evac_queue_.empty()) {
-      co_await engine_->Sleep(spec_.health_period);
+      co_await engine_->Sleep(kHealthPeriod);
       continue;
     }
     Evacuee ev = std::move(evac_queue_.front());

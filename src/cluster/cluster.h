@@ -45,10 +45,6 @@ struct ClusterSpec {
   lightvm::HostSpec node = lightvm::HostSpec::Amd64Core();
   lightvm::Mechanisms mechanisms = lightvm::Mechanisms::LightVm();
 
-  // Migration fabric between each pair of nodes.
-  double link_gbps = 10.0;
-  lv::Duration link_rtt = lv::Duration::Micros(200);
-
   // Admission budgets. Zero means "derive from the node spec": all guest
   // memory (node.memory - node.dom0_memory) and `vcpu_overcommit` virtual
   // CPUs per physical guest core.
@@ -56,12 +52,9 @@ struct ClusterSpec {
   int64_t vcpu_budget = 0;
   int64_t vcpu_overcommit = 32;
 
-  // Self-healing knobs (used once StartHealthMonitor() runs).
-  lv::Duration health_period = lv::Duration::Millis(10);
   // Attempts per placement for transient (kUnavailable) create failures; the
-  // backoff doubles after each failed attempt.
+  // backoff (10 ms at first) doubles after each failed attempt.
   int create_retries = 3;
-  lv::Duration retry_backoff = lv::Duration::Millis(10);
 };
 
 // A VM's cluster-wide identity: which node it lives on and its domain id
@@ -117,11 +110,11 @@ class Cluster {
 
   // --- Self-healing ----------------------------------------------------------
 
-  // Starts the periodic health monitor: every spec.health_period it scans
-  // for crashed nodes, writes off their budgets, evacuates their VMs onto
-  // the survivors and re-admits rebooted nodes. Also asserts the cluster
-  // invariants (admission within budget, no leaked host resources) on every
-  // sweep. Opt-in so fault-free runs schedule no extra events. Idempotent.
+  // Starts the periodic health monitor: every 10 ms it scans for crashed
+  // nodes, writes off their budgets, evacuates their VMs onto the survivors
+  // and re-admits rebooted nodes. Also asserts the cluster invariants
+  // (admission within budget, no leaked host resources) on every sweep.
+  // Opt-in so fault-free runs schedule no extra events. Idempotent.
   void StartHealthMonitor();
 
   // Crashes / settles-then-reboots one node (fault-injection entry points;

@@ -96,14 +96,8 @@ class Host {
   const ResourceBaseline& resource_baseline() const { return baseline_; }
 
   // Flight-recorder ring for this host's events (the cluster assigns its
-  // node index at construction). The store daemon records its own events
-  // (quota rejections) and needs the same node index.
-  void set_obs_node(int node) {
-    node_->set_obs_node(node);
-    if (dom0_->store() != nullptr) {
-      dom0_->store()->set_obs_node(node);
-    }
-  }
+  // node index at construction).
+  void set_obs_node(int node) { node_->set_obs_node(node); }
   int obs_node() const { return node_->obs_node(); }
 
   // Shell-pool configuration (split toolstack). Call before creating VMs.

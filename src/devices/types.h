@@ -61,10 +61,6 @@ class ControlPages {
     auto it = device_pages_.find(ref);
     return it == device_pages_.end() ? nullptr : it->second;
   }
-  std::shared_ptr<SysctlControlPage> FindSysctl(hv::GrantRef ref) const {
-    auto it = sysctl_pages_.find(ref);
-    return it == sysctl_pages_.end() ? nullptr : it->second;
-  }
   void Remove(hv::GrantRef ref) {
     device_pages_.erase(ref);
     sysctl_pages_.erase(ref);

@@ -9,6 +9,13 @@ namespace guests {
 namespace {
 constexpr const char* kMod = "guest";
 
+// Scheduling-delay model for Linux-style boots: each timer wait pays a small
+// linear per-peer delay, plus a super-linear term once the runnable
+// population per core exceeds what the scheduler absorbs — this is what
+// bends Tinyx's curve away from Docker's past ~250 guests/core (Fig. 11).
+constexpr lv::Duration kSchedDelayPerPeer = lv::Duration::Micros(40);
+constexpr lv::Duration kSchedDelayCubic = lv::Duration::Nanos(23);  // * peers^3 per boot
+
 // A sleep whose wakeup the Guest can cancel: the parked handle and the
 // pending event live in the shared BgState, so Stop()/~Guest can interrupt
 // the nap without racing the engine.
@@ -105,7 +112,7 @@ sim::Co<void> Guest::Boot(hv::Domain& domain) {
       if (peers > 0) {
         double p = static_cast<double>(peers);
         lv::Duration delay =
-            (env_.sched_delay_per_peer * p + env_.sched_delay_cubic * (p * p * p)) /
+            (kSchedDelayPerPeer * p + kSchedDelayCubic * (p * p * p)) /
             static_cast<double>(image_.boot_wait_phases);
         co_await engine_->Sleep(delay);
       }

@@ -34,12 +34,6 @@ struct BootEnv {
   // Number of co-located guests on this guest's core; drives the per-phase
   // scheduling delay of Linux-style boots (Figure 11).
   std::function<int64_t()> peers_on_core;
-  // Scheduling-delay model for Linux-style boots: each timer wait pays a
-  // small linear per-peer delay, plus a super-linear term once the runnable
-  // population per core exceeds what the scheduler absorbs — this is what
-  // bends Tinyx's curve away from Docker's past ~250 guests/core (Fig. 11).
-  lv::Duration sched_delay_per_peer = lv::Duration::Micros(40);
-  lv::Duration sched_delay_cubic = lv::Duration::Nanos(23);  // * peers^3 per boot
 };
 
 class Guest {

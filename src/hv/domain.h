@@ -55,7 +55,6 @@ class Domain {
     return static_cast<int>(device_page_.size()) >= kDevicePageCapacity;
   }
   void AppendDevice(const DeviceInfo& info) { device_page_.push_back(info); }
-  void ClearDevicePage() { device_page_.clear(); }
 
   // --- Lifecycle hooks ------------------------------------------------------
   // The guest image installs its entry point; the hypervisor spawns it when
@@ -65,9 +64,6 @@ class Domain {
   const StartFn& start_fn() const { return start_fn_; }
   bool started() const { return started_; }
   void mark_started() { started_ = true; }
-
-  ShutdownReason shutdown_reason() const { return shutdown_reason_; }
-  void set_shutdown_reason(ShutdownReason r) { shutdown_reason_ = r; }
 
  private:
   DomainId id_;
@@ -80,7 +76,6 @@ class Domain {
   StartFn start_fn_;
   std::string shared_template_;
   bool started_ = false;
-  ShutdownReason shutdown_reason_ = ShutdownReason::kNone;
 };
 
 }  // namespace hv

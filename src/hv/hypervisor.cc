@@ -304,12 +304,8 @@ sim::Co<lv::Status> Hypervisor::DomainShutdown(sim::ExecCtx ctx, DomainId id,
   if (!dom.ok()) {
     co_return dom.error();
   }
-  (*dom)->set_shutdown_reason(reason);
   (*dom)->set_state(reason == ShutdownReason::kSuspend ? DomainState::kSuspended
                                                        : DomainState::kShutdown);
-  if (shutdown_observer_) {
-    shutdown_observer_(id, reason);
-  }
   co_return lv::Status::Ok();
 }
 

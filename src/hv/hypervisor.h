@@ -57,13 +57,6 @@ class Hypervisor {
             .device_page_reads = device_page_reads_};
   }
 
-  // Observer invoked whenever a domain shuts down (any reason). The control
-  // plane uses this the way xl uses the @releaseDomain special watch.
-  using ShutdownObserver = std::function<void(DomainId, ShutdownReason)>;
-  void SetShutdownObserver(ShutdownObserver observer) {
-    shutdown_observer_ = std::move(observer);
-  }
-
   // Non-hypercall accessors (used by infrastructure/tests, free of cost).
   Domain* FindDomain(DomainId id);
   const Domain* FindDomain(DomainId id) const;
@@ -143,7 +136,6 @@ class Hypervisor {
   metrics::Tally domains_destroyed_{"hv.hypervisor.domains_destroyed"};
   int64_t device_page_writes_ = 0;
   int64_t device_page_reads_ = 0;
-  ShutdownObserver shutdown_observer_;
   DomainId next_id_ = 1;
   // Ordered map: ListDomains returns ids in creation order like Xen does.
   std::map<DomainId, std::unique_ptr<Domain>> domains_;

@@ -108,7 +108,6 @@ class FlightRecorder {
   // --flight-out; the failure hooks call MaybeDump() so a dump appears
   // exactly when the run goes red.
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
-  const std::string& dump_path() const { return dump_path_; }
   void MaybeDump() const;
 
   // Clears every ring AND rewinds the op-id counter, so a same-seed rerun

@@ -151,7 +151,7 @@ sim::Co<void> FleetWorker(FleetState* st) {
     config.name = lv::StrFormat("fleet%d", i);
     config.image = st->image;
     lv::TimePoint t0 = st->engine->now();
-    auto handle = co_await st->cl->Deploy(std::move(config), st->w->wait_boot);
+    auto handle = co_await st->cl->Deploy(std::move(config), /*wait_boot=*/true);
     if (!handle.ok()) {
       if (st->tolerate_failures) {
         ++st->deploys_failed;
@@ -176,7 +176,7 @@ class Runner {
          PointFn point_fn)
       : spec_(spec), options_(options), out_(out), point_fn_(std::move(point_fn)) {}
 
-  lv::Result<RunResult> Run() {
+  lv::Status Run() {
     auto host_spec = ResolveHostSpec(spec_.topology.host);
     if (!host_spec.ok()) {
       return host_spec.error();
@@ -250,9 +250,8 @@ class Runner {
     }
     if (!status.ok()) {
       obs::FlightRecorder::Get().MaybeDump();
-      return status.error();
     }
-    return result_;
+    return status;
   }
 
   // Evaluates the spec's `slo` section against the always-on metrics
@@ -288,7 +287,6 @@ class Runner {
     if (point_fn_) {
       point_fn_(series, row);
     }
-    ++result_.points;
   }
 
   // Sequential-boots builds a fresh engine per series (matching the fig*
@@ -337,8 +335,7 @@ class Runner {
     const ShellPoolConfig& pool = *spec_.shell_pool;
     auto image = toolstack::ImageByName(pool.image);
     LV_CHECK(image.ok());  // validated at parse time
-    bool wants_net = pool.wants_net.value_or(image->wants_net);
-    host.AddShellFlavor(image->memory, wants_net, pool.target);
+    host.AddShellFlavor(image->memory, image->wants_net, pool.target);
     host.PrefillShellPool();
   }
 
@@ -360,25 +357,20 @@ class Runner {
     sim::Engine engine(spec_.seed);
     lightvm::Host host(&engine, host_spec_, mechanisms_);
     SetupShellPool(host);
-    auto base = toolstack::ImageByName(group.image);
-    LV_CHECK(base.ok());  // validated at parse time
-    guests::GuestImage image = *base;
-    if (group.pad_to_mib > 0.0) {
-      image = guests::PaddedImage(image, lv::Bytes::MiBF(group.pad_to_mib));
-    }
+    auto image = toolstack::ImageByName(group.image);
+    LV_CHECK(image.ok());  // validated at parse time
     out_ << lv::StrFormat("\n## %s (%s, up to %d guests)\n", group.series.c_str(),
                           group.image.c_str(), group.count);
     out_ << lv::StrFormat("%-8s %-14s %s\n", "n", "create_ms", "boot_ms");
     for (int i = 1; i <= group.count; ++i) {
       toolstack::VmConfig config;
       config.name = lv::StrFormat("%s%d", group.name_prefix.c_str(), i);
-      config.image = image;
+      config.image = *image;
       lightvm::CreateTiming t = lightvm::CreateBootTimed(engine, host, std::move(config));
       if (!t.ok) {
         out_ << lv::StrFormat("# stopped at n=%d (%s)\n", i, t.error.c_str());
         break;
       }
-      ++result_.vms_created;
       Point(group.series, {{"n", static_cast<double>(i)},
                            {"create_ms", t.create_ms},
                            {"boot_ms", t.boot_ms}});
@@ -408,7 +400,6 @@ class Runner {
                               lv::ErrorCodeName(id.code()));
         break;
       }
-      ++result_.vms_created;
       double run_ms = (engine.now() - t0).ms();
       Point(group.series, {{"n", static_cast<double>(i)}, {"run_ms", run_ms}});
       if (lv::SampleRow(i, group.count, spec_.sample_points)) {
@@ -430,7 +421,6 @@ class Runner {
     for (int i = 1; i <= group.count; ++i) {
       lv::TimePoint t0 = engine.now();
       (void)sim::RunToCompletion(engine, procs.ForkExec(ctx));
-      ++result_.vms_created;
       double ms = (engine.now() - t0).ms();
       Point(group.series, {{"n", static_cast<double>(i)}, {"fork_exec_ms", ms}});
       if (lv::SampleRow(i, group.count, spec_.sample_points)) {
@@ -498,8 +488,6 @@ class Runner {
       }
     }
 
-    result_.vms_created += st.creates;
-    result_.vms_destroyed += st.destroys;
     out_ << lv::StrFormat(
         "creates=%lld destroys=%lld create_failures=%lld destroy_failures=%lld "
         "live=%lld\n",
@@ -559,21 +547,11 @@ class Runner {
     cspec.num_nodes = spec_.topology.nodes;
     cspec.node = host_spec_;
     cspec.mechanisms = mechanisms_;
-    cspec.link_gbps = spec_.topology.link_gbps;
-    cspec.link_rtt = spec_.topology.link_rtt;
     auto policy = cluster::MakePolicy(policy_name);
     LV_CHECK(policy != nullptr);  // validated at parse time
     cluster::Cluster cl(&engine, cspec, std::move(policy));
     for (int n = 0; n < cspec.num_nodes; ++n) {
-      if (spec_.shell_pool.has_value()) {
-        const ShellPoolConfig& pool = *spec_.shell_pool;
-        auto image = toolstack::ImageByName(pool.image);
-        LV_CHECK(image.ok());
-        cl.host(n).AddShellFlavor(image->memory,
-                                  pool.wants_net.value_or(image->wants_net),
-                                  pool.target);
-        cl.host(n).PrefillShellPool();
-      }
+      SetupShellPool(cl.host(n));
     }
     auto image = toolstack::ImageByName(w.image);
     LV_CHECK(image.ok());
@@ -645,7 +623,6 @@ class Runner {
 
     std::vector<int64_t> per_node(static_cast<size_t>(cspec.num_nodes), 0);
     lv::Samples lat;
-    int64_t deployed = 0;
     uint64_t placement_hash = 1469598103934665603ull;  // FNV offset basis.
     for (int i = 0; i < w.vms; ++i) {
       int node = st.node[static_cast<size_t>(i)];
@@ -654,7 +631,6 @@ class Runner {
         // hashed all the same so reordering still shows up.
         ++per_node[static_cast<size_t>(node)];
         lat.Add(st.deploy_ms[static_cast<size_t>(i)]);
-        ++deployed;
       }
       placement_hash ^= static_cast<uint64_t>(node) +
                         static_cast<uint64_t>(i) * 31ull;
@@ -663,7 +639,6 @@ class Runner {
                           {"node", static_cast<double>(node)},
                           {"deploy_ms", st.deploy_ms[static_cast<size_t>(i)]}});
     }
-    result_.vms_created += deployed;
     int64_t jobs_started = 0;
     int64_t jobs_failed = 0;
     for (int n = 0; n < cspec.num_nodes; ++n) {
@@ -741,13 +716,12 @@ class Runner {
   PointFn point_fn_;
   lightvm::HostSpec host_spec_;
   lightvm::Mechanisms mechanisms_;
-  RunResult result_;
 };
 
 }  // namespace
 
-lv::Result<RunResult> Run(const Spec& spec, const RunOptions& options,
-                          std::ostream& out, PointFn point_fn) {
+lv::Status Run(const Spec& spec, const RunOptions& options, std::ostream& out,
+               PointFn point_fn) {
   return Runner(spec, options, out, std::move(point_fn)).Run();
 }
 

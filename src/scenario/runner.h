@@ -51,19 +51,13 @@ using PointFn = std::function<void(
     const std::string& series,
     const std::vector<std::pair<std::string, double>>& row)>;
 
-struct RunResult {
-  int64_t points = 0;       // data points recorded
-  int64_t vms_created = 0;  // successful VM/container/process creations
-  int64_t vms_destroyed = 0;
-};
-
 // Runs the scenario to completion. Table output goes to `out`; `point_fn`
 // may be null. A fleet-deploy run with faults reads its recovery ledger only
 // after every planned fault has fired and every lost VM is booked. Fails
 // (without exiting) when the workload cannot complete — a stalled fleet, a
 // create storm that deadlocks, a recovery that never drains — so callers
 // decide how loud to be.
-lv::Result<RunResult> Run(const Spec& spec, const RunOptions& options,
-                          std::ostream& out, PointFn point_fn = nullptr);
+lv::Status Run(const Spec& spec, const RunOptions& options, std::ostream& out,
+               PointFn point_fn = nullptr);
 
 }  // namespace scenario

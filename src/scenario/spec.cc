@@ -92,31 +92,6 @@ lv::Result<lv::Duration> WantTime(const std::string& context, const Member& m,
   return t;
 }
 
-// Reads a size given in units of `unit_bytes` (2^30 for `*_gib` keys, 2^20
-// for `*_mib`). Negative sizes, and sizes whose byte count is not finite or
-// does not fit in the int64_t of lv::Bytes, are errors.
-lv::Result<double> WantSize(const std::string& context, const Member& m, double unit_bytes) {
-  auto d = WantNumber(context, m);
-  if (!d.ok()) {
-    return d.error();
-  }
-  if (*d < 0.0) {
-    return BadField(context, m.first, "must be >= 0");
-  }
-  if (!(*d * unit_bytes < 0x1p63)) {
-    return BadField(context, m.first, "out of range");
-  }
-  return *d;
-}
-
-lv::Result<bool> WantBool(const std::string& context, const Member& m) {
-  if (!m.second.is_bool()) {
-    return BadField(context, m.first,
-                    lv::StrFormat("expected bool, got %s", m.second.TypeName()));
-  }
-  return m.second.AsBool();
-}
-
 lv::Status WantObject(const std::string& context, const Member& m) {
   if (!m.second.is_object()) {
     return BadField(context, m.first,
@@ -140,14 +115,6 @@ lv::Result<HostSpecConfig> ParseHost(const std::string& context, const Value& v)
   for (const Member& m : v.AsObject()) {
     if (m.first == "preset") {
       LV_SPEC_ASSIGN(host.preset, WantString(context, m));
-    } else if (m.first == "cores") {
-      LV_SPEC_ASSIGN(host.cores, WantInt<int>(context, m));
-    } else if (m.first == "dom0_cores") {
-      LV_SPEC_ASSIGN(host.dom0_cores, WantInt<int>(context, m));
-    } else if (m.first == "memory_gib") {
-      LV_SPEC_ASSIGN(host.memory_gib, WantSize(context, m, 0x1p30));
-    } else if (m.first == "dom0_memory_gib") {
-      LV_SPEC_ASSIGN(host.dom0_memory_gib, WantSize(context, m, 0x1p30));
     } else {
       return UnknownKey(context, m.first);
     }
@@ -171,19 +138,12 @@ lv::Result<TopologyConfig> ParseTopology(const Value& v) {
         return ok.error();
       }
       LV_SPEC_ASSIGN(topo.host, ParseHost("topology.host", m.second));
-    } else if (m.first == "link_gbps") {
-      LV_SPEC_ASSIGN(topo.link_gbps, WantNumber(context, m));
-    } else if (m.first == "link_rtt_us") {
-      LV_SPEC_ASSIGN(topo.link_rtt, WantTime(context, m, 1e3, /*positive=*/false));
     } else {
       return UnknownKey(context, m.first);
     }
   }
   if (topo.nodes < 1) {
     return BadField(context, "nodes", "must be >= 1");
-  }
-  if (topo.link_gbps <= 0.0) {
-    return BadField(context, "link_gbps", "must be > 0");
   }
   return topo;
 }
@@ -196,10 +156,6 @@ lv::Result<ShellPoolConfig> ParseShellPool(const Value& v) {
       LV_SPEC_ASSIGN(pool.image, WantString(context, m));
     } else if (m.first == "target") {
       LV_SPEC_ASSIGN(pool.target, WantInt<int>(context, m));
-    } else if (m.first == "wants_net") {
-      bool wants = false;
-      LV_SPEC_ASSIGN(wants, WantBool(context, m));
-      pool.wants_net = wants;
     } else {
       return UnknownKey(context, m.first);
     }
@@ -231,8 +187,6 @@ lv::Result<GuestGroupConfig> ParseGuestGroup(int index, const Value& v) {
       LV_SPEC_ASSIGN(group.runtime, WantString(context, m));
     } else if (m.first == "count") {
       LV_SPEC_ASSIGN(group.count, WantInt<int>(context, m));
-    } else if (m.first == "pad_to_mib") {
-      LV_SPEC_ASSIGN(group.pad_to_mib, WantSize(context, m, 0x1p20));
     } else if (m.first == "name_prefix") {
       LV_SPEC_ASSIGN(group.name_prefix, WantString(context, m));
     } else {
@@ -252,9 +206,6 @@ lv::Result<GuestGroupConfig> ParseGuestGroup(int index, const Value& v) {
   }
   if (group.count <= 0) {
     return BadField(context, "count", "must be > 0");
-  }
-  if (!group.runtime.empty() && group.pad_to_mib > 0.0) {
-    return BadField(context, "pad_to_mib", "only applies to VM images");
   }
   if (group.series.empty()) {
     group.series = group.image.empty() ? group.runtime : group.image;
@@ -448,8 +399,6 @@ lv::Result<WorkloadConfig> ParseWorkload(const Value& v) {
       LV_SPEC_ASSIGN(w.destroy_fraction, WantNumber(context, m));
     } else if (m.first == "vms" && fleet) {
       LV_SPEC_ASSIGN(w.vms, WantInt<int>(context, m));
-    } else if (m.first == "wait_boot" && fleet) {
-      LV_SPEC_ASSIGN(w.wait_boot, WantBool(context, m));
     } else if (m.first == "policies" && fleet) {
       if (!m.second.is_array()) {
         return BadField(context, m.first, "expected array of policy names");
@@ -574,22 +523,6 @@ lv::Result<lightvm::HostSpec> ResolveHostSpec(const HostSpecConfig& config) {
                    "unknown host preset '" + config.preset +
                        "' (want xeon4, amd64 or xeon14)");
   }
-  if (config.cores > 0) {
-    spec.cores = config.cores;
-  }
-  if (config.dom0_cores > 0) {
-    spec.dom0_cores = config.dom0_cores;
-  }
-  if (config.memory_gib > 0.0) {
-    spec.memory = lv::Bytes::MiBF(config.memory_gib * 1024.0);
-  }
-  if (config.dom0_memory_gib > 0.0) {
-    spec.dom0_memory = lv::Bytes::MiBF(config.dom0_memory_gib * 1024.0);
-  }
-  if (spec.dom0_cores >= spec.cores) {
-    return lv::Err(lv::ErrorCode::kInvalidArgument,
-                   "host: dom0_cores must be < cores");
-  }
   return spec;
 }
 
@@ -639,6 +572,7 @@ lv::Result<Spec> ParseSpec(std::string_view text) {
 
   Spec spec;
   bool saw_workload = false;
+  std::optional<HostSpecConfig> host;  // the top-level shorthand
   const std::string context = "scenario";
   for (const Member& m : doc->AsObject()) {
     if (m.first == "name") {
@@ -663,12 +597,12 @@ lv::Result<Spec> ParseSpec(std::string_view text) {
       }
       LV_SPEC_ASSIGN(spec.topology, ParseTopology(m.second));
     } else if (m.first == "host") {
-      // Shorthand for topology.host with nodes = 1.
+      // Shorthand for topology.host.
       auto ok = WantObject(context, m);
       if (!ok.ok()) {
         return ok.error();
       }
-      LV_SPEC_ASSIGN(spec.topology.host, ParseHost("host", m.second));
+      LV_SPEC_ASSIGN(host, ParseHost("host", m.second));
     } else if (m.first == "shell_pool") {
       auto ok = WantObject(context, m);
       if (!ok.ok()) {
@@ -728,6 +662,13 @@ lv::Result<Spec> ParseSpec(std::string_view text) {
   }
   if (!saw_workload) {
     return BadField(context, "workload", "required");
+  }
+  if (host.has_value()) {
+    const Value* topology = doc->Get("topology");
+    if (topology != nullptr && topology->Get("host") != nullptr) {
+      return BadField(context, "host", "set host or topology.host, not both");
+    }
+    spec.topology.host = *host;
   }
   if (spec.sample_points <= 0) {
     return BadField("output", "sample_points", "must be > 0");

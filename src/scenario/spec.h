@@ -35,23 +35,16 @@
 namespace scenario {
 
 // One machine. `preset` names the paper testbeds ("xeon4", "amd64",
-// "xeon14"); the remaining fields override individual preset values when
-// positive.
+// "xeon14").
 struct HostSpecConfig {
   std::string preset = "xeon4";
-  int cores = 0;
-  int dom0_cores = 0;
-  double memory_gib = 0.0;
-  double dom0_memory_gib = 0.0;
 };
 
 // How many machines, and what each looks like. nodes == 1 runs workloads on
-// a bare Host; nodes > 1 builds a cluster::Cluster with a migration fabric.
+// a bare Host; nodes > 1 builds a cluster::Cluster.
 struct TopologyConfig {
   int nodes = 1;
   HostSpecConfig host;
-  double link_gbps = 10.0;
-  lv::Duration link_rtt = lv::Duration::Micros(200);  // `link_rtt_us`
 };
 
 // Pre-created domain shells (split toolstack). `image` names the registry
@@ -59,7 +52,6 @@ struct TopologyConfig {
 struct ShellPoolConfig {
   std::string image;
   int target = 8;
-  std::optional<bool> wants_net;  // default: the image's own wants_net
 };
 
 // One entry of the guest mix for sequential-boots workloads: either a VM
@@ -69,7 +61,6 @@ struct GuestGroupConfig {
   std::string image;         // VM registry name ("daytime", "tinyx", ...)
   std::string runtime;       // "docker" | "process" (mutually exclusive)
   int count = 0;
-  double pad_to_mib = 0.0;   // pad the image to this size (Figure 2 method)
   std::string name_prefix;   // VM naming: <prefix><i>; default "<series>-"
 };
 
@@ -105,9 +96,8 @@ struct WorkloadConfig {
   int max_live = 0;              // force destroys once this many VMs run
   double destroy_fraction = 0.0; // probability an op is a destroy
 
-  // fleet-deploy
+  // fleet-deploy (every deploy waits for its guest to boot)
   int vms = 0;
-  bool wait_boot = true;
   std::vector<std::string> policies;  // placement policies to sweep
 };
 

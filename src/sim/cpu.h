@@ -123,7 +123,6 @@ struct ExecCtx {
   int node = 0;
 
   CpuScheduler::RunAwaiter Work(Duration d) const { return cpu->Run(core, d, owner); }
-  ExecCtx OnCore(int c) const { return ExecCtx{cpu, c, owner, track, job, op, op_root, node}; }
   ExecCtx As(CpuOwner o) const { return ExecCtx{cpu, core, o, track, job, op, op_root, node}; }
   ExecCtx OnTrack(trace::TrackId t) const {
     return ExecCtx{cpu, core, owner, t, job, op, op_root, node};
@@ -132,7 +131,6 @@ struct ExecCtx {
   ExecCtx WithOp(int64_t o, int64_t root) const {
     return ExecCtx{cpu, core, owner, track, job, o, root, node};
   }
-  ExecCtx OnNode(int n) const { return ExecCtx{cpu, core, owner, track, job, op, op_root, n}; }
 };
 
 // Round-robin core placement helper mirroring the paper's experimental setup

@@ -83,7 +83,6 @@ class Engine {
     void await_resume() const noexcept {}
   };
   SleepAwaiter Sleep(Duration d) { return SleepAwaiter{this, d}; }
-  SleepAwaiter Yield() { return SleepAwaiter{this, Duration()}; }
 
   // Processes every pending event (including ones scheduled along the way).
   void Run();

@@ -33,8 +33,6 @@ class KernelModel {
  public:
   KernelModel();
 
-  // The tinyconfig baseline size.
-  lv::Bytes baseline_size() const { return baseline_; }
   // Options forced on for a platform (PV front-ends etc.).
   std::vector<std::string> PlatformOptions(Platform platform) const;
   // The olddefconfig default-on option set tinyconfig inherits for a

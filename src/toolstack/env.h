@@ -30,9 +30,9 @@ struct HostEnv {
   xdev::HotplugRunner* bash_hotplug = nullptr;
   xdev::HotplugRunner* xendevd = nullptr;
   xnet::Switch* sw = nullptr;
-  // §9 extension: share read-only pages between VMs of the same flavor.
+  // §9 extension: share read-only pages (75% of each guest's memory) between
+  // VMs of the same flavor.
   bool page_sharing = false;
-  double page_sharing_fraction = 0.75;
   // Fault-injection hook state (owned by the Host; null only in stripped-down
   // test fixtures). Toolstack checkpoints consult it on every create.
   faults::FaultHooks* faults = nullptr;

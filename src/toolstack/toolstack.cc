@@ -6,6 +6,11 @@
 
 namespace toolstack {
 
+namespace {
+// Share of a guest's memory that page sharing maps from its flavor's pool.
+constexpr double kPageSharingFraction = 0.75;
+}  // namespace
+
 sim::Co<lv::Result<Reservation>> ReserveDomain(HostEnv& env, sim::ExecCtx ctx,
                                                lv::Bytes memory, int vcpus,
                                                bool share_pages) {
@@ -22,7 +27,7 @@ sim::Co<lv::Result<Reservation>> ReserveDomain(HostEnv& env, sim::ExecCtx ctx,
   if (share_pages) {
     std::string key = lv::StrFormat("flavor-%lld", (long long)memory.count());
     mem = co_await env.hv->PopulatePhysmapShared(ctx, reserved.domid, memory, key,
-                                                 env.page_sharing_fraction);
+                                                 kPageSharingFraction);
   } else {
     mem = co_await env.hv->PopulatePhysmap(ctx, reserved.domid, memory);
   }

@@ -5,7 +5,6 @@
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/metrics/metrics.h"
-#include "src/obs/obs.h"
 #include "src/trace/trace.h"
 
 namespace xs {
@@ -202,8 +201,7 @@ void Daemon::Submit(Request req) {
   queue_.Send(std::move(req));
 }
 
-ClientId Daemon::RegisterClient(hv::DomainId domid, sim::Channel<WatchEvent>* events) {
-  (void)domid;
+ClientId Daemon::RegisterClient(sim::Channel<WatchEvent>* events) {
   ClientId id = next_client_++;
   clients_.emplace(id, events);
   return id;
@@ -417,14 +415,6 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
       LV_UNREACHABLE();  // Handled in Run(), never dispatched here.
   }
 
-  // Quota rejections are worth a post-mortem breadcrumb: which domain hit
-  // its node budget, and on which verb.
-  if (resp.code == lv::ErrorCode::kQuotaExceeded) {
-    quota_rejects_.Inc();
-    obs::FlightRecorder::Get().Record(obs_node_, {}, "xenstore", "quota.reject",
-                                      false, static_cast<int64_t>(req.domid));
-  }
-
   // Deliver fired watches (one message + interrupt per event).
   if (!hits.empty()) {
     co_await ctx.Work(costs_.per_watch_fire * static_cast<double>(hits.size()));
@@ -440,7 +430,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
 
 XsClient::XsClient(sim::Engine* engine, Daemon* daemon, hv::DomainId domid)
     : engine_(engine), daemon_(daemon), domid_(domid), events_(engine) {
-  id_ = daemon_->RegisterClient(domid, &events_);
+  id_ = daemon_->RegisterClient(&events_);
 }
 
 XsClient::~XsClient() { daemon_->UnregisterClient(id_); }

@@ -74,7 +74,6 @@ class Daemon {
     int64_t rotations = 0;
     int64_t watch_events = 0;
     int64_t restarts = 0;
-    int64_t quota_rejects = 0;
   };
 
   Daemon(sim::Engine* engine, Costs costs = Costs());
@@ -95,7 +94,7 @@ class Daemon {
 
   // Registers a client; fired watches are pushed into `events` (owned by the
   // client, must outlive the registration).
-  ClientId RegisterClient(hv::DomainId domid, sim::Channel<WatchEvent>* events);
+  ClientId RegisterClient(sim::Channel<WatchEvent>* events);
   void UnregisterClient(ClientId id);
 
   // Enqueues a request (the client-side library is XsClient below). When the
@@ -109,12 +108,8 @@ class Daemon {
             .conflicts = conflicts_.value(),
             .rotations = rotations_.value(),
             .watch_events = watch_events_.value(),
-            .restarts = restarts_.value(),
-            .quota_rejects = quota_rejects_.value()};
+            .restarts = restarts_.value()};
   }
-  // Which node's flight-recorder ring daemon events (quota rejections) land
-  // in; single-host runs keep the default 0.
-  void set_obs_node(int node) { obs_node_ = node; }
   const Costs& costs() const { return costs_; }
   // Cost-model override hook for ablation studies.
   Costs* mutable_costs() { return &costs_; }
@@ -139,13 +134,11 @@ class Daemon {
   ClientId next_client_ = 1;
   int64_t log_lines_ = 0;
   bool running_ = false;
-  int obs_node_ = 0;
   metrics::Tally ops_{"xenstore.daemon.ops"};
   metrics::Tally conflicts_{"xenstore.daemon.tx_conflicts"};
   metrics::Tally rotations_{"xenstore.daemon.log_rotations"};
   metrics::Tally watch_events_{"xenstore.daemon.watch_events"};
   metrics::Tally restarts_{"xenstore.daemon.restarts"};
-  metrics::Tally quota_rejects_{"xenstore.daemon.quota_rejects"};
   // Owner-held loop frame (own-and-drain teardown, see Stop()). Declared last
   // so the frame dies before any member it references.
   sim::Co<void> loop_;

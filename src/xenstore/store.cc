@@ -82,7 +82,6 @@ void Store::IndexName(std::string_view value, int64_t delta) {
 
 void Store::RegisterNode(std::string_view canon, const Node* node) {
   ++node_count_;
-  ++owner_nodes_[node->owner];
   if (IsDomainNamePath(canon)) {
     IndexName(node->value, +1);
   }
@@ -97,10 +96,6 @@ void Store::UnregisterSubtree(std::string& path, const Node* node) {
     path.resize(len);
   }
   --node_count_;
-  auto it = owner_nodes_.find(node->owner);
-  if (it != owner_nodes_.end() && --it->second <= 0) {
-    owner_nodes_.erase(it);
-  }
   if (IsDomainNamePath(path)) {
     IndexName(node->value, -1);
   }
@@ -112,11 +107,6 @@ void Store::SetNodeValue(std::string_view canon, Node* node, const std::string& 
     IndexName(value, +1);
   }
   node->value = value;
-}
-
-int64_t Store::owner_nodes(hv::DomainId domid) const {
-  auto it = owner_nodes_.find(domid);
-  return it == owner_nodes_.end() ? 0 : it->second;
 }
 
 // --- Tree access -------------------------------------------------------------
@@ -146,16 +136,14 @@ Store::Node* Store::Lookup(std::string_view canon) {
   return node;
 }
 
-Store::Node* Store::Create(std::string_view canon, hv::DomainId owner, bool* created) {
+Store::Node* Store::Create(std::string_view canon, bool* created) {
   *created = false;
   Node* node = &root_;
   for (size_t pos = 0; pos < canon.size();) {
     std::string_view seg = NextSegment(canon, pos);
     auto it = node->children.lower_bound(seg);
     if (it == node->children.end() || it->first != seg) {
-      auto child = std::make_unique<Node>();
-      child->owner = owner;
-      it = node->children.emplace_hint(it, std::string(seg), std::move(child));
+      it = node->children.emplace_hint(it, std::string(seg), std::make_unique<Node>());
       RegisterNode(canon.substr(0, pos - 1), it->second.get());
       *created = true;
     }
@@ -227,71 +215,6 @@ void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) 
   }
 }
 
-// --- Quota enforcement -------------------------------------------------------
-
-int64_t Store::CountMissingNodes(const std::string& canon,
-                                 std::map<std::string, bool>* virtual_nodes) const {
-  const Node* node = &root_;
-  int64_t missing = 0;
-  for (size_t pos = 0; pos < canon.size();) {
-    std::string_view seg = NextSegment(canon, pos);
-    if (node != nullptr) {
-      auto it = node->children.find(seg);
-      if (it != node->children.end()) {
-        node = it->second.get();
-        continue;
-      }
-      node = nullptr;
-    }
-    if (virtual_nodes == nullptr ||
-        virtual_nodes->emplace(canon.substr(0, pos - 1), true).second) {
-      ++missing;
-    }
-  }
-  return missing;
-}
-
-lv::Status Store::CheckQuota(hv::DomainId owner, int64_t new_nodes) const {
-  if (node_quota_ <= 0 || owner == hv::kDom0 || new_nodes == 0) {
-    return lv::Status::Ok();
-  }
-  int64_t current = owner_nodes(owner);
-  if (current + new_nodes > node_quota_) {
-    return lv::Err(lv::ErrorCode::kQuotaExceeded,
-                   lv::StrFormat("dom%lld node quota exceeded (%lld owned + %lld new > %lld)",
-                                 (long long)owner, (long long)current,
-                                 (long long)new_nodes, (long long)node_quota_));
-  }
-  return lv::Status::Ok();
-}
-
-lv::Status Store::PrecheckTxnQuota(const Txn& t) const {
-  if (node_quota_ <= 0) {
-    return lv::Status::Ok();
-  }
-  // Dry-run: count the nodes each buffered write would create given the tree
-  // plus everything earlier writes in this transaction imply. Removals are
-  // not credited back (conservative: a txn must fit its peak footprint).
-  std::map<hv::DomainId, int64_t> pending;
-  std::map<std::string, bool> virtual_nodes;
-  for (const TxnWrite& w : t.writes) {
-    if (!w.value.has_value()) {
-      continue;
-    }
-    int64_t missing = CountMissingNodes(w.path, &virtual_nodes);
-    if (missing > 0 && w.owner != hv::kDom0) {
-      pending[w.owner] += missing;
-    }
-  }
-  for (const auto& [owner, n] : pending) {
-    lv::Status quota = CheckQuota(owner, n);
-    if (!quota.ok()) {
-      return quota;
-    }
-  }
-  return lv::Status::Ok();
-}
-
 // --- Core operations ---------------------------------------------------------
 
 lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
@@ -337,10 +260,10 @@ lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
 }
 
 lv::Status Store::ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
-                             hv::DomainId owner, std::vector<WatchHit>* hits) {
+                             std::vector<WatchHit>* hits) {
   if (value.has_value()) {
     bool created = false;
-    Node* node = Create(canon, owner, &created);
+    Node* node = Create(canon, &created);
     // Legacy walks every segment; indexed probes the path once and walks
     // only to create it.
     int64_t segments = SegmentCount(canon);
@@ -391,17 +314,11 @@ lv::Status Store::Write(const std::string& path, const std::string& value,
     if (it == txns_.end()) {
       return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
     }
-    it->second.writes.push_back(TxnWrite{canon, value, owner});
+    it->second.writes.push_back(TxnWrite{canon, value});
     effort_.value_bytes += static_cast<int64_t>(value.size());
     return lv::Status::Ok();
   }
-  if (node_quota_ > 0 && owner != hv::kDom0) {
-    lv::Status quota = CheckQuota(owner, CountMissingNodes(canon, nullptr));
-    if (!quota.ok()) {
-      return quota;
-    }
-  }
-  return ApplyWrite(canon, value, owner, hits);
+  return ApplyWrite(canon, value, hits);
 }
 
 lv::Status Store::Rm(const std::string& path, TxnId txn, std::vector<WatchHit>* hits,
@@ -418,10 +335,10 @@ lv::Status Store::Rm(const std::string& path, TxnId txn, std::vector<WatchHit>* 
     if (it == txns_.end()) {
       return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
     }
-    it->second.writes.push_back(TxnWrite{canon, std::nullopt, requester});
+    it->second.writes.push_back(TxnWrite{canon, std::nullopt});
     return lv::Status::Ok();
   }
-  return ApplyWrite(canon, std::nullopt, hv::kDom0, hits);
+  return ApplyWrite(canon, std::nullopt, hits);
 }
 
 lv::Result<std::vector<std::string>> Store::Directory(const std::string& path, TxnId txn) {
@@ -503,12 +420,6 @@ lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
       return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
     }
   }
-  // Quota pre-pass before anything is applied: a rejected commit leaves the
-  // store untouched (clean rollback) and the transaction discarded.
-  lv::Status quota = PrecheckTxnQuota(t);
-  if (!quota.ok()) {
-    return quota;
-  }
   // Batched commit (indexed, pure-write transactions): a path written more
   // than once mutates the tree only at its last occurrence; shadowed writes
   // still bump the generation and fire watches in buffered order, so the
@@ -529,20 +440,20 @@ lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
       // A shadowed write to an *existing* node only sets a value the last
       // write overwrites anyway: keep its generation bump and watch hits,
       // skip the tree walk and value copy. Writes that create nodes are
-      // never skipped, so creation (and its owner attribution) happens at
-      // exactly the same write as the unbatched apply.
+      // never skipped, so creation happens at exactly the same write as the
+      // unbatched apply.
       if (last[w.path] != i && !w.path.empty() && Find(w.path) != nullptr) {
         BumpGen(w.path);
         MatchWatches(w.path, hits);
         continue;
       }
-      (void)ApplyWrite(w.path, w.value, w.owner, hits);
+      (void)ApplyWrite(w.path, w.value, hits);
     }
   } else {
     for (const TxnWrite& w : t.writes) {
       // Removal of a non-existent path inside a txn is tolerated (mirrors
       // xenstore rm semantics when the whole subtree was created in-txn).
-      (void)ApplyWrite(w.path, w.value, w.owner, hits);
+      (void)ApplyWrite(w.path, w.value, hits);
     }
   }
   return lv::Status::Ok();

@@ -1,5 +1,5 @@
-// The XenStore data model: a hierarchical key-value tree with per-node
-// ownership, optimistic transactions, and prefix watches.
+// The XenStore data model: a hierarchical key-value tree with per-domain
+// write permissions, optimistic transactions, and prefix watches.
 //
 // This class is pure data structure — no simulated time. Every operation
 // reports effort counters (nodes visited, watches checked, names compared,
@@ -114,9 +114,7 @@ class Store {
 
   TxnId TxBegin();
   // abort=true discards. On success, buffered writes are applied atomically
-  // and their watch hits appended to `hits`. Under quotas a commit that would
-  // exceed a domain's node budget fails with QUOTA_EXCEEDED *before* applying
-  // anything — the store is untouched and the transaction discarded.
+  // and their watch hits appended to `hits`.
   lv::Status TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits);
   int64_t open_txns() const { return static_cast<int64_t>(txns_.size()); }
 
@@ -145,15 +143,6 @@ class Store {
   // indexed charges one probe of the name index.
   lv::Status CheckUniqueName(const std::string& name);
 
-  // --- Quotas ----------------------------------------------------------------
-  // Per-domain node budget, enforced on node creation for guest-owned writes
-  // (Dom0 is exempt, as in real xenstored's quota knobs). 0 disables
-  // enforcement (the default; existing benches and figures are unaffected).
-  void set_node_quota(int64_t max_nodes_per_domain) { node_quota_ = max_nodes_per_domain; }
-  int64_t node_quota() const { return node_quota_; }
-  // Nodes currently owned by `domid` (quota accounting view).
-  int64_t owner_nodes(hv::DomainId domid) const;
-
   // Total nodes in the tree, excluding the root. Maintained incrementally.
   int64_t num_nodes() const { return node_count_; }
 
@@ -170,24 +159,19 @@ class Store {
 
   struct Node {
     std::string value;
-    hv::DomainId owner = hv::kDom0;
     std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   };
 
-  // One buffered transaction mutation; nullopt value = removal. The owner is
-  // recorded per write so quota accounting at commit charges the domain that
-  // issued the write, not the committer.
+  // One buffered transaction mutation; nullopt value = removal.
   struct TxnWrite {
     std::string path;
     std::optional<std::string> value;
-    hv::DomainId owner = hv::kDom0;
   };
 
   struct Txn {
     uint64_t start_gen = 0;
     std::vector<TxnWrite> writes;  // buffered mutations in order
     std::vector<std::string> reads;
-    hv::DomainId owner = hv::kDom0;
   };
 
   struct Watch {
@@ -215,7 +199,7 @@ class Store {
   Node* Lookup(std::string_view canon);
   // Finds or creates `canon`, creating missing ancestors with empty values.
   // Sets *created when `canon` itself did not exist.
-  Node* Create(std::string_view canon, hv::DomainId owner, bool* created);
+  Node* Create(std::string_view canon, bool* created);
   void BumpGen(std::string_view canon);
   void RecordGen(std::string_view path);
   uint64_t PathGen(std::string_view canon) const;
@@ -223,14 +207,14 @@ class Store {
   // registration order, and charges the match per policy.
   void MatchWatches(const std::string& canon, std::vector<WatchHit>* hits);
   lv::Status ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
-                        hv::DomainId owner, std::vector<WatchHit>* hits);
-  // Conflict check, quota pre-pass and apply of a closed transaction.
+                        std::vector<WatchHit>* hits);
+  // Conflict check and apply of a closed transaction.
   lv::Status Commit(const Txn& t, std::vector<WatchHit>* hits);
   // Drops `w` from its path's bucket and from the registry.
   void DropWatch(WatchRef w);
 
   // --- Bookkeeping (never touches effort counters or the generation) --------
-  // Counts a freshly created node in the node/owner counts and, for
+  // Counts a freshly created node in the node count and, for
   // local/domain/<id>/name paths, the name index.
   void RegisterNode(std::string_view canon, const Node* node);
   // Uncounts `node` and its whole subtree ahead of removal; `path` is the
@@ -240,17 +224,6 @@ class Store {
   void SetNodeValue(std::string_view canon, Node* node, const std::string& value);
   static bool IsDomainNamePath(std::string_view canon);
   void IndexName(std::string_view value, int64_t delta);
-
-  // --- Quota enforcement -----------------------------------------------------
-  // Nodes a write to `canon` would create, given the current tree plus the
-  // paths in `virtual_nodes` (commit pre-pass); newly implied ancestors are
-  // added to `virtual_nodes` when non-null.
-  int64_t CountMissingNodes(const std::string& canon,
-                            std::map<std::string, bool>* virtual_nodes) const;
-  lv::Status CheckQuota(hv::DomainId owner, int64_t new_nodes) const;
-  // Dry-runs every buffered write's node creations against the quota before
-  // a commit applies anything, so rejection leaves the store untouched.
-  lv::Status PrecheckTxnQuota(const Txn& t) const;
 
   StorePolicy policy_;
   Node root_;
@@ -280,10 +253,6 @@ class Store {
   // Refcounts the values of local/domain/<id>/name nodes.
   StringMap<int64_t> name_index_;
   int64_t node_count_ = 0;
-  // Deterministic iteration order matters: quota pre-pass failure messages
-  // must not depend on hash-map ordering.
-  std::map<hv::DomainId, int64_t> owner_nodes_;
-  int64_t node_quota_ = 0;  // 0 = unlimited
 };
 
 }  // namespace xs

@@ -500,7 +500,6 @@ std::map<std::string, int64_t> PerObjectCounts(Cluster& cl) {
     sum["xenstore.daemon.log_rotations"] += xs.rotations;
     sum["xenstore.daemon.watch_events"] += xs.watch_events;
     sum["xenstore.daemon.restarts"] += xs.restarts;
-    sum["xenstore.daemon.quota_rejects"] += xs.quota_rejects;
     const xnet::Switch::Stats sw = host.network_switch().stats();
     sum["net.switch.forwarded"] += sw.forwarded;
     sum["net.switch.broadcasts"] += sw.broadcasts;
@@ -529,7 +528,7 @@ std::map<std::string, int64_t> PerObjectCounts(Cluster& cl) {
 // run at zero, as every object did) and collects the facts the run moved.
 void ExpectOneSinkPerFact(Cluster& cl, const char* run, std::set<std::string>* moved) {
   std::map<std::string, int64_t> sums = PerObjectCounts(cl);
-  ASSERT_EQ(sums.size(), 27u);
+  ASSERT_EQ(sums.size(), 26u);
   for (const auto& [name, sum] : sums) {
     const metrics::Counter* counter = metrics::Registry::Get().FindCounter(name);
     EXPECT_EQ(counter == nullptr ? 0.0 : counter->value(), static_cast<double>(sum))
@@ -563,8 +562,8 @@ int64_t DeployFleet(sim::Engine& engine, Cluster& cl, int vms) {
 }
 
 // Moves the store and switch counts a deploy run leaves at zero: one
-// transaction conflict, one quota rejection and one packet of each switch
-// outcome, all on an idle node.
+// transaction conflict and one packet of each switch outcome, all on an idle
+// node.
 sim::Co<void> MoveStoreAndSwitchCounts(lightvm::Host& host) {
   const sim::ExecCtx ctx = host.Dom0Ctx();
   xs::Daemon* store = host.store();
@@ -576,14 +575,6 @@ sim::Co<void> MoveStoreAndSwitchCounts(lightvm::Host& host) {
   LV_CHECK((co_await dom0.Write(ctx, "/probe", "b", *second)).ok());
   LV_CHECK((co_await dom0.TxCommit(ctx, *first)).ok());
   LV_CHECK((co_await dom0.TxCommit(ctx, *second)).code() == lv::ErrorCode::kConflict);
-
-  LV_CHECK((co_await dom0.Write(ctx, "/local/domain/900", "")).ok());
-  store->store().set_node_quota(1);
-  xs::XsClient guest(&host.engine(), store, 900);
-  LV_CHECK((co_await guest.Write(ctx, "/local/domain/900/a", "1")).ok());
-  LV_CHECK((co_await guest.Write(ctx, "/local/domain/900/b", "2")).code() ==
-           lv::ErrorCode::kQuotaExceeded);
-  store->store().set_node_quota(0);
 
   xnet::Switch& sw = host.network_switch();
   LV_CHECK(sw.AddPort("probe", [](const xnet::Packet&) {}).ok());
@@ -658,7 +649,7 @@ TEST_F(ClusterTest, PerObjectCountsSumToTheirRegistryCounters) {
     ExpectOneSinkPerFact(cl, "lightvm", &moved);
   }
   // Every fact moved except the two failure counts a healthy run keeps at 0.
-  EXPECT_EQ(moved.size(), 25u);
+  EXPECT_EQ(moved.size(), 24u);
   EXPECT_FALSE(moved.contains("cluster.invariant_failures"));
   EXPECT_FALSE(moved.contains("cluster.vms_unrecovered"));
 }

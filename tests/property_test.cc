@@ -366,12 +366,11 @@ INSTANTIATE_TEST_SUITE_P(
 // The indexed fast path (StorePolicy::kIndexed, src/xenstore/policy.h) must
 // be observably equivalent to the faithful legacy store: identical values,
 // error codes AND messages, watch-hit sets in identical order, identical
-// node/watch/txn counts, generation counter and per-domain quota accounting
-// after every single operation. This sweep drives both policies through the
-// same seeded random operation sequence — writes, removals, reads,
-// directory listings, transaction begin/commit/abort, watch register/
-// unregister/replay, unique-name admission checks and (on a third of the
-// seeds) node-quota enforcement — serializing every observable into a
+// node/watch/txn counts and generation counter after every single
+// operation. This sweep drives both policies through the same seeded random
+// operation sequence — writes, removals, reads, directory listings,
+// transaction begin/commit/abort, watch register/unregister/replay and
+// unique-name admission checks — serializing every observable into a
 // transcript line per op, and requires the transcripts to match byte for
 // byte. Running each policy twice additionally pins same-seed determinism.
 
@@ -602,9 +601,6 @@ std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool effo
     out += lv::StrFormat(" | n=%lld w=%lld t=%lld g=%llu", (long long)store.num_nodes(),
                          (long long)store.num_watches(), (long long)store.open_txns(),
                          (unsigned long long)store.generation());
-    for (int d = 0; d <= 4; ++d) {
-      out += lv::StrFormat(" o%d=%lld", d, (long long)store.owner_nodes(d));
-    }
     if (efforts) {
       const xs::OpEffort& e = store.last_effort();
       out += lv::StrFormat(" | nodes=%lld checks=%lld fired=%lld children=%lld names=%lld "
@@ -618,10 +614,8 @@ std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool effo
   return out;
 }
 
-std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& ops,
-                          int64_t quota) {
+std::string ApplyStoreOps(xs::StorePolicy policy, const std::vector<StoreOp>& ops) {
   xs::Store store(policy);
-  store.set_node_quota(quota);
   return Transcript(store, ops, /*efforts=*/false);
 }
 
@@ -655,17 +649,13 @@ class StorePolicyDifferentialTest : public ::testing::TestWithParam<int> {};
 TEST_P(StorePolicyDifferentialTest, LegacyAndIndexedTranscriptsMatch) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   std::vector<StoreOp> ops = GenStoreOps(seed, 300);
-  // A third of the seeds run with a tight per-domain node quota so the
-  // QUOTA_EXCEEDED surface (including the commit pre-pass) is differential
-  // too.
-  int64_t quota = (seed % 3 == 0) ? 12 : 0;
-  std::string legacy = ApplyStoreOps(xs::StorePolicy::kLegacy, ops, quota);
-  std::string indexed = ApplyStoreOps(xs::StorePolicy::kIndexed, ops, quota);
+  std::string legacy = ApplyStoreOps(xs::StorePolicy::kLegacy, ops);
+  std::string indexed = ApplyStoreOps(xs::StorePolicy::kIndexed, ops);
   ExpectTranscriptsEqual(legacy, indexed, "legacy vs indexed");
   // Same-seed determinism, per policy: a second run must be byte-identical.
-  ExpectTranscriptsEqual(legacy, ApplyStoreOps(xs::StorePolicy::kLegacy, ops, quota),
+  ExpectTranscriptsEqual(legacy, ApplyStoreOps(xs::StorePolicy::kLegacy, ops),
                          "legacy determinism");
-  ExpectTranscriptsEqual(indexed, ApplyStoreOps(xs::StorePolicy::kIndexed, ops, quota),
+  ExpectTranscriptsEqual(indexed, ApplyStoreOps(xs::StorePolicy::kIndexed, ops),
                          "indexed determinism");
 }
 
@@ -687,12 +677,9 @@ class StoreEffortOracleTest : public ::testing::TestWithParam<int> {};
 TEST_P(StoreEffortOracleTest, ChargesMatchTheScanningReference) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   std::vector<StoreOp> ops = GenStoreOps(seed, 300);
-  int64_t quota = (seed % 3 == 0) ? 12 : 0;
   for (xs::StorePolicy policy : {xs::StorePolicy::kLegacy, xs::StorePolicy::kIndexed}) {
     xs::Store store(policy);
-    store.set_node_quota(quota);
     xs_test::ScanStore reference(policy);
-    reference.set_node_quota(quota);
     ExpectTranscriptsEqual(Transcript(reference, ops, /*efforts=*/true),
                            Transcript(store, ops, /*efforts=*/true),
                            xs::StorePolicyName(policy));

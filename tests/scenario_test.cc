@@ -66,16 +66,11 @@ TEST(Spec, RoundTripAllFields) {
   auto spec = scenario::ParseSpec(R"({
     "name": "t", "title": "a title", "seed": 7,
     "mechanisms": "lightvm",
-    "topology": {
-      "nodes": 4,
-      "host": { "preset": "amd64", "cores": 48, "memory_gib": 256 },
-      "link_gbps": 25, "link_rtt_us": 100
-    },
-    "shell_pool": { "image": "daytime", "target": 12, "wants_net": false },
+    "topology": { "nodes": 4, "host": { "preset": "amd64" } },
+    "shell_pool": { "image": "daytime", "target": 12 },
     "workload": {
       "kind": "fleet-deploy", "image": "daytime", "vms": 100,
-      "concurrency": 4, "wait_boot": false,
-      "policies": ["first-fit", "least-loaded"]
+      "concurrency": 4, "policies": ["first-fit", "least-loaded"]
     },
     "output": { "sample_points": 9 }
   })");
@@ -85,17 +80,12 @@ TEST(Spec, RoundTripAllFields) {
   EXPECT_EQ(spec->seed, 7u);
   EXPECT_EQ(spec->topology.nodes, 4);
   EXPECT_EQ(spec->topology.host.preset, "amd64");
-  EXPECT_EQ(spec->topology.host.cores, 48);
-  EXPECT_DOUBLE_EQ(spec->topology.host.memory_gib, 256.0);
-  EXPECT_DOUBLE_EQ(spec->topology.link_gbps, 25.0);
   ASSERT_TRUE(spec->shell_pool.has_value());
   EXPECT_EQ(spec->shell_pool->image, "daytime");
   EXPECT_EQ(spec->shell_pool->target, 12);
-  EXPECT_EQ(spec->shell_pool->wants_net, std::optional<bool>(false));
   EXPECT_EQ(spec->workload.kind, scenario::WorkloadKind::kFleetDeploy);
   EXPECT_EQ(spec->workload.vms, 100);
   EXPECT_EQ(spec->workload.concurrency, 4);
-  EXPECT_FALSE(spec->workload.wait_boot);
   EXPECT_EQ(spec->workload.policies,
             (std::vector<std::string>{"first-fit", "least-loaded"}));
   EXPECT_EQ(spec->sample_points, 9);
@@ -153,6 +143,28 @@ TEST(Spec, UnknownNestedKeyRejected) {
   ASSERT_FALSE(stale.ok());
   EXPECT_NE(stale.error().ToString().find("key 'shards'"), std::string::npos)
       << stale.error().ToString();
+
+  // So is each key older specs could carry to override a preset's cores,
+  // the link, a pool's network appetite or a deploy's boot wait (the size
+  // keys are in NumbersOutOfRangeRejected).
+  const std::string boots = R"("workload": { "kind": "sequential-boots",
+                               "guests": [ { "image": "daytime", "count": 1 } ] })";
+  const std::string fleet = R"("workload": { "kind": "fleet-deploy", "vms": 4 })";
+  const std::pair<std::string, std::string> removed[] = {
+      {"cores", R"("host": { "cores": 8 }, )" + boots},
+      {"dom0_cores", R"("host": { "dom0_cores": 2 }, )" + boots},
+      {"link_gbps", R"("topology": { "nodes": 2, "link_gbps": 1 }, )" + fleet},
+      {"link_rtt_us", R"("topology": { "nodes": 2, "link_rtt_us": 5000 }, )" + fleet},
+      {"wants_net", R"("shell_pool": { "image": "daytime", "wants_net": false }, )" + boots},
+      {"wait_boot", R"("topology": { "nodes": 2 }, "workload": {
+                         "kind": "fleet-deploy", "vms": 4, "wait_boot": false })"},
+  };
+  for (const auto& [key, body] : removed) {
+    auto spec = scenario::ParseSpec(R"({"name": "t", )" + body + "}");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_NE(spec.error().ToString().find("key '" + key + "'"), std::string::npos)
+        << spec.error().ToString();
+  }
 }
 
 TEST(Spec, ShellPoolRequiresSplitToolstack) {
@@ -180,6 +192,28 @@ TEST(Spec, MultiNodeOnlyForFleetDeploy) {
                   "policies": ["first-fit"] }
   })");
   EXPECT_FALSE(fleet.ok());  // fleet-deploy on a single node
+
+  // A host named twice, once per spelling, runs on neither.
+  auto twice = scenario::ParseSpec(R"({
+    "name": "t", "topology": { "nodes": 2, "host": { "preset": "amd64" } },
+    "host": { "preset": "xeon4" },
+    "workload": { "kind": "fleet-deploy", "vms": 4 }
+  })");
+  ASSERT_FALSE(twice.ok());
+  EXPECT_NE(twice.error().ToString().find("topology.host, not both"), std::string::npos)
+      << twice.error().ToString();
+}
+
+// The `host` shorthand names the host whichever side of `topology` it is
+// written on.
+TEST(Spec, HostShorthandSurvivesALaterTopology) {
+  auto spec = scenario::ParseSpec(R"({
+    "name": "t", "host": { "preset": "amd64" }, "topology": { "nodes": 2 },
+    "workload": { "kind": "fleet-deploy", "vms": 4 }
+  })");
+  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
+  EXPECT_EQ(spec->topology.host.preset, "amd64");
+  EXPECT_EQ(spec->topology.nodes, 2);
 }
 
 TEST(Spec, UnknownNamesRejected) {
@@ -234,9 +268,8 @@ TEST(Spec, NumbersOutOfRangeRejected) {
   expect_rejected(fleet(R"({"events": [{"at_ms": 1e300, "kind": "node-crash", "node": 1}]})"),
                   "at_ms: out of range");
 
-  // Sizes whose byte count lv::Bytes cannot hold (1e400 parses as
-  // infinity; 2^33 GiB is 2^63 bytes), and negative sizes, which used to
-  // fall back to the preset or to an unpadded image.
+  // The host is a preset and an image is used as registered, so a size key
+  // is unknown whatever its value.
   auto host = [](const std::string& field) {
     return R"({"name": "t", "topology": { "nodes": 2, "host": { )" + field +
            R"( } }, "workload": { "kind": "fleet-deploy", "vms": 4 } })";
@@ -246,17 +279,17 @@ TEST(Spec, NumbersOutOfRangeRejected) {
                "guests": [ { "image": "daytime", "count": 1, "pad_to_mib": )" +
            mib + " } ] } }";
   };
-  expect_rejected(host(R"("memory_gib": 1e300)"), "memory_gib: out of range");
-  expect_rejected(host(R"("memory_gib": 1e400)"), "memory_gib: out of range");
-  expect_rejected(host(R"("memory_gib": 8589934592)"), "memory_gib: out of range");
-  expect_rejected(host(R"("memory_gib": -4)"), "memory_gib: must be >= 0");
-  expect_rejected(host(R"("dom0_memory_gib": 1e300)"), "dom0_memory_gib: out of range");
-  expect_rejected(host(R"("dom0_memory_gib": -1)"), "dom0_memory_gib: must be >= 0");
-  expect_rejected(padded("1e300"), "pad_to_mib: out of range");
-  expect_rejected(padded("1e400"), "pad_to_mib: out of range");
-  expect_rejected(padded("-1"), "pad_to_mib: must be >= 0");
-  ASSERT_TRUE(scenario::ParseSpec(host(R"("memory_gib": 8589934591)")).ok());
-  ASSERT_TRUE(scenario::ParseSpec(padded("16")).ok());
+  expect_rejected(host(R"("memory_gib": 1e300)"), "unknown key 'memory_gib'");
+  expect_rejected(host(R"("memory_gib": 1e400)"), "unknown key 'memory_gib'");
+  expect_rejected(host(R"("memory_gib": 8589934592)"), "unknown key 'memory_gib'");
+  expect_rejected(host(R"("memory_gib": -4)"), "unknown key 'memory_gib'");
+  expect_rejected(host(R"("memory_gib": 8589934591)"), "unknown key 'memory_gib'");
+  expect_rejected(host(R"("dom0_memory_gib": 1e300)"), "unknown key 'dom0_memory_gib'");
+  expect_rejected(host(R"("dom0_memory_gib": -1)"), "unknown key 'dom0_memory_gib'");
+  expect_rejected(padded("1e300"), "unknown key 'pad_to_mib'");
+  expect_rejected(padded("1e400"), "unknown key 'pad_to_mib'");
+  expect_rejected(padded("-1"), "unknown key 'pad_to_mib'");
+  expect_rejected(padded("16"), "unknown key 'pad_to_mib'");
 
   // An explicit random-plan seed of 0 is a seed, not "use the spec seed".
   auto zero = scenario::ParseSpec(

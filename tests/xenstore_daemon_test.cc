@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "src/base/strings.h"
-#include "src/obs/obs.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/xenstore/daemon.h"
@@ -218,60 +217,6 @@ TEST_F(DaemonTest, RmAndReadMissing) {
   EXPECT_TRUE(RunCo(client_->Write(Ctx(), "/gone", "x")).ok());
   EXPECT_TRUE(RunCo(client_->Rm(Ctx(), "/gone")).ok());
   EXPECT_EQ(RunCo(client_->Read(Ctx(), "/gone")).code(), ErrorCode::kNotFound);
-}
-
-// --- Per-domain node quotas ---------------------------------------------------
-
-TEST_F(DaemonTest, QuotaRejectionSurfacesTypedErrorAndStats) {
-  obs::FlightRecorder::Get().Reset();
-  StartDaemon();
-  daemon_->store().set_node_quota(2);
-  ASSERT_TRUE(RunCo(client_->Write(Ctx(), "/local/domain/9", "")).ok());
-  auto guest = std::make_unique<XsClient>(&engine_, daemon_.get(), 9);
-  // dom9 may create two nodes; the third is over budget.
-  EXPECT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/9/a", "1")).ok());
-  EXPECT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/9/b", "2")).ok());
-  lv::Status over = RunCo(guest->Write(Ctx(), "/local/domain/9/c", "3"));
-  EXPECT_EQ(over.code(), ErrorCode::kQuotaExceeded);
-  EXPECT_FALSE(RunCo(guest->Read(Ctx(), "/local/domain/9/c")).ok());
-  EXPECT_EQ(daemon_->stats().quota_rejects, 1);
-  // The rejection lands in the flight recorder: layer "xenstore", verb
-  // "quota.reject", arg = the offending domid.
-  bool recorded = false;
-  for (const obs::FlightEvent& e : obs::FlightRecorder::Get().NodeEvents(0)) {
-    if (std::string(e.layer) == "xenstore" && std::string(e.verb) == "quota.reject") {
-      EXPECT_FALSE(e.ok);
-      EXPECT_EQ(e.arg, 9);
-      recorded = true;
-    }
-  }
-  EXPECT_TRUE(recorded);
-  // Dom0 is exempt: the same write through the Dom0 client is admitted.
-  EXPECT_TRUE(RunCo(client_->Write(Ctx(), "/local/domain/9/c", "3")).ok());
-  guest.reset();
-}
-
-TEST_F(DaemonTest, QuotaRejectsMidTransactionAndRollsBackCleanly) {
-  StartDaemon();
-  daemon_->store().set_node_quota(2);
-  ASSERT_TRUE(RunCo(client_->Write(Ctx(), "/local/domain/4", "")).ok());
-  auto guest = std::make_unique<XsClient>(&engine_, daemon_.get(), 4);
-  int64_t nodes_before = daemon_->store().num_nodes();
-  TxnId txn = *RunCo(guest->TxBegin(Ctx()));
-  ASSERT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/4/a", "1", txn)).ok());
-  ASSERT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/4/b", "2", txn)).ok());
-  ASSERT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/4/c", "3", txn)).ok());
-  // The commit pre-pass rejects the whole batch before applying anything.
-  lv::Status commit = RunCo(guest->TxCommit(Ctx(), txn));
-  EXPECT_EQ(commit.code(), ErrorCode::kQuotaExceeded);
-  EXPECT_EQ(daemon_->store().num_nodes(), nodes_before);
-  EXPECT_FALSE(RunCo(guest->Read(Ctx(), "/local/domain/4/a")).ok());
-  EXPECT_EQ(daemon_->store().open_txns(), 0);
-  EXPECT_EQ(daemon_->store().owner_nodes(4), 0);
-  EXPECT_EQ(daemon_->stats().quota_rejects, 1);
-  // The guest can retry within budget.
-  EXPECT_TRUE(RunCo(guest->Write(Ctx(), "/local/domain/4/a", "1")).ok());
-  guest.reset();
 }
 
 TEST_F(DaemonTest, UnregisteredClientWatchesDropped) {

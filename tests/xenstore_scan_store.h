@@ -4,8 +4,8 @@
 // (the watch registry size, the local/domain child count). This store does
 // the work those counts stand for, the way oxenstored does: every mutation
 // checks every registered watch, the unique-name check compares every
-// guest's name, watch removal sweeps the whole registration list, and node
-// and owner counts come from walking the tree. It keeps every generation it
+// guest's name, watch removal sweeps the whole registration list, and the
+// node count comes from walking the tree. It keeps every generation it
 // ever recorded. A read inside a transaction replays the transaction's
 // buffered mutations onto a copy of the tree. It charges both policies'
 // effort schedules, so tests/property_test.cc can compare every OpEffort
@@ -33,14 +33,10 @@ class ScanStore {
   explicit ScanStore(xs::StorePolicy policy) : policy_(policy) {}
 
   const xs::OpEffort& last_effort() const { return effort_; }
-  void set_node_quota(int64_t quota) { node_quota_ = quota; }
   uint64_t generation() const { return gen_; }
   int64_t open_txns() const { return static_cast<int64_t>(txns_.size()); }
   int64_t num_watches() const { return static_cast<int64_t>(watches_.size()); }
-  int64_t num_nodes() const { return CountNodes(root_, /*owner=*/nullptr) - 1; }
-  int64_t owner_nodes(hv::DomainId domid) const {
-    return CountNodes(root_, &domid) - (root_.owner == domid ? 1 : 0);
-  }
+  int64_t num_nodes() const { return CountNodes(root_) - 1; }
 
   lv::Result<std::string> Read(const std::string& path, xs::TxnId txn) {
     effort_.Reset();
@@ -58,7 +54,7 @@ class ScanStore {
       view = Copy(root_);
       for (const TxnWrite& w : it->second.writes) {
         if (w.value.has_value()) {
-          Walk(&view, w.path, /*create=*/true, w.owner, /*charge=*/false)->value = *w.value;
+          Walk(&view, w.path, /*create=*/true, /*charge=*/false)->value = *w.value;
         } else {
           RemoveFrom(&view, w.path);
         }
@@ -75,7 +71,7 @@ class ScanStore {
     if (charge_lookup) {
       (void)Lookup(canon);
     }
-    const Node* node = Walk(tree, canon, false, hv::kDom0, false);
+    const Node* node = Walk(tree, canon, false, false);
     if (node == nullptr) {
       return lv::Err(lv::ErrorCode::kNotFound, path);
     }
@@ -96,17 +92,11 @@ class ScanStore {
       if (it == txns_.end()) {
         return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
       }
-      it->second.writes.push_back(TxnWrite{canon, value, owner});
+      it->second.writes.push_back(TxnWrite{canon, value});
       effort_.value_bytes += static_cast<int64_t>(value.size());
       return lv::Status::Ok();
     }
-    if (node_quota_ > 0 && owner != hv::kDom0) {
-      lv::Status quota = CheckQuota(owner, CountMissingNodes(canon, nullptr));
-      if (!quota.ok()) {
-        return quota;
-      }
-    }
-    return ApplyWrite(canon, value, owner, hits);
+    return ApplyWrite(canon, value, hits);
   }
 
   lv::Status Rm(const std::string& path, xs::TxnId txn, std::vector<xs::WatchHit>* hits,
@@ -123,10 +113,10 @@ class ScanStore {
       if (it == txns_.end()) {
         return lv::Err(lv::ErrorCode::kInvalidArgument, "unknown transaction");
       }
-      it->second.writes.push_back(TxnWrite{canon, std::nullopt, requester});
+      it->second.writes.push_back(TxnWrite{canon, std::nullopt});
       return lv::Status::Ok();
     }
-    return ApplyWrite(canon, std::nullopt, hv::kDom0, hits);
+    return ApplyWrite(canon, std::nullopt, hits);
   }
 
   lv::Result<std::vector<std::string>> Directory(const std::string& path) {
@@ -182,10 +172,6 @@ class ScanStore {
         return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
       }
     }
-    lv::Status quota = PrecheckTxnQuota(t);
-    if (!quota.ok()) {
-      return quota;
-    }
     // Indexed, pure-write transactions skip the walk of a shadowed write to
     // an existing node but keep its generation bump and watch hits.
     bool batch = policy_ == xs::StorePolicy::kIndexed;
@@ -199,12 +185,12 @@ class ScanStore {
         shadowed = shadowed || t.writes[j].path == w.path;
       }
       if (batch && shadowed && !w.path.empty() &&
-          Walk(&root_, w.path, false, hv::kDom0, false) != nullptr) {
+          Walk(&root_, w.path, false, false) != nullptr) {
         BumpGen(w.path);
         MatchWatches(w.path, hits);
         continue;
       }
-      (void)ApplyWrite(w.path, w.value, w.owner, hits);
+      (void)ApplyWrite(w.path, w.value, hits);
     }
     return lv::Status::Ok();
   }
@@ -246,7 +232,7 @@ class ScanStore {
     if (indexed) {
       ++effort_.names_compared;
     }
-    Node* domains = Walk(&root_, "local/domain", false, hv::kDom0, /*charge=*/!indexed);
+    Node* domains = Walk(&root_, "local/domain", false, /*charge=*/!indexed);
     if (domains == nullptr) {
       return lv::Status::Ok();
     }
@@ -265,14 +251,12 @@ class ScanStore {
  private:
   struct Node {
     std::string value;
-    hv::DomainId owner = hv::kDom0;
     std::map<std::string, std::unique_ptr<Node>> children;
   };
 
   struct TxnWrite {
     std::string path;
     std::optional<std::string> value;
-    hv::DomainId owner = hv::kDom0;
   };
 
   struct Txn {
@@ -311,32 +295,30 @@ class ScanStore {
   static Node Copy(const Node& from) {
     Node to;
     to.value = from.value;
-    to.owner = from.owner;
     for (const auto& [name, child] : from.children) {
       to.children.emplace(name, std::make_unique<Node>(Copy(*child)));
     }
     return to;
   }
 
-  static int64_t CountNodes(const Node& node, const hv::DomainId* owner) {
-    int64_t n = owner == nullptr || node.owner == *owner ? 1 : 0;
+  static int64_t CountNodes(const Node& node) {
+    int64_t n = 1;
     for (const auto& [name, child] : node.children) {
-      n += CountNodes(*child, owner);
+      n += CountNodes(*child);
     }
     return n;
   }
 
   // Removes `canon`'s subtree from `tree`; false if it does not exist.
   bool RemoveFrom(Node* tree, const std::string& canon) {
-    Node* parent = Walk(tree, Parent(canon), false, hv::kDom0, false);
+    Node* parent = Walk(tree, Parent(canon), false, false);
     std::string leaf = canon.substr(canon.rfind('/') + 1);
     return parent != nullptr && parent->children.erase(leaf) > 0;
   }
 
   // Walks segment by segment, charging one node per segment looked at
   // (when `charge`) on the store's effort counters.
-  Node* Walk(Node* node, const std::string& canon, bool create, hv::DomainId owner,
-             bool charge) {
+  Node* Walk(Node* node, const std::string& canon, bool create, bool charge) {
     for (const std::string& seg : lv::Split(canon, '/')) {
       if (charge) {
         ++effort_.nodes_visited;
@@ -346,9 +328,7 @@ class ScanStore {
         if (!create) {
           return nullptr;
         }
-        auto child = std::make_unique<Node>();
-        child->owner = owner;
-        it = node->children.emplace(seg, std::move(child)).first;
+        it = node->children.emplace(seg, std::make_unique<Node>()).first;
       }
       node = it->second.get();
     }
@@ -361,7 +341,7 @@ class ScanStore {
     if (indexed && !canon.empty()) {
       ++effort_.nodes_visited;
     }
-    return Walk(&root_, canon, false, hv::kDom0, /*charge=*/!indexed);
+    return Walk(&root_, canon, false, /*charge=*/!indexed);
   }
 
   void BumpGen(const std::string& canon) {
@@ -389,15 +369,15 @@ class ScanStore {
   }
 
   lv::Status ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
-                        hv::DomainId owner, std::vector<xs::WatchHit>* hits) {
+                        std::vector<xs::WatchHit>* hits) {
     bool indexed = policy_ == xs::StorePolicy::kIndexed;
-    bool exists = Walk(&root_, canon, false, hv::kDom0, false) != nullptr;
+    bool exists = Walk(&root_, canon, false, false) != nullptr;
     if (value.has_value()) {
       // Indexed probes once, and walks (charged) only to create.
       if (indexed && !canon.empty()) {
         ++effort_.nodes_visited;
       }
-      Walk(&root_, canon, true, owner, /*charge=*/!indexed || !exists)->value = *value;
+      Walk(&root_, canon, true, /*charge=*/!indexed || !exists)->value = *value;
       effort_.value_bytes += static_cast<int64_t>(value->size());
     } else {
       std::string parent = Parent(canon);
@@ -407,7 +387,7 @@ class ScanStore {
           ++effort_.nodes_visited;
         }
       } else {
-        (void)Walk(&root_, parent, false, hv::kDom0, /*charge=*/true);
+        (void)Walk(&root_, parent, false, /*charge=*/true);
       }
       if (!RemoveFrom(&root_, canon)) {
         return lv::Err(lv::ErrorCode::kNotFound, canon);
@@ -415,64 +395,6 @@ class ScanStore {
     }
     BumpGen(canon);
     MatchWatches(canon, hits);
-    return lv::Status::Ok();
-  }
-
-  int64_t CountMissingNodes(const std::string& canon, std::set<std::string>* implied) const {
-    const Node* node = &root_;
-    int64_t missing = 0;
-    std::string prefix;
-    for (const std::string& seg : lv::Split(canon, '/')) {
-      prefix = prefix.empty() ? seg : prefix + "/" + seg;
-      if (node != nullptr) {
-        auto it = node->children.find(seg);
-        node = it == node->children.end() ? nullptr : it->second.get();
-        if (node != nullptr) {
-          continue;
-        }
-      }
-      if (implied == nullptr || implied->insert(prefix).second) {
-        ++missing;
-      }
-    }
-    return missing;
-  }
-
-  lv::Status CheckQuota(hv::DomainId owner, int64_t new_nodes) const {
-    if (node_quota_ <= 0 || owner == hv::kDom0 || new_nodes == 0) {
-      return lv::Status::Ok();
-    }
-    int64_t current = owner_nodes(owner);
-    if (current + new_nodes > node_quota_) {
-      return lv::Err(lv::ErrorCode::kQuotaExceeded,
-                     lv::StrFormat("dom%lld node quota exceeded (%lld owned + %lld new > %lld)",
-                                   (long long)owner, (long long)current,
-                                   (long long)new_nodes, (long long)node_quota_));
-    }
-    return lv::Status::Ok();
-  }
-
-  lv::Status PrecheckTxnQuota(const Txn& t) const {
-    if (node_quota_ <= 0) {
-      return lv::Status::Ok();
-    }
-    std::map<hv::DomainId, int64_t> pending;
-    std::set<std::string> implied;
-    for (const TxnWrite& w : t.writes) {
-      if (!w.value.has_value()) {
-        continue;
-      }
-      int64_t missing = CountMissingNodes(w.path, &implied);
-      if (missing > 0 && w.owner != hv::kDom0) {
-        pending[w.owner] += missing;
-      }
-    }
-    for (const auto& [owner, n] : pending) {
-      lv::Status quota = CheckQuota(owner, n);
-      if (!quota.ok()) {
-        return quota;
-      }
-    }
     return lv::Status::Ok();
   }
 
@@ -484,7 +406,6 @@ class ScanStore {
   std::map<xs::TxnId, Txn> txns_;
   xs::TxnId next_txn_ = 1;
   xs::OpEffort effort_;
-  int64_t node_quota_ = 0;
 };
 
 }  // namespace xs_test

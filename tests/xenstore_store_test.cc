@@ -307,53 +307,14 @@ TEST_P(StorePolicyTest, TxnCommitFiresShadowedWritesInOrder) {
 
 TEST_P(StorePolicyTest, NumNodesAndOwnerAccountingTrackTree) {
   EXPECT_EQ(store_.num_nodes(), 0);
-  // Dom0 seeds the shared hierarchy (as the daemon does), so guest-owned
-  // accounting below is exact.
   (void)store_.Write("/local/domain", "", hv::kDom0);
   EXPECT_EQ(store_.num_nodes(), 2);
   (void)store_.Write("/local/domain/5/data/x", "v", 5);
   EXPECT_EQ(store_.num_nodes(), 5);  // + 5, data, x
-  EXPECT_EQ(store_.owner_nodes(5), 3);
   (void)store_.Write("/local/domain/5/data/y", "v", 5);
-  EXPECT_EQ(store_.owner_nodes(5), 4);
+  EXPECT_EQ(store_.num_nodes(), 6);
   EXPECT_TRUE(store_.Rm("/local/domain/5").ok());
   EXPECT_EQ(store_.num_nodes(), 2);  // local, domain survive
-  EXPECT_EQ(store_.owner_nodes(5), 0);
-  EXPECT_EQ(store_.owner_nodes(hv::kDom0), 2);
-}
-
-TEST_P(StorePolicyTest, QuotaRejectsGuestCreationBeyondBudget) {
-  store_.set_node_quota(4);
-  // dom3's first write creates local, domain, 3, data, x — but only nodes
-  // count against dom3 as owner; all five are created by dom3 here.
-  lv::Status s = store_.Write("/local/domain/3/data/x", "v", 3);
-  EXPECT_EQ(s.code(), ErrorCode::kQuotaExceeded);
-  EXPECT_EQ(store_.num_nodes(), 0);  // Rejected before any node appeared.
-  // Dom0 pre-creating the shared prefix leaves dom3 under budget.
-  (void)store_.Write("/local/domain/3", "", hv::kDom0);
-  EXPECT_TRUE(store_.Write("/local/domain/3/data/x", "v", 3).ok());
-  EXPECT_EQ(store_.owner_nodes(3), 2);
-  // Overwrites create nothing and are always admitted.
-  EXPECT_TRUE(store_.Write("/local/domain/3/data/x", "v2", 3).ok());
-  // Dom0 is exempt from quotas entirely.
-  EXPECT_TRUE(store_.Write("/local/domain/0/a/b/c/d/e/f", "v", hv::kDom0).ok());
-}
-
-TEST_P(StorePolicyTest, QuotaPrecheckRejectsTxnBeforeApplyingAnything) {
-  store_.set_node_quota(3);
-  (void)store_.Write("/local/domain/4", "", hv::kDom0);
-  TxnId txn = store_.TxBegin();
-  (void)store_.Write("/local/domain/4/a", "1", 4, txn);
-  (void)store_.Write("/local/domain/4/b", "2", 4, txn);
-  (void)store_.Write("/local/domain/4/c/d", "3", 4, txn);  // 4th+5th node
-  std::vector<WatchHit> hits;
-  lv::Status commit = store_.TxCommit(txn, false, &hits);
-  EXPECT_EQ(commit.code(), ErrorCode::kQuotaExceeded);
-  // Nothing applied, no watch fired, txn discarded.
-  EXPECT_FALSE(store_.Exists("/local/domain/4/a"));
-  EXPECT_TRUE(hits.empty());
-  EXPECT_EQ(store_.open_txns(), 0);
-  EXPECT_EQ(store_.owner_nodes(4), 0);
 }
 
 TEST_P(StorePolicyTest, TxnReadSeesItsOwnRemovals) {
