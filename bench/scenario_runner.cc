@@ -13,10 +13,12 @@
 //   --metrics-out  metrics-registry snapshot at end of run
 //   --flight-out   flight-recorder dump, written only when the run fails
 //   --check        parse + validate the spec; when the spec carries an `slo`
-//                  section, additionally run it and fail (non-zero exit) on
-//                  any violated bound
+//                  section, additionally run it, writing the outputs above
+//                  as a plain run does, and fail (non-zero exit) on any
+//                  violated bound
 //
-// An output flag with an empty file name is a usage error (exit 2).
+// An output flag with an empty file name is a usage error (exit 2), and so
+// is any output flag on a parse-only --check, which would write nothing.
 //
 // Examples:
 //   scenario_runner scenarios/fig04_instantiation.json --json=BENCH_fig04.json
@@ -49,12 +51,14 @@ int main(int argc, char** argv) {
   scenario::RunOptions options;
   bool check_only = false;
   std::vector<char*> report_args{argv[0]};
+  bool wants_output = false;
   // The file name of `--<flag>=<file>`; an empty one would write nothing.
   auto file_of = [&](const char* arg) {
     const char* file = std::strchr(arg, '=') + 1;
     if (*file == '\0') {
       Usage(argv[0]);
     }
+    wants_output = true;
     return file;
   };
   for (int i = 1; i < argc; ++i) {
@@ -87,28 +91,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "invalid scenario: %s\n", spec.error().message.c_str());
     return 1;
   }
-  if (check_only) {
-    // Specs without SLOs stay parse-only (cheap validation of even the
-    // largest committed specs). A spec that declares SLOs is a gate: run it
-    // and enforce every bound.
-    if (!spec->slo.has_value()) {
-      std::printf("OK: %s (workload=%s, nodes=%d, seed=%llu)\n", spec->name.c_str(),
-                  scenario::WorkloadKindName(spec->workload.kind),
-                  spec->topology.nodes, (unsigned long long)spec->seed);
-      return 0;
+  // Specs without SLOs stay parse-only under --check (cheap validation of
+  // even the largest committed specs). A spec that declares SLOs is a gate:
+  // run it and enforce every bound.
+  if (check_only && !spec->slo.has_value()) {
+    if (wants_output) {
+      Usage(argv[0]);
     }
-    options.enforce_slo = true;
-    lv::Status result = scenario::Run(*spec, options, std::cout);
-    if (!result.ok()) {
-      std::fprintf(stderr, "FAIL: %s: %s\n", spec->name.c_str(),
-                   result.error().message.c_str());
-      return 1;
-    }
-    std::printf("OK: %s (workload=%s, nodes=%d, seed=%llu, slo bounds met)\n",
-                spec->name.c_str(), scenario::WorkloadKindName(spec->workload.kind),
-                spec->topology.nodes, (unsigned long long)spec->seed);
+    std::printf("OK: %s (workload=%s, nodes=%d, seed=%llu)\n", spec->name.c_str(),
+                scenario::WorkloadKindName(spec->workload.kind), spec->topology.nodes,
+                (unsigned long long)spec->seed);
     return 0;
   }
+  options.enforce_slo = check_only;
 
   int report_argc = static_cast<int>(report_args.size());
   bench::Report::Get().Init(report_argc, report_args.data(), spec->name);
@@ -132,8 +127,17 @@ int main(int argc, char** argv) {
         bench::Report::Get().Point(series, row);
       });
   if (!result.ok()) {
-    bench::FailRun(result.error().message);
+    if (!check_only) {
+      bench::FailRun(result.error().message);
+    }
+    std::fprintf(stderr, "FAIL: %s: %s\n", spec->name.c_str(), result.error().message.c_str());
+    return 1;
   }
   bench::Report::Get().Write();
+  if (check_only) {
+    std::printf("OK: %s (workload=%s, nodes=%d, seed=%llu, slo bounds met)\n",
+                spec->name.c_str(), scenario::WorkloadKindName(spec->workload.kind),
+                spec->topology.nodes, (unsigned long long)spec->seed);
+  }
   return 0;
 }

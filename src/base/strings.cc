@@ -32,14 +32,19 @@ std::string Join(const std::vector<std::string>& parts, char sep) {
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer covers nearly every result; only a longer
+  // one is formatted a second time, straight into the string.
+  char buf[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  int n = vsnprintf(nullptr, 0, fmt, ap);
+  int n = vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<size_t>(n));
     vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   }

@@ -1,7 +1,11 @@
 #include "src/devices/backend.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "src/base/log.h"
 #include "src/base/strings.h"
@@ -46,7 +50,7 @@ const char* XenbusStateName(XenbusState s) {
 }
 
 std::string XenbusStateValue(XenbusState s) {
-  return lv::StrFormat("%d", static_cast<int>(s));
+  return std::string(1, static_cast<char>('0' + static_cast<int>(s)));  // 0..6
 }
 
 std::string VifName(hv::DomainId domid, int devid) {
@@ -183,13 +187,23 @@ sim::Co<void> BackendDriver::XsWatcherLoop(sim::ExecCtx ctx) {
     if (ev.token == xs::XsClient::kStopToken) {
       break;
     }
-    std::vector<std::string> segs = lv::Split(ev.fired_path, '/');
     if (ev.token == kBackendWatchToken) {
       // local/domain/0/backend/<kind>/<domid>/<devid>/<field>
-      if (segs.size() < 8 || segs[7] != "state") {
+      std::string_view segs[8];
+      size_t n = 0;
+      std::string_view path = ev.fired_path;
+      for (size_t pos = 0; pos < path.size() && n < std::size(segs);) {
+        size_t end = std::min(path.find('/', pos), path.size());
+        if (end > pos) {
+          segs[n++] = path.substr(pos, end - pos);
+        }
+        pos = end + 1;
+      }
+      if (n < std::size(segs) || segs[7] != "state") {
         continue;
       }
-      hv::DomainId domid = std::atoll(segs[5].c_str());
+      hv::DomainId domid = 0;
+      std::from_chars(segs[5].data(), segs[5].data() + segs[5].size(), domid);
       auto state = co_await xs_client_->Read(ctx, ev.fired_path);
       if (!state.ok()) {
         continue;  // Entry vanished (device being torn down).

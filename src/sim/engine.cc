@@ -1,6 +1,7 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/base/log.h"
@@ -60,8 +61,13 @@ uint32_t Engine::Push(TimePoint when) {
     slot = free_.back();
     free_.pop_back();
   }
-  heap_.push_back(Entry{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  Entry entry{when, next_seq_++, slot};
+  if (when == now_) {
+    lane_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
   return slot;
 }
 
@@ -84,19 +90,27 @@ void Engine::NoteCancelled() {
   // Lazy compaction: once dead entries dominate, the heap mostly shuffles
   // garbage — rebuild it. The floor keeps tiny queues (where pops drain the
   // dead entries for free) from compacting on every other Cancel.
-  if (heap_.size() >= 64 && cancelled_pending_ * 2 > heap_.size()) {
+  if (pending_events() >= 64 && cancelled_pending_ * 2 > pending_events()) {
     Compact();
   }
 }
 
 void Engine::Compact() {
-  auto dead = std::partition(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return !slots_[e.slot].cancelled; });
+  auto live = [this](const Entry& e) { return !slots_[e.slot].cancelled; };
+  auto dead = std::partition(heap_.begin(), heap_.end(), live);
   for (auto it = dead; it != heap_.end(); ++it) {
     Drop(it->slot);
   }
   heap_.erase(dead, heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), Later{});
+  // The lane keeps its FIFO order.
+  lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+  lane_head_ = 0;
+  dead = std::stable_partition(lane_.begin(), lane_.end(), live);
+  for (auto it = dead; it != lane_.end(); ++it) {
+    Drop(it->slot);
+  }
+  lane_.erase(dead, lane_.end());
   cancelled_pending_ = 0;
   ++compactions_;
 }
@@ -117,24 +131,39 @@ void Engine::ReapDetached(void* ctx, uint64_t id) {
   static_cast<Engine*>(ctx)->detached_frames_.erase(id);
 }
 
+bool Engine::LaneFirst() const {
+  return lane_head_ < lane_.size() &&
+         (heap_.empty() || Later{}(heap_.front(), lane_[lane_head_]));
+}
+
+Engine::Entry Engine::PopFront() {
+  if (LaneFirst()) {
+    Entry front = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+    return front;
+  }
+  Entry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  return top;
+}
+
 bool Engine::SkipCancelled() {
-  while (!heap_.empty()) {
-    uint32_t slot = heap_.front().slot;
-    if (!slots_[slot].cancelled) {
+  while (pending_events() > 0) {
+    if (!slots_[Front().slot].cancelled) {
       return true;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    Drop(slot);
+    Drop(PopFront().slot);
     --cancelled_pending_;
   }
   return false;
 }
 
 void Engine::DispatchTop() {
-  const Entry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  const Entry top = PopFront();
   now_ = top.when;
   ++processed_;
   Slot& s = slots_[top.slot];
@@ -163,7 +192,7 @@ void Engine::Run() {
 }
 
 void Engine::RunUntil(TimePoint t) {
-  while (SkipCancelled() && heap_.front().when <= t) {
+  while (SkipCancelled() && Front().when <= t) {
     DispatchTop();
   }
   if (now_ < t) {

@@ -92,8 +92,8 @@ class Engine {
   // Processes a single event. Returns false if the queue was empty.
   bool Step();
 
-  // Queue entries, cancelled ones included.
-  size_t pending_events() const { return heap_.size(); }
+  // Queue entries (heap and lane), cancelled ones included.
+  size_t pending_events() const { return heap_.size() + lane_.size() - lane_head_; }
   uint64_t processed_events() const { return processed_; }
 
   // Cancelled entries still sitting in the queue. EventHandle::Cancel only
@@ -127,23 +127,31 @@ class Engine {
     }
   };
 
-  // Takes a free slot and queues its entry at `when` with the next seq.
+  // Takes a free slot and queues its entry at `when` with the next seq: in
+  // the lane when `when` is now, else in the heap.
   uint32_t Push(TimePoint when);
   // Retires the slot's handles and returns it to the free list.
   void Release(uint32_t slot);
   // Releases a cancelled slot, destroying its closure once the slot is
   // consistent again.
   void Drop(uint32_t slot);
-  // Pops cancelled entries off the top; false once the queue is empty.
+  // Does the next entry by (when, seq) sit at the lane's front rather than
+  // the heap's top? False when the lane is empty.
+  bool LaneFirst() const;
+  // The next entry by (when, seq); the queue must not be empty.
+  const Entry& Front() const { return LaneFirst() ? lane_[lane_head_] : heap_.front(); }
+  // Removes and returns the next entry.
+  Entry PopFront();
+  // Pops cancelled entries off the front; false once the queue is empty.
   bool SkipCancelled();
-  // Pops the top entry and runs it. The callable leaves its slot, and the
+  // Pops the front entry and runs it. The callable leaves its slot, and the
   // slot is released, before it runs, so the handler may schedule freely.
   void DispatchTop();
 
   // First-time Cancel of a queued event; compacts when dead entries exceed
   // half the queue (and the queue is big enough for the rebuild to pay off).
   void NoteCancelled();
-  // Rebuilds the heap without the cancelled entries.
+  // Rebuilds the heap and the lane without the cancelled entries.
   void Compact();
 
   // Deregisters a detached frame that reached its final suspend (see
@@ -157,8 +165,18 @@ class Engine {
   uint64_t compactions_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;
-  // Min-heap on (when, seq) via std::push_heap/pop_heap under Later.
+  // Min-heap on (when, seq) via std::push_heap/pop_heap under Later, for
+  // entries due after the instant they were scheduled at.
   std::vector<Entry> heap_;
+  // FIFO lane for entries due at the instant they were scheduled at (every
+  // wake-up), popped at lane_head_ and cleared whenever it drains. Time
+  // only advances once the lane is empty, so its entries share one `when`,
+  // now(), and ascend in seq; a heap entry due now was pushed at an earlier
+  // clock and so holds a lower seq than all of them. Taking the lower of
+  // the two fronts by (when, seq) is therefore exactly the order a single
+  // heap would pop.
+  std::vector<Entry> lane_;
+  size_t lane_head_ = 0;
   lv::Rng rng_;
   // Live detached frames by spawn order: a frame still parked on the queue
   // when the engine dies is unreachable any other way, so ~Engine destroys

@@ -268,30 +268,13 @@ sim::Co<void> Daemon::Restart(sim::ExecCtx ctx, Request req) {
   }
 }
 
-sim::Co<void> Daemon::ChargeEffort(sim::ExecCtx ctx) {
+lv::Duration Daemon::EffortCost() const {
   const OpEffort& e = store_.last_effort();
-  lv::Duration cost = costs_.per_node * static_cast<double>(e.nodes_visited) +
-                      costs_.per_watch_check * static_cast<double>(e.watch_checks) +
-                      costs_.per_name_check * static_cast<double>(e.names_compared) +
-                      costs_.per_child * static_cast<double>(e.children_listed) +
-                      costs_.per_byte * static_cast<double>(e.value_bytes);
-  if (cost.ns() > 0) {
-    co_await ctx.Work(cost);
-  }
-}
-
-sim::Co<void> Daemon::AppendAccessLog(sim::ExecCtx ctx) {
-  if (!costs_.logging_enabled) {
-    co_return;
-  }
-  co_await ctx.Work(costs_.log_append);
-  ++log_lines_;
-  if (log_lines_ >= costs_.log_rotate_lines) {
-    log_lines_ = 0;
-    rotations_.Inc();
-    LV_DEBUG(kMod, "rotating %d access logs", costs_.log_files);
-    co_await ctx.Work(costs_.log_rotate_per_file * static_cast<double>(costs_.log_files));
-  }
+  return costs_.per_node * static_cast<double>(e.nodes_visited) +
+         costs_.per_watch_check * static_cast<double>(e.watch_checks) +
+         costs_.per_name_check * static_cast<double>(e.names_compared) +
+         costs_.per_child * static_cast<double>(e.children_listed) +
+         costs_.per_byte * static_cast<double>(e.value_bytes);
 }
 
 void Daemon::DeliverWatchHits(const std::vector<WatchHit>& hits) {
@@ -312,14 +295,22 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
   // Request arrival: daemon-side interrupts + base processing.
   co_await ctx.Work(costs_.soft_interrupt * static_cast<double>(costs_.daemon_interrupts) +
                     costs_.daemon_base);
-  co_await AppendAccessLog(ctx);
+  if (costs_.logging_enabled) {
+    co_await ctx.Work(costs_.log_append);
+    if (++log_lines_ >= costs_.log_rotate_lines) {
+      log_lines_ = 0;
+      rotations_.Inc();
+      LV_DEBUG(kMod, "rotating %d access logs", costs_.log_files);
+      co_await ctx.Work(costs_.log_rotate_per_file * static_cast<double>(costs_.log_files));
+    }
+  }
 
   Response resp;
   std::vector<WatchHit> hits;
   switch (req.op) {
     case OpType::kRead: {
       auto r = store_.Read(req.path, req.txn);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (r.ok()) {
         resp.value = *r;
       } else {
@@ -331,7 +322,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     case OpType::kWrite:
     case OpType::kMkdir: {
       lv::Status s = store_.Write(req.path, req.value, req.domid, req.txn, &hits);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (!s.ok()) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
@@ -340,7 +331,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     }
     case OpType::kRm: {
       lv::Status s = store_.Rm(req.path, req.txn, &hits, req.domid);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (!s.ok()) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
@@ -349,7 +340,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     }
     case OpType::kDirectory: {
       auto r = store_.Directory(req.path, req.txn);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (r.ok()) {
         resp.entries = std::move(*r);
       } else {
@@ -360,13 +351,13 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     }
     case OpType::kWatch: {
       WatchHit hit = store_.AddWatch(req.client, req.path, req.token);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       hits.push_back(hit);  // Watches fire once immediately on registration.
       break;
     }
     case OpType::kUnwatch: {
       store_.RemoveWatch(req.client, req.path, req.token);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       break;
     }
     case OpType::kTxBegin: {
@@ -379,7 +370,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     case OpType::kTxAbort: {
       co_await ctx.Work(costs_.txn_overhead);
       lv::Status s = store_.TxCommit(req.txn, req.op == OpType::kTxAbort, &hits);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (!s.ok()) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
@@ -391,14 +382,14 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     }
     case OpType::kWriteUniqueName: {
       lv::Status unique = store_.CheckUniqueName(req.value);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (!unique.ok()) {
         resp.code = unique.error().code;
         resp.error_message = unique.error().message;
         break;
       }
       lv::Status s = store_.Write(req.path, req.value, req.domid, kNoTxn, &hits);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       if (!s.ok()) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
@@ -407,7 +398,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     }
     case OpType::kReleaseClient: {
       store_.RemoveClientWatches(req.client);
-      co_await ChargeEffort(ctx);
+      co_await ctx.Work(EffortCost());
       break;
     }
     case OpType::kRestart:

@@ -121,9 +121,9 @@ class Daemon {
   // Handles a kRestart request inside the daemon loop: fails queued requests,
   // sleeps the downtime, then replays every registered watch.
   sim::Co<void> Restart(sim::ExecCtx ctx, Request req);
-  // Charges the daemon-side cost derived from the store's effort counters.
-  sim::Co<void> ChargeEffort(sim::ExecCtx ctx);
-  sim::Co<void> AppendAccessLog(sim::ExecCtx ctx);
+  // The daemon-side cost of the store's last operation, from its effort
+  // counters.
+  lv::Duration EffortCost() const;
   void DeliverWatchHits(const std::vector<WatchHit>& hits);
 
   sim::Engine* engine_;

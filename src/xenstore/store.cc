@@ -1,6 +1,7 @@
 #include "src/xenstore/store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <unordered_set>
 
 #include "src/base/strings.h"
@@ -40,16 +41,42 @@ bool Covers(std::string_view prefix, std::string_view path) {
 Store::Store(StorePolicy policy) : policy_(policy) {}
 
 std::string Store::Canon(const std::string& path) {
-  return lv::Join(lv::Split(path, '/'), '/');
+  std::string canon;
+  canon.reserve(path.size());
+  bool slash = false;  // a separator is owed before the next segment
+  for (char c : path) {
+    if (c == '/') {
+      slash = !canon.empty();
+    } else {
+      if (slash) {
+        canon.push_back('/');
+        slash = false;
+      }
+      canon.push_back(c);
+    }
+  }
+  return canon;
 }
 
 bool Store::MayMutate(hv::DomainId domid, const std::string& canon) {
   if (domid == hv::kDom0) {
     return true;
   }
-  std::string own = lv::StrFormat("local/domain/%lld", (long long)domid);
-  return canon == own || (canon.size() > own.size() && lv::HasPrefix(canon, own) &&
-                          canon[own.size()] == '/');
+  // At or below local/domain/<domid>, compared in place.
+  constexpr std::string_view kDomains = "local/domain/";
+  char buf[24];  // a decimal int64_t, sign included
+  const char* end = std::to_chars(buf, buf + sizeof(buf), domid).ptr;
+  std::string_view id(buf, static_cast<size_t>(end - buf));
+  std::string_view rest = canon;
+  if (!rest.starts_with(kDomains)) {
+    return false;
+  }
+  rest.remove_prefix(kDomains.size());
+  if (!rest.starts_with(id)) {
+    return false;
+  }
+  rest.remove_prefix(id.size());
+  return rest.empty() || rest.front() == '/';
 }
 
 // --- Bookkeeping -------------------------------------------------------------

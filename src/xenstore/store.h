@@ -187,7 +187,8 @@ class Store {
   using WatchList = std::list<Watch>;
   using WatchRef = WatchList::iterator;
 
-  // Canonicalizes a path ("/a//b/" -> "a/b" as joined segments).
+  // Canonicalizes a path in one pass: empty segments drop out and the rest
+  // are joined by single slashes ("/a//b/" -> "a/b").
   static std::string Canon(const std::string& path);
   // May `domid` mutate `canon`?
   static bool MayMutate(hv::DomainId domid, const std::string& canon);

@@ -191,6 +191,12 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("dom%d: %s", 3, "running"), "dom3: running");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
   EXPECT_EQ(StrFormat("empty"), "empty");
+  // Results that just fit the one-pass buffer, just miss it, and far exceed it.
+  for (size_t len : {255, 256, 1000}) {
+    std::string body(len - 1, 'x');
+    EXPECT_EQ(StrFormat("%s!", body.c_str()), body + "!");
+    EXPECT_EQ(StrFormat("%*d", static_cast<int>(len), 7), std::string(len - 1, ' ') + "7");
+  }
 }
 
 TEST(StringsTest, HasPrefix) {

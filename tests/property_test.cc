@@ -404,8 +404,11 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
   lv::Rng rng(seed * 131 + 17);
   // Small universes keep collisions (overwrites, conflicts, duplicate names,
   // watch overlaps) frequent.
+  // Guest 12 shares guest 1's leading digit, so a prefix test that forgets
+  // the separator would let guest 1 write local/domain/12/...
+  const std::vector<int> guests = {1, 2, 3, 4, 12};
   std::vector<std::string> paths;
-  for (int d = 1; d <= 4; ++d) {
+  for (int d : guests) {
     paths.push_back(lv::StrFormat("/local/domain/%d", d));
     paths.push_back(lv::StrFormat("/local/domain/%d/name", d));
     paths.push_back(lv::StrFormat("/local/domain/%d/data/x", d));
@@ -415,10 +418,17 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
   }
   paths.push_back("/tool/xenstored/log");
   paths.push_back("/backend/vif/1/0/state");
+  // Non-canonical spellings of nodes above: doubled, trailing and missing
+  // slashes canonicalise to the same paths.
+  paths.push_back("//local/domain/1//name/");
+  paths.push_back("/local/domain/12/data/x/");
+  paths.push_back("local/domain/2/device/vif/0/state");
+  paths.push_back("/local//domain/12/");
+  paths.push_back("/tool/xenstored/log//");
   std::vector<std::string> watch_paths = {
       "/local",          "/local/domain/1",      "/local/domain/2",
       "/local/domain/2/device", "/local/domain/3/name", "/backend/vif/1",
-      "/tool"};
+      "/tool",           "//local/domain/12/",   "local/domain/1/"};
   std::vector<std::string> names = {"web", "db", "cache", "edge", "vm"};
 
   auto pick_path = [&] {
@@ -427,7 +437,9 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
   auto pick_owner = [&] {
     // Half Dom0, half a random guest — mismatched guests exercise the
     // PERMISSION_DENIED surface, which must be identical across policies.
-    return rng.Chance(0.5) ? hv::kDom0 : static_cast<hv::DomainId>(rng.Uniform(1, 4));
+    return rng.Chance(0.5) ? hv::kDom0
+                           : static_cast<hv::DomainId>(guests[static_cast<size_t>(
+                                 rng.Uniform(0, static_cast<int64_t>(guests.size()) - 1))]);
   };
 
   std::vector<StoreOp> ops;
@@ -470,12 +482,14 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
     } else if (r < 90) {
       op.kind = StoreOp::kOpWatchAdd;
       op.client = rng.Uniform(1, 5);
-      op.path = watch_paths[static_cast<size_t>(rng.Uniform(0, 6))];
+      op.path = watch_paths[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(watch_paths.size()) - 1))];
       op.token = lv::StrFormat("t%d", (int)rng.Uniform(0, 1));
     } else if (r < 93) {
       op.kind = StoreOp::kOpWatchRm;
       op.client = rng.Uniform(1, 5);
-      op.path = watch_paths[static_cast<size_t>(rng.Uniform(0, 6))];
+      op.path = watch_paths[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(watch_paths.size()) - 1))];
       op.token = lv::StrFormat("t%d", (int)rng.Uniform(0, 1));
     } else if (r < 94) {
       op.kind = StoreOp::kOpWatchRmClient;
@@ -699,6 +713,11 @@ TEST_P(StorePermissionTest, GuestsCannotEscapeTheirSubtree) {
   std::string other = lv::StrFormat("/local/domain/%lld/data", (long long)(domid + 1));
   EXPECT_TRUE(store.Write(own, "mine", domid).ok());
   EXPECT_EQ(store.Write(other, "attack", domid).code(), lv::ErrorCode::kPermissionDenied);
+  // A domid that merely starts with this one's digits is another guest.
+  EXPECT_EQ(store.Write(lv::StrFormat("/local/domain/%lld2/data", (long long)domid), "attack",
+                        domid)
+                .code(),
+            lv::ErrorCode::kPermissionDenied);
   EXPECT_EQ(store.Write("/local/domain/0/backend/vif", "attack", domid).code(),
             lv::ErrorCode::kPermissionDenied);
   EXPECT_EQ(store.Write("/tool/global", "attack", domid).code(),

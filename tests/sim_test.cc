@@ -402,7 +402,17 @@ TEST(EngineTest, CancelTracksPendingCount) {
   handles[7].Cancel();
   handles[7].Cancel();  // double cancel counts once
   EXPECT_EQ(engine.cancelled_pending(), 2u);
+  // Entries due at the current instant count too, live or cancelled.
+  EventHandle now_a = engine.Schedule(Duration(), [] {});
+  engine.Schedule(Duration(), [] {});
+  EXPECT_EQ(engine.pending_events(), 12u);
+  now_a.Cancel();
+  EXPECT_EQ(engine.cancelled_pending(), 3u);
+  EXPECT_TRUE(engine.Step());  // skips now_a, runs the other
+  EXPECT_EQ(engine.pending_events(), 10u);
+  EXPECT_EQ(engine.cancelled_pending(), 2u);
   engine.Run();
+  EXPECT_EQ(engine.pending_events(), 0u);
   EXPECT_EQ(engine.cancelled_pending(), 0u);
 }
 
@@ -587,6 +597,9 @@ struct ReferenceQueue {
 // Random mixes of closure and coroutine schedules (some at now(), some from
 // inside a running handler), cancels of live, fired and already-cancelled
 // events, Step and RunUntil, checked op by op against ReferenceQueue.
+// Same-instant bursts, mostly cancelled again, are issued both from outside
+// and from inside running handlers, so every seed compacts the queue while
+// dead entries sit in the engine's lane of events due now.
 TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
   constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
   uint64_t total_compactions = 0;
@@ -602,11 +615,17 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
     // child_delay[id] when it runs.
     std::vector<int> child;
     std::vector<int64_t> child_delay;
+    // burst[id] lists the zero-delay events closure `id` schedules when it
+    // runs, each with whether the closure then cancels it.
+    std::vector<std::vector<std::pair<int, bool>>> burst;
+    // Compactions a same-instant burst's cancels set off.
+    uint64_t lane_compactions = 0;
 
     auto new_id = [&] {
       handles.emplace_back();
       child.push_back(-1);
       child_delay.push_back(0);
+      burst.emplace_back();
       return static_cast<int>(handles.size()) - 1;
     };
     auto delay = [&] { return rng.Chance(0.25) ? int64_t{0} : rng.Uniform(1, 40); };
@@ -616,6 +635,11 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
         int kid = new_id();
         child[id] = kid;
         child_delay[id] = delay();
+      } else if (rng.Chance(0.03)) {
+        for (int i = 0; i < 100; ++i) {
+          int kid = new_id();
+          burst[id].emplace_back(kid, rng.Chance(0.9));
+        }
       }
       handles[id] = engine.Schedule(Duration::Nanos(d), [&, id] {
         fired.push_back(id);
@@ -623,6 +647,16 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
           handles[kid] = engine.Schedule(Duration::Nanos(child_delay[id]),
                                          [&fired, kid] { fired.push_back(kid); });
         }
+        for (auto [kid, cancel] : burst[id]) {
+          handles[kid] = engine.Schedule(Duration(), [&fired, kid] { fired.push_back(kid); });
+        }
+        uint64_t before = engine.compactions();
+        for (auto [kid, cancel] : burst[id]) {
+          if (cancel) {
+            handles[kid].Cancel();
+          }
+        }
+        lane_compactions += engine.compactions() - before;
       });
       ref.Schedule(ref.now + d, id);
     };
@@ -630,6 +664,14 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
       ref_fired.push_back(id);
       if (child[id] >= 0) {
         ref.Schedule(ref.now + child_delay[id], child[id]);
+      }
+      for (auto [kid, cancel] : burst[id]) {
+        ref.Schedule(ref.now, kid);
+      }
+      for (auto [kid, cancel] : burst[id]) {
+        if (cancel) {
+          ref.Cancel(kid);
+        }
       }
     };
 
@@ -658,6 +700,20 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
             ref.Cancel(id);
           }
         }
+      } else if (roll < 56) {
+        // A same-instant burst from outside any handler, mostly cancelled.
+        int first = static_cast<int>(handles.size());
+        for (int i = 0; i < 100; ++i) {
+          schedule_closure(0);
+        }
+        uint64_t before = engine.compactions();
+        for (int id = first; id < static_cast<int>(handles.size()); ++id) {
+          if (rng.Chance(0.9)) {
+            handles[id].Cancel();
+            ref.Cancel(id);
+          }
+        }
+        lane_compactions += engine.compactions() - before;
       } else if (roll < 75 && !handles.empty()) {
         int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
         handles[id].Cancel();
@@ -704,6 +760,7 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
     ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed;
     ASSERT_EQ(engine.pending_events(), 0u) << "seed " << seed;
     ASSERT_EQ(engine.cancelled_pending(), 0u) << "seed " << seed;
+    EXPECT_GT(lane_compactions, 0u) << "seed " << seed;
     total_compactions += engine.compactions();
   }
   // The bursts must have driven the lazy compaction path too.
