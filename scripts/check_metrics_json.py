@@ -25,6 +25,10 @@ Usage:
                                              positional arguments before
                                              --json (--bench-arg repeats)
 
+A bench argument that starts with "--" needs the joined spelling
+--bench-arg=--check: argparse reads a separate "--check" as an option of
+this script and fails with "expected one argument".
+
 The --bench form over scenarios/ci/fig04_ci.json is registered as a ctest
 so the end-to-end path (instrumented hot paths -> registry -> bench
 exporter -> loadable JSON) stays green. The fig04 quantile cross-check

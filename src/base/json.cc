@@ -3,8 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "src/base/strings.h"
 
@@ -383,20 +381,6 @@ class Parser {
 
 lv::Result<Value> Parse(std::string_view text) {
   return Parser(text).ParseDocument();
-}
-
-lv::Result<Value> ParseFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Err(ErrorCode::kNotFound, "cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto v = Parse(buf.str());
-  if (!v.ok()) {
-    return Err(v.error().code, path + ": " + v.error().message);
-  }
-  return v;
 }
 
 }  // namespace lv::json

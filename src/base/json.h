@@ -80,7 +80,4 @@ class Value {
 // error. Error messages carry 1-based line/column.
 lv::Result<Value> Parse(std::string_view text);
 
-// Reads and parses a file (error on unreadable path).
-lv::Result<Value> ParseFile(const std::string& path);
-
 }  // namespace lv::json

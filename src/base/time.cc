@@ -29,6 +29,4 @@ std::string FormatNs(int64_t ns) {
 
 std::string Duration::ToString() const { return FormatNs(ns_); }
 
-std::string TimePoint::ToString() const { return FormatNs(ns_); }
-
 }  // namespace lv

@@ -78,8 +78,6 @@ class TimePoint {
   constexpr Duration operator-(TimePoint o) const { return Duration::Nanos(ns_ - o.ns_); }
   constexpr auto operator<=>(const TimePoint&) const = default;
 
-  std::string ToString() const;
-
  private:
   explicit constexpr TimePoint(int64_t ns) : ns_(ns) {}
   int64_t ns_;

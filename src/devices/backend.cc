@@ -29,26 +29,6 @@ constexpr const char* kBackendWatchToken = "be-dir";
 constexpr const char* kFrontendTokenPrefix = "fe-";
 }  // namespace
 
-const char* XenbusStateName(XenbusState s) {
-  switch (s) {
-    case XenbusState::kUnknown:
-      return "Unknown";
-    case XenbusState::kInitialising:
-      return "Initialising";
-    case XenbusState::kInitWait:
-      return "InitWait";
-    case XenbusState::kInitialised:
-      return "Initialised";
-    case XenbusState::kConnected:
-      return "Connected";
-    case XenbusState::kClosing:
-      return "Closing";
-    case XenbusState::kClosed:
-      return "Closed";
-  }
-  return "?";
-}
-
 std::string XenbusStateValue(XenbusState s) {
   return std::string(1, static_cast<char>('0' + static_cast<int>(s)));  // 0..6
 }
@@ -85,7 +65,6 @@ BackendDriver::Instance& BackendDriver::GetOrCreate(hv::DomainId domid) {
     Instance inst;
     inst.domid = domid;
     inst.ready = std::make_unique<sim::OneShotEvent>(engine_);
-    inst.connected = std::make_unique<sim::OneShotEvent>(engine_);
     inst.closed = std::make_unique<sim::OneShotEvent>(engine_);
     it = instances_.emplace(domid, std::move(inst)).first;
   }
@@ -97,10 +76,6 @@ bool BackendDriver::IsConnected(hv::DomainId domid) const {
   return it != instances_.end() &&
          it->second.backend_state == XenbusState::kConnected &&
          it->second.frontend_state == XenbusState::kConnected;
-}
-
-sim::Co<void> BackendDriver::WaitConnected(hv::DomainId domid) {
-  co_await GetOrCreate(domid).connected->Wait();
 }
 
 void BackendDriver::SetGuestRx(hv::DomainId domid,
@@ -267,7 +242,6 @@ sim::Co<void> BackendDriver::XsBackendOnFrontendConnected(sim::ExecCtx ctx,
   inst.backend_state = XenbusState::kConnected;
   (void)co_await xs_client_->Write(ctx, BackendDir(domid) + "/state",
                                    XenbusStateValue(XenbusState::kConnected));
-  inst.connected->Trigger();
 }
 
 sim::Co<void> BackendDriver::XsBackendClose(sim::ExecCtx ctx, hv::DomainId domid) {
@@ -433,7 +407,6 @@ sim::Co<lv::Result<hv::DeviceInfo>> BackendDriver::NoxsCreate(sim::ExecCtx ctx,
           inst2.frontend_state = XenbusState::kConnected;
           inst2.backend_state = XenbusState::kConnected;
           inst2.page->backend_state = XenbusState::kConnected;
-          inst2.connected->Trigger();
         }
       });
   if (udev_hotplug_ != nullptr) {

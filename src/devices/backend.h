@@ -80,9 +80,6 @@ class BackendDriver {
   bool IsConnected(hv::DomainId domid) const;
   int64_t num_devices() const { return static_cast<int64_t>(instances_.size()); }
 
-  // Waits until the front/back handshake completes (both Connected).
-  sim::Co<void> WaitConnected(hv::DomainId domid);
-
   // Guests register their packet receive handler after connecting.
   void SetGuestRx(hv::DomainId domid, std::function<void(const xnet::Packet&)> rx);
 
@@ -98,7 +95,6 @@ class BackendDriver {
     bool hotplugged = false;
     bool via_noxs = false;
     std::unique_ptr<sim::OneShotEvent> ready;      // backend reached InitWait
-    std::unique_ptr<sim::OneShotEvent> connected;  // both sides Connected
     std::unique_ptr<sim::OneShotEvent> closed;
     std::function<void(const xnet::Packet&)> guest_rx;
   };

@@ -27,7 +27,6 @@ enum class XenbusState {
   kClosed = 6,
 };
 
-const char* XenbusStateName(XenbusState s);
 // XenStore state entries carry the numeric value as a string.
 std::string XenbusStateValue(XenbusState s);
 

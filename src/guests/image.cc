@@ -5,18 +5,6 @@ namespace guests {
 using lv::Bytes;
 using lv::Duration;
 
-const char* GuestKindName(GuestKind kind) {
-  switch (kind) {
-    case GuestKind::kUnikernel:
-      return "unikernel";
-    case GuestKind::kTinyx:
-      return "tinyx";
-    case GuestKind::kDebian:
-      return "debian";
-  }
-  return "?";
-}
-
 GuestImage DaytimeUnikernel() {
   GuestImage img;
   img.name = "daytime";

@@ -19,8 +19,6 @@ enum class GuestKind {
   kDebian,     // full general-purpose distribution
 };
 
-const char* GuestKindName(GuestKind kind);
-
 // Network stack linked into the guest; determines data-plane efficiency
 // (the lwip-based TLS unikernel reaches ~1/5 of Tinyx's throughput, §7.3).
 enum class NetStackKind { kNone, kLwip, kLinux };

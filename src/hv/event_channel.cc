@@ -32,22 +32,6 @@ lv::Status EventChannelTable::Bind(Port port, DomainId side, std::function<void(
   return lv::Status::Ok();
 }
 
-lv::Status EventChannelTable::Unbind(Port port, DomainId side) {
-  auto it = channels_.find(port);
-  if (it == channels_.end()) {
-    return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("port %lld", (long long)port));
-  }
-  Channel& ch = it->second;
-  if (side == ch.a) {
-    ch.handler_a = nullptr;
-  } else if (side == ch.b) {
-    ch.handler_b = nullptr;
-  } else {
-    return lv::Err(lv::ErrorCode::kPermissionDenied, "not an endpoint");
-  }
-  return lv::Status::Ok();
-}
-
 sim::Co<lv::Status> EventChannelTable::Notify(sim::ExecCtx ctx, Port port, DomainId from) {
   co_await ctx.Work(costs_->event_channel_op);
   auto it = channels_.find(port);

@@ -27,7 +27,6 @@ class EventChannelTable {
 
   // Binds the handler invoked when the *other* side notifies.
   lv::Status Bind(Port port, DomainId side, std::function<void()> handler);
-  lv::Status Unbind(Port port, DomainId side);
 
   // Sends an event from `from` to the other side. Charges the hypercall to
   // `ctx` and delivers the virtual IRQ after the injection latency.

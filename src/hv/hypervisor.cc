@@ -35,20 +35,6 @@ const char* DomainStateName(DomainState state) {
   return "?";
 }
 
-const char* DeviceTypeName(DeviceType type) {
-  switch (type) {
-    case DeviceType::kConsole:
-      return "console";
-    case DeviceType::kNet:
-      return "vif";
-    case DeviceType::kBlock:
-      return "vbd";
-    case DeviceType::kSysctl:
-      return "sysctl";
-  }
-  return "?";
-}
-
 Hypervisor::Hypervisor(sim::Engine* engine, lv::Bytes total_memory, Costs costs)
     : engine_(engine),
       costs_(costs),
@@ -56,11 +42,6 @@ Hypervisor::Hypervisor(sim::Engine* engine, lv::Bytes total_memory, Costs costs)
       event_channels_(engine, &costs_) {}
 
 Domain* Hypervisor::FindDomain(DomainId id) {
-  auto it = domains_.find(id);
-  return it == domains_.end() ? nullptr : it->second.get();
-}
-
-const Domain* Hypervisor::FindDomain(DomainId id) const {
   auto it = domains_.find(id);
   return it == domains_.end() ? nullptr : it->second.get();
 }

@@ -59,7 +59,6 @@ class Hypervisor {
 
   // Non-hypercall accessors (used by infrastructure/tests, free of cost).
   Domain* FindDomain(DomainId id);
-  const Domain* FindDomain(DomainId id) const;
   int64_t NumDomains() const { return static_cast<int64_t>(domains_.size()); }
   int64_t NumDomainsInState(DomainState state) const;
 

@@ -38,8 +38,6 @@ enum class DeviceType {
   kSysctl,  // noxs power-control pseudo-device (suspend/resume/migrate)
 };
 
-const char* DeviceTypeName(DeviceType type);
-
 enum class ShutdownReason {
   kNone,
   kPoweroff,

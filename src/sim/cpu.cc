@@ -15,14 +15,9 @@ CpuScheduler::CpuScheduler(Engine* engine, int num_cores) : engine_(engine) {
   cores_.resize(static_cast<size_t>(num_cores));
   for (Core& core : cores_) {
     core.last_update = engine_->now();
+    core.next_completion = Timer(engine_, [this, &core] { OnCompletion(core); });
   }
   window_start_ = engine_->now();
-}
-
-CpuScheduler::~CpuScheduler() {
-  for (Core& core : cores_) {
-    core.next_completion.Cancel();
-  }
 }
 
 int CpuScheduler::ActiveJobs(int core) const {
@@ -79,16 +74,15 @@ void CpuScheduler::Advance(Core& core) {
   double share = elapsed / static_cast<double>(core.active.size());
   for (Job& job : core.active) {
     job.remaining_ns -= share;
-    consumed_ns_[job.owner] += share;
+    *job.consumed_ns += share;
   }
   core.busy_ns += elapsed;
   core.window_busy_ns += elapsed;
 }
 
-void CpuScheduler::Reschedule(int core_idx) {
-  Core& core = cores_[static_cast<size_t>(core_idx)];
-  core.next_completion.Cancel();
+void CpuScheduler::Reschedule(Core& core) {
   if (core.active.empty()) {
+    core.next_completion.Disarm();
     return;
   }
   double min_remaining = core.active[0].remaining_ns;
@@ -96,12 +90,10 @@ void CpuScheduler::Reschedule(int core_idx) {
     min_remaining = std::min(min_remaining, job.remaining_ns);
   }
   double delay_ns = std::max(1.0, min_remaining * static_cast<double>(core.active.size()));
-  core.next_completion = engine_->Schedule(Duration::Nanos(static_cast<int64_t>(delay_ns)),
-                                           [this, core_idx] { OnCompletion(core_idx); });
+  core.next_completion.Arm(Duration::Nanos(static_cast<int64_t>(delay_ns)));
 }
 
-void CpuScheduler::OnCompletion(int core_idx) {
-  Core& core = cores_[static_cast<size_t>(core_idx)];
+void CpuScheduler::OnCompletion(Core& core) {
   Advance(core);
   done_.clear();
   auto it = core.active.begin();
@@ -113,7 +105,7 @@ void CpuScheduler::OnCompletion(int core_idx) {
       ++it;
     }
   }
-  Reschedule(core_idx);
+  Reschedule(core);
   for (std::coroutine_handle<> h : done_) {
     engine_->Schedule(Duration(), h);
   }
@@ -124,8 +116,8 @@ void CpuScheduler::Submit(int core_idx, Duration work, CpuOwner owner,
   LV_CHECK(core_idx >= 0 && core_idx < num_cores());
   Core& core = cores_[static_cast<size_t>(core_idx)];
   Advance(core);
-  core.active.push_back(Job{static_cast<double>(work.ns()), owner, h});
-  Reschedule(core_idx);
+  core.active.push_back(Job{static_cast<double>(work.ns()), &consumed_ns_[owner], h});
+  Reschedule(core);
 }
 
 }  // namespace sim

@@ -32,7 +32,6 @@ inline constexpr CpuOwner kHostOwner = 0;
 class CpuScheduler {
  public:
   CpuScheduler(Engine* engine, int num_cores);
-  ~CpuScheduler();
   CpuScheduler(const CpuScheduler&) = delete;
   CpuScheduler& operator=(const CpuScheduler&) = delete;
 
@@ -72,13 +71,15 @@ class CpuScheduler {
  private:
   struct Job {
     double remaining_ns;
-    CpuOwner owner;
+    // The owner's entry in consumed_ns_ (unordered_map nodes never move).
+    double* consumed_ns;
     std::coroutine_handle<> handle;
   };
   struct Core {
     std::vector<Job> active;
     TimePoint last_update;
-    EventHandle next_completion;
+    // Armed while jobs are active, for when the first of them finishes.
+    Timer next_completion;
     double busy_ns = 0.0;
     double window_busy_ns = 0.0;
   };
@@ -86,11 +87,12 @@ class CpuScheduler {
   void Submit(int core_idx, Duration work, CpuOwner owner, std::coroutine_handle<> h);
   // Charges elapsed time to the active jobs of `core` up to `now`.
   void Advance(Core& core);
-  // (Re)schedules the core's next job-completion event.
-  void Reschedule(int core_idx);
-  void OnCompletion(int core_idx);
+  // Re-keys (or, when idle, disarms) the core's next-completion timer.
+  void Reschedule(Core& core);
+  void OnCompletion(Core& core);
 
   Engine* engine_;
+  // Sized once, so an armed completion timer never moves.
   std::vector<Core> cores_;
   // OnCompletion's finished jobs, kept to reuse the allocation.
   std::vector<std::coroutine_handle<>> done_;

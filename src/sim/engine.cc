@@ -39,6 +39,17 @@ Engine::~Engine() {
   obs::FlightRecorder::Get().DetachClock();
 }
 
+Timer::Timer(Timer&& other) noexcept : engine_(other.engine_), fn_(std::move(other.fn_)) {
+  LV_CHECK_MSG(!other.armed(), "an armed timer cannot move");
+}
+
+Timer& Timer::operator=(Timer&& other) noexcept {
+  LV_CHECK_MSG(!armed() && !other.armed(), "an armed timer cannot move");
+  engine_ = other.engine_;
+  fn_ = std::move(other.fn_);
+  return *this;
+}
+
 EventHandle Engine::ScheduleAt(TimePoint when, std::function<void()> fn) {
   uint32_t slot = Push(when);
   slots_[slot].fn = std::move(fn);
@@ -85,12 +96,61 @@ void Engine::Drop(uint32_t slot) {
   Release(slot);
 }
 
+void Engine::ArmTimer(Timer& timer, TimePoint when) {
+  LV_CHECK_MSG(when > now_, "a timer is armed at least 1 ns ahead");
+  if (!timer.armed()) {
+    timer.index_ = static_cast<uint32_t>(timers_.size());
+    timers_.push_back(TimerEntry{when, next_seq_, &timer});
+  } else {
+    timers_[timer.index_].when = when;
+    timers_[timer.index_].seq = next_seq_;
+  }
+  ++next_seq_;
+  SiftTimer(timer.index_);
+}
+
+void Engine::DisarmTimer(Timer& timer) {
+  size_t i = timer.index_;
+  timer.index_ = Timer::kDisarmed;
+  TimerEntry last = timers_.back();
+  timers_.pop_back();
+  if (i < timers_.size()) {
+    timers_[i] = last;
+    last.timer->index_ = static_cast<uint32_t>(i);
+    SiftTimer(i);
+  }
+}
+
+void Engine::SiftTimer(size_t i) {
+  const TimerEntry moving = timers_[i];
+  auto place = [this](size_t at, const TimerEntry& e) {
+    timers_[at] = e;
+    e.timer->index_ = static_cast<uint32_t>(at);
+  };
+  // Up past every later parent, then down past every earlier child (a
+  // no-op once it has moved up).
+  while (i > 0 && Later{}(timers_[(i - 1) / 2], moving)) {
+    place(i, timers_[(i - 1) / 2]);
+    i = (i - 1) / 2;
+  }
+  for (size_t child; (child = 2 * i + 1) < timers_.size(); i = child) {
+    if (child + 1 < timers_.size() && Later{}(timers_[child], timers_[child + 1])) {
+      ++child;
+    }
+    if (!Later{}(moving, timers_[child])) {
+      break;
+    }
+    place(i, timers_[child]);
+  }
+  place(i, moving);
+}
+
 void Engine::NoteCancelled() {
   ++cancelled_pending_;
   // Lazy compaction: once dead entries dominate, the heap mostly shuffles
   // garbage — rebuild it. The floor keeps tiny queues (where pops drain the
   // dead entries for free) from compacting on every other Cancel.
-  if (pending_events() >= 64 && cancelled_pending_ * 2 > pending_events()) {
+  if (queued() >= 64 && cancelled_pending_ * 2 > queued()) {
     Compact();
   }
 }
@@ -131,13 +191,35 @@ void Engine::ReapDetached(void* ctx, uint64_t id) {
   static_cast<Engine*>(ctx)->detached_frames_.erase(id);
 }
 
-bool Engine::LaneFirst() const {
-  return lane_head_ < lane_.size() &&
-         (heap_.empty() || Later{}(heap_.front(), lane_[lane_head_]));
+Engine::Source Engine::Next() const {
+  Source s = Source::kNone;
+  const Entry* front = nullptr;
+  if (lane_head_ < lane_.size() && (heap_.empty() || Later{}(heap_.front(), lane_[lane_head_]))) {
+    s = Source::kLane;
+    front = &lane_[lane_head_];
+  } else if (!heap_.empty()) {
+    s = Source::kHeap;
+    front = &heap_.front();
+  }
+  if (!timers_.empty() && (front == nullptr || Later{}(*front, timers_.front()))) {
+    return Source::kTimer;
+  }
+  return s;
 }
 
-Engine::Entry Engine::PopFront() {
-  if (LaneFirst()) {
+TimePoint Engine::When(Source s) const {
+  switch (s) {
+    case Source::kLane:
+      return lane_[lane_head_].when;
+    case Source::kHeap:
+      return heap_.front().when;
+    default:
+      return timers_.front().when;
+  }
+}
+
+Engine::Entry Engine::Pop(Source s) {
+  if (s == Source::kLane) {
     Entry front = lane_[lane_head_++];
     if (lane_head_ == lane_.size()) {
       lane_.clear();
@@ -151,38 +233,51 @@ Engine::Entry Engine::PopFront() {
   return top;
 }
 
-bool Engine::SkipCancelled() {
-  while (pending_events() > 0) {
-    if (!slots_[Front().slot].cancelled) {
-      return true;
+Engine::Source Engine::SkipCancelled() {
+  for (;;) {
+    Source s = Next();
+    // A timer is never cancelled: Disarm takes it out.
+    if (s == Source::kNone || s == Source::kTimer) {
+      return s;
     }
-    Drop(PopFront().slot);
+    uint32_t slot = s == Source::kLane ? lane_[lane_head_].slot : heap_.front().slot;
+    if (!slots_[slot].cancelled) {
+      return s;
+    }
+    Drop(Pop(s).slot);
     --cancelled_pending_;
   }
-  return false;
 }
 
-void Engine::DispatchTop() {
-  const Entry top = PopFront();
-  now_ = top.when;
+void Engine::Dispatch(Source s) {
   ++processed_;
-  Slot& s = slots_[top.slot];
-  if (std::coroutine_handle<> h = std::exchange(s.coro, nullptr)) {
+  if (s == Source::kTimer) {
+    Timer& timer = *timers_.front().timer;
+    now_ = timers_.front().when;
+    DisarmTimer(timer);
+    timer.fn_();
+    return;
+  }
+  const Entry top = Pop(s);
+  now_ = top.when;
+  Slot& slot = slots_[top.slot];
+  if (std::coroutine_handle<> h = std::exchange(slot.coro, nullptr)) {
     Release(top.slot);
     h.resume();
     return;
   }
   std::function<void()> fn;
-  fn.swap(s.fn);
+  fn.swap(slot.fn);
   Release(top.slot);
   fn();
 }
 
 bool Engine::Step() {
-  if (!SkipCancelled()) {
+  Source s = SkipCancelled();
+  if (s == Source::kNone) {
     return false;
   }
-  DispatchTop();
+  Dispatch(s);
   return true;
 }
 
@@ -192,8 +287,8 @@ void Engine::Run() {
 }
 
 void Engine::RunUntil(TimePoint t) {
-  while (SkipCancelled() && Front().when <= t) {
-    DispatchTop();
+  for (Source s; (s = SkipCancelled()) != Source::kNone && When(s) <= t;) {
+    Dispatch(s);
   }
   if (now_ < t) {
     now_ = t;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -20,8 +21,7 @@ using lv::TimePoint;
 
 class Engine;
 
-// Handle to a scheduled event; allows cancellation (used by the CPU
-// scheduler to re-plan core completion events). It names the event's slab
+// Handle to a scheduled event; allows cancellation. It names the event's slab
 // slot and the slot's generation at scheduling time. The generation moves on
 // when the event is dispatched or its cancelled entry is dropped, so a
 // handle to a fired or dropped event is inert (Cancel() is a no-op, valid()
@@ -29,9 +29,8 @@ class Engine;
 // already inert.
 //
 // Lifetime: a handle must not outlive its engine. Cancel() and valid() read
-// the engine's slab, so every owner (CPU cores, guest background sleeps,
-// Channel and SharedFuture awaiters) is torn down before the engine it
-// scheduled on.
+// the engine's slab, so every owner (guest background sleeps, Channel and
+// SharedFuture awaiters) is torn down before the engine it scheduled on.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -47,6 +46,40 @@ class EventHandle {
   Engine* engine_ = nullptr;
   uint32_t slot_ = 0;
   uint64_t generation_ = 0;
+};
+
+// A re-armable event owned by its user and held outside the event queue, in
+// the engine's own small min-heap: at most one pending firing, re-keyed in
+// place by Arm. Arm takes the next seq, exactly as cancelling an event and
+// scheduling a new one would, and Disarm takes none, so timers and queued
+// events dispatch in the one (when, seq) order. The callback runs with the
+// timer disarmed; it may re-arm the timer but must not destroy it. The
+// destructor disarms. Like an EventHandle, a timer must not outlive its
+// engine. The engine holds its address while armed, so it moves only while
+// disarmed: a container of timers is sized before any is armed.
+class Timer {
+ public:
+  Timer() = default;
+  Timer(Engine* engine, std::function<void()> fn) : engine_(engine), fn_(std::move(fn)) {}
+  ~Timer() { Disarm(); }
+  Timer(Timer&& other) noexcept;
+  Timer& operator=(Timer&& other) noexcept;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  // Fires at now() + delay, replacing any pending firing. The delay must be
+  // at least 1 ns.
+  inline void Arm(Duration delay);
+  // Drops the pending firing, if any.
+  inline void Disarm();
+  bool armed() const { return index_ != kDisarmed; }
+
+ private:
+  friend class Engine;
+  static constexpr uint32_t kDisarmed = UINT32_MAX;
+  Engine* engine_ = nullptr;
+  std::function<void()> fn_;
+  uint32_t index_ = kDisarmed;  // position in the engine's timer heap
 };
 
 class Engine {
@@ -92,18 +125,21 @@ class Engine {
   // Processes a single event. Returns false if the queue was empty.
   bool Step();
 
-  // Queue entries (heap and lane), cancelled ones included.
-  size_t pending_events() const { return heap_.size() + lane_.size() - lane_head_; }
+  // Queue entries (heap and lane), cancelled ones included, plus armed
+  // timers.
+  size_t pending_events() const { return queued() + timers_.size(); }
   uint64_t processed_events() const { return processed_; }
 
   // Cancelled entries still sitting in the queue. EventHandle::Cancel only
   // marks; the entry stays until popped or until lazy compaction rebuilds
-  // the heap (triggered when dead entries exceed half the queue).
+  // the heap (triggered when dead entries exceed half the queue; timers are
+  // never dead and do not count).
   size_t cancelled_pending() const { return cancelled_pending_; }
   uint64_t compactions() const { return compactions_; }
 
  private:
   friend class EventHandle;
+  friend class Timer;
   // One scheduled event's callable. Slots are recycled through `free_`;
   // releasing one bumps its generation, which retires every handle to it.
   struct Slot {
@@ -118,15 +154,26 @@ class Engine {
     uint64_t seq;
     uint32_t slot;
   };
+  // Timer heap entry: the key sits beside the timer, so sifting compares
+  // contiguous data; the timer records its position.
+  struct TimerEntry {
+    TimePoint when;
+    uint64_t seq;
+    Timer* timer;
+  };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
       return a.seq > b.seq;
     }
   };
+  // Where the next event by (when, seq) sits.
+  enum class Source : uint8_t { kNone, kHeap, kLane, kTimer };
 
+  size_t queued() const { return heap_.size() + lane_.size() - lane_head_; }
   // Takes a free slot and queues its entry at `when` with the next seq: in
   // the lane when `when` is now, else in the heap.
   uint32_t Push(TimePoint when);
@@ -135,18 +182,25 @@ class Engine {
   // Releases a cancelled slot, destroying its closure once the slot is
   // consistent again.
   void Drop(uint32_t slot);
-  // Does the next entry by (when, seq) sit at the lane's front rather than
-  // the heap's top? False when the lane is empty.
-  bool LaneFirst() const;
-  // The next entry by (when, seq); the queue must not be empty.
-  const Entry& Front() const { return LaneFirst() ? lane_[lane_head_] : heap_.front(); }
-  // Removes and returns the next entry.
-  Entry PopFront();
-  // Pops cancelled entries off the front; false once the queue is empty.
-  bool SkipCancelled();
-  // Pops the front entry and runs it. The callable leaves its slot, and the
-  // slot is released, before it runs, so the handler may schedule freely.
-  void DispatchTop();
+  // The lowest by (when, seq) of the heap's top, the lane's front and the
+  // timer heap's top.
+  Source Next() const;
+  TimePoint When(Source s) const;
+  // Removes and returns the front entry of the heap or the lane.
+  Entry Pop(Source s);
+  // Pops cancelled entries off the front and returns where the next live
+  // event sits.
+  Source SkipCancelled();
+  // Removes the next event and runs it. A queued callable leaves its slot,
+  // and the slot is released, before it runs, and a timer is disarmed before
+  // its callback runs, so the handler may schedule and arm freely.
+  void Dispatch(Source s);
+
+  // Timer heap: (re)keys `timer` at `when` with the next seq, or removes it.
+  void ArmTimer(Timer& timer, TimePoint when);
+  void DisarmTimer(Timer& timer);
+  // Moves the entry at `i` up or down to its place.
+  void SiftTimer(size_t i);
 
   // First-time Cancel of a queued event; compacts when dead entries exceed
   // half the queue (and the queue is big enough for the rebuild to pay off).
@@ -177,6 +231,12 @@ class Engine {
   // heap would pop.
   std::vector<Entry> lane_;
   size_t lane_head_ = 0;
+  // Min-heap on (when, seq) of the armed timers. A timer is armed at least
+  // 1 ns ahead, so one due now was armed at an earlier clock and holds a
+  // lower seq than every lane entry, as a heap entry due now does; taking
+  // the lowest of the three fronts by (when, seq) is still the single-heap
+  // order.
+  std::vector<TimerEntry> timers_;
   lv::Rng rng_;
   // Live detached frames by spawn order: a frame still parked on the queue
   // when the engine dies is unreachable any other way, so ~Engine destroys
@@ -184,6 +244,14 @@ class Engine {
   std::map<uint64_t, void*> detached_frames_;
   uint64_t next_detached_id_ = 0;
 };
+
+inline void Timer::Arm(Duration delay) { engine_->ArmTimer(*this, engine_->now() + delay); }
+
+inline void Timer::Disarm() {
+  if (armed()) {
+    engine_->DisarmTimer(*this);
+  }
+}
 
 inline bool EventHandle::valid() const {
   return engine_ != nullptr && engine_->slots_[slot_].generation == generation_;

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -367,6 +369,36 @@ TEST(CpuTest, ManyJobsFairness) {
   }
 }
 
+// Destroying a scheduler disarms its cores' completion timers: the engine
+// keeps stepping, another scheduler on it keeps its timing, and the
+// destroyed scheduler's jobs never complete.
+TEST(CpuTest, DestroyedWithJobsInFlightWhileTheEngineSteps) {
+  Engine engine;
+  auto cpu = std::make_unique<CpuScheduler>(&engine, 2);
+  CpuScheduler other(&engine, 1);
+  TimePoint never;
+  TimePoint done;
+  engine.Spawn(Burn(engine, *cpu, 0, Duration::Millis(10), &never));
+  engine.Spawn(Burn(engine, *cpu, 1, Duration::Millis(20), &never));
+  engine.Spawn(Burn(engine, *cpu, 1, Duration::Millis(30), &never));
+  engine.Spawn(Burn(engine, other, 0, Duration::Millis(40), &done));
+  int ran = 0;
+  engine.Schedule(Duration::Millis(5), [&] {
+    // Three completion timers and the closure at 50 ms.
+    EXPECT_EQ(engine.pending_events(), 4u);
+    cpu.reset();
+    EXPECT_EQ(engine.pending_events(), 2u);
+    ++ran;
+  });
+  engine.Schedule(Duration::Millis(50), [&ran] { ++ran; });
+  engine.Run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(never, TimePoint());
+  EXPECT_NEAR(done.ms(), 40.0, 1e-6);
+  EXPECT_EQ(engine.now().ms(), 50.0);
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
 TEST(CorePlacerTest, RoundRobinGuestCores) {
   CorePlacer placer(4, 1);
   EXPECT_EQ(placer.NextGuestCore(), 1);
@@ -522,6 +554,30 @@ TEST(EngineTest, RunningEventsOwnHandleIsInert) {
   engine.Run();
   EXPECT_EQ(ran, 11);
   EXPECT_EQ(engine.cancelled_pending(), 0u);
+  EXPECT_EQ(engine.processed_events(), 2u);
+}
+
+TEST(EngineTest, TimerIsOnePendingEventReKeyedInPlace) {
+  Engine engine;
+  std::vector<int> order;
+  Timer timer(&engine, [&order] { order.push_back(0); });
+  engine.Schedule(Duration::Millis(2), [&order] { order.push_back(1); });
+  timer.Arm(Duration::Millis(2));  // ties with the closure, on a later seq
+  timer.Arm(Duration::Millis(1));
+  timer.Arm(Duration::Millis(3));
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(engine.pending_events(), 2u);
+  EXPECT_EQ(engine.cancelled_pending(), 0u);
+  engine.RunUntil(TimePoint() + Duration::Millis(2));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  timer.Disarm();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(engine.pending_events(), 0u);
+  timer.Arm(Duration::Millis(1));
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(engine.now().ms(), 3.0);
   EXPECT_EQ(engine.processed_events(), 2u);
 }
 
@@ -765,6 +821,199 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
   }
   // The bursts must have driven the lazy compaction path too.
   EXPECT_GT(total_compactions, 0u);
+}
+
+// Timers checked op by op against ReferenceQueue, where arming is a Cancel
+// of the timer's pending entry (if any) then a Schedule, and disarming is a
+// Cancel. Timers are armed, re-armed and disarmed from outside, from inside
+// their own and each other's callbacks and from inside closures. Delays are
+// short, so firings tie at one `when` with heap entries, lane entries and
+// each other, and RunUntil horizons fall between them; cancelled bursts
+// compact the queue while timers are armed.
+TEST(EngineTest, TimersMatchReferenceQueue) {
+  constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
+  constexpr int kTimers = 12;
+  uint64_t compactions_while_armed = 0;
+  // What firing an event does: arm `timer` at `delay` as event `id`, disarm
+  // `timer` (delay < 0), or schedule closure `id` at `delay` (timer < 0).
+  struct Action {
+    int timer;
+    int64_t delay;
+    int id;
+  };
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    lv::Rng rng(seed);
+    Engine engine;
+    ReferenceQueue ref;
+    std::vector<int> fired;
+    std::vector<int> ref_fired;
+    // By event id: the closure's handle, the timer it fires (-1 for a
+    // closure), and its actions, drawn when the reference fires it (the
+    // reference always runs ahead of the engine).
+    std::vector<EventHandle> handles;
+    std::vector<int> timer_of;
+    std::vector<std::vector<Action>> plan;
+    // By timer: the id of its pending firing, or -1; one copy per side.
+    std::vector<int> armed(kTimers, -1);
+    std::vector<int> ref_armed(kTimers, -1);
+
+    auto new_id = [&](int timer) {
+      handles.emplace_back();
+      timer_of.push_back(timer);
+      plan.emplace_back();
+      return static_cast<int>(plan.size()) - 1;
+    };
+    std::vector<Timer> timers(kTimers);
+    std::function<void(int)> carry_out;
+    auto schedule = [&](int64_t delay, int id) {
+      handles[id] = engine.Schedule(Duration::Nanos(delay), [&, id] {
+        fired.push_back(id);
+        carry_out(id);
+      });
+    };
+    carry_out = [&](int id) {
+      for (const Action& a : plan[id]) {
+        if (a.timer < 0) {
+          schedule(a.delay, a.id);
+        } else if (a.delay < 0) {
+          timers[a.timer].Disarm();
+          armed[a.timer] = -1;
+        } else {
+          timers[a.timer].Arm(Duration::Nanos(a.delay));
+          armed[a.timer] = a.id;
+        }
+      }
+    };
+    for (int k = 0; k < kTimers; ++k) {
+      timers[k] = Timer(&engine, [&, k] {
+        int id = std::exchange(armed[k], -1);
+        fired.push_back(id);
+        if (id >= 0) {
+          carry_out(id);
+        }
+      });
+    }
+
+    auto ref_apply = [&](const Action& a) {
+      if (a.timer < 0) {
+        ref.Schedule(ref.now + a.delay, a.id);
+        return;
+      }
+      if (ref_armed[a.timer] >= 0) {
+        ref.Cancel(ref_armed[a.timer]);
+      }
+      ref_armed[a.timer] = -1;
+      if (a.delay >= 0) {
+        ref.Schedule(ref.now + a.delay, a.id);
+        ref_armed[a.timer] = a.id;
+      }
+    };
+    auto random_timer = [&] { return static_cast<int>(rng.Uniform(0, kTimers - 1)); };
+    auto draw_timer_action = [&](int timer) {
+      if (rng.Chance(0.25)) {
+        return Action{timer, -1, -1};
+      }
+      return Action{timer, rng.Uniform(1, 12), new_id(timer)};
+    };
+    auto draw_closure = [&] {
+      return Action{-1, rng.Chance(0.4) ? int64_t{0} : rng.Uniform(1, 12), new_id(-1)};
+    };
+    auto ref_fire = [&](int id) {
+      ref_fired.push_back(id);
+      int own = timer_of[id];
+      if (own >= 0) {
+        ref_armed[own] = -1;
+      }
+      std::vector<Action> actions;
+      for (int64_t n = rng.Chance(0.5) ? 0 : rng.Uniform(1, 2); n > 0; --n) {
+        if (rng.Chance(0.5)) {
+          // Its own timer half the time, when a timer fired it.
+          actions.push_back(draw_timer_action(own >= 0 && rng.Chance(0.5) ? own : random_timer()));
+        } else {
+          actions.push_back(draw_closure());
+        }
+        ref_apply(actions.back());
+      }
+      plan[id] = std::move(actions);
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      int64_t roll = rng.Uniform(0, 99);
+      std::vector<Action> outside;
+      if (roll < 25) {
+        outside.push_back(draw_timer_action(random_timer()));
+      } else if (roll < 43) {
+        outside.push_back(draw_closure());
+      } else if (roll < 47) {
+        // A burst deep enough to cross the compaction floor, mostly
+        // cancelled again.
+        for (int i = 0; i < 80; ++i) {
+          outside.push_back(draw_closure());
+        }
+      } else if (roll < 53 && !handles.empty()) {
+        int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
+        if (timer_of[id] < 0) {
+          handles[id].Cancel();
+          ref.Cancel(id);
+        }
+      } else if (roll < 78) {
+        int id = ref.Pop(kForever);
+        if (id >= 0) {
+          ref_fire(id);
+        }
+        ASSERT_EQ(engine.Step(), id >= 0) << "seed " << seed << " op " << op;
+      } else {
+        int64_t horizon = ref.now + rng.Uniform(0, 15);
+        for (int id; (id = ref.Pop(horizon)) >= 0;) {
+          ref_fire(id);
+        }
+        ref.now = std::max(ref.now, horizon);
+        engine.RunUntil(TimePoint::FromNanos(horizon));
+      }
+      if (!outside.empty()) {
+        // Carried out from outside any handler, through a stand-in event
+        // that never fires.
+        int id = new_id(-1);
+        for (const Action& a : outside) {
+          ref_apply(a);
+        }
+        plan[id] = std::move(outside);
+        carry_out(id);
+        if (plan[id].size() > 1) {
+          uint64_t before = engine.compactions();
+          for (const Action& a : plan[id]) {
+            if (rng.Chance(0.7)) {
+              handles[a.id].Cancel();
+              ref.Cancel(a.id);
+            }
+          }
+          if (std::any_of(armed.begin(), armed.end(), [](int pending) { return pending >= 0; })) {
+            compactions_while_armed += engine.compactions() - before;
+          }
+        }
+      }
+
+      ASSERT_EQ(fired, ref_fired) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.now().ns(), ref.now) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed << " op " << op;
+      ASSERT_EQ(engine.pending_events() - engine.cancelled_pending(), ref.live())
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(armed, ref_armed) << "seed " << seed << " op " << op;
+      for (int k = 0; k < kTimers; ++k) {
+        ASSERT_EQ(timers[k].armed(), armed[k] >= 0) << "seed " << seed << " op " << op;
+      }
+    }
+    for (int id; (id = ref.Pop(kForever)) >= 0;) {
+      ref_fire(id);
+    }
+    engine.Run();
+    ASSERT_EQ(fired, ref_fired) << "seed " << seed;
+    ASSERT_EQ(engine.now().ns(), ref.now) << "seed " << seed;
+    ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed;
+    ASSERT_EQ(engine.pending_events(), 0u) << "seed " << seed;
+    ASSERT_EQ(armed, ref_armed) << "seed " << seed;
+  }
+  EXPECT_GT(compactions_while_armed, 0u);
 }
 
 }  // namespace
