@@ -239,6 +239,12 @@ sim::Co<void> BackendDriver::XsBackendOnFrontendConnected(sim::ExecCtx ctx,
                                                           hv::DomainId domid) {
   Instance& inst = GetOrCreate(domid);
   inst.frontend_state = XenbusState::kConnected;
+  // Closing is absorbing. A front-end event handled after the toolstack
+  // asked to close would write Connected over Closing, the close would never
+  // run, and the toolstack would wait on `closed` forever.
+  if (inst.closing) {
+    co_return;
+  }
   inst.backend_state = XenbusState::kConnected;
   (void)co_await xs_client_->Write(ctx, BackendDir(domid) + "/state",
                                    XenbusStateValue(XenbusState::kConnected));
@@ -360,9 +366,11 @@ sim::Co<lv::Status> BackendDriver::XsToolstackDestroy(sim::ExecCtx ctx, xs::XsCl
   // concurrent create can insert (and rehash) while we are suspended below.
   Instance& inst = it->second;
   // Ask the back-end to close, then remove the store entries.
+  inst.closing = true;
   lv::Status s = co_await client->Write(ctx, BackendDir(domid) + "/state",
                                         XenbusStateValue(XenbusState::kClosing));
   if (!s.ok()) {
+    inst.closing = false;
     co_return s;
   }
   co_await inst.closed->Wait();

@@ -94,6 +94,8 @@ class BackendDriver {
     XenbusState frontend_state = XenbusState::kInitialising;
     bool hotplugged = false;
     bool via_noxs = false;
+    // The toolstack has asked the back-end to close (XsToolstackDestroy).
+    bool closing = false;
     std::unique_ptr<sim::OneShotEvent> ready;      // backend reached InitWait
     std::unique_ptr<sim::OneShotEvent> closed;
     std::function<void(const xnet::Packet&)> guest_rx;
@@ -128,8 +130,9 @@ class BackendDriver {
   sim::ExecCtx backend_ctx_;
   bool watcher_running_ = false;
   std::unordered_map<hv::DomainId, Instance> instances_;
-  // Owner-held watcher frame (own-and-drain, ROADMAP item 6). Declared last
-  // so the frame dies before the client/channel it may be parked on.
+  // Owner-held watcher frame (own-and-drain, DESIGN §10 "Teardown
+  // discipline"). Declared last so the frame dies before the client/channel
+  // it may be parked on.
   sim::Co<void> watcher_loop_;
 };
 

@@ -114,9 +114,10 @@ class Guest {
   lv::TimePoint booted_at_;
   std::unique_ptr<xs::XsClient> xs_client_;  // XenStore path only; keeps
                                              // watches alive for the VM's life
-  // Owner-held loop frames (own-and-drain, ROADMAP item 6). Declared after
-  // xs_client_ so the frames die before the watch channel they may be parked
-  // on; the channel awaiter's destructor deregisters them on the way out.
+  // Owner-held loop frames (own-and-drain, DESIGN §10 "Teardown
+  // discipline"). Declared after xs_client_ so the frames die before the
+  // watch channel they may be parked on; the channel awaiter's destructor
+  // deregisters them on the way out.
   sim::Co<void> control_watcher_;
   sim::Co<void> bg_loop_;
 };

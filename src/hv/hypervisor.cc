@@ -336,24 +336,13 @@ sim::Co<lv::Result<DomainInfo>> Hypervisor::DomainGetInfo(sim::ExecCtx ctx, Doma
   co_return info;
 }
 
-sim::Co<lv::Result<std::vector<DomainInfo>>> Hypervisor::ListDomains(sim::ExecCtx ctx) {
+sim::Co<int64_t> Hypervisor::CountDomains(sim::ExecCtx ctx) {
   trace::Span span(ctx.track, "hv.list_domains");
   static metrics::Counter& hc = HypercallCounter("list_domains");
   hc.Inc();
   co_await HypercallEntry(ctx);
   co_await ctx.Work(costs_.per_domain_list * static_cast<double>(domains_.size()));
-  std::vector<DomainInfo> out;
-  out.reserve(domains_.size());
-  for (const auto& [id, dom] : domains_) {
-    DomainInfo info;
-    info.id = id;
-    info.state = dom->state();
-    info.max_mem = dom->max_mem();
-    info.reserved_pages = dom->reserved_pages();
-    info.vcpus = static_cast<int>(dom->vcpu_cores().size());
-    out.push_back(info);
-  }
-  co_return out;
+  co_return static_cast<int64_t>(domains_.size());
 }
 
 sim::Co<lv::Result<int>> Hypervisor::DevicePageWrite(sim::ExecCtx ctx, DomainId caller,

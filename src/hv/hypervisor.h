@@ -108,8 +108,9 @@ class Hypervisor {
   sim::Co<lv::Status> DomainDestroy(sim::ExecCtx ctx, DomainId id);
 
   sim::Co<lv::Result<DomainInfo>> DomainGetInfo(sim::ExecCtx ctx, DomainId id);
-  // XEN_SYSCTL_getdomaininfolist: O(#domains), as in Xen.
-  sim::Co<lv::Result<std::vector<DomainInfo>>> ListDomains(sim::ExecCtx ctx);
+  // XEN_SYSCTL_getdomaininfolist: charged O(#domains), as in Xen. Its one
+  // caller (xl) reads only how many domains exist, so the list is not built.
+  sim::Co<int64_t> CountDomains(sim::ExecCtx ctx);
 
   // --- noxs hypercalls (our Xen modification, paper §5.1) -------------------
 
@@ -136,7 +137,8 @@ class Hypervisor {
   int64_t device_page_writes_ = 0;
   int64_t device_page_reads_ = 0;
   DomainId next_id_ = 1;
-  // Ordered map: ListDomains returns ids in creation order like Xen does.
+  // Ordered by id, so a walk visits domains in creation order, as Xen's
+  // domain list does.
   std::map<DomainId, std::unique_ptr<Domain>> domains_;
   // §9 extension: shared page templates (key -> pages + refcount).
   struct SharedTemplate {

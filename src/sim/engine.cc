@@ -17,6 +17,7 @@ TimePoint LoggerNow(void* ctx) { return static_cast<Engine*>(ctx)->now(); }
 }  // namespace
 
 Engine::Engine(uint64_t seed) : rng_(seed) {
+  detached_.prev = detached_.next = &detached_;
   lv::Logger::Get().AttachClock(&LoggerNow, this);
   trace::Tracer::Get().AttachClock(&LoggerNow, this);
   obs::FlightRecorder::Get().AttachClock(&LoggerNow, this);
@@ -28,11 +29,10 @@ Engine::~Engine() {
   // resumes), but those destructors may themselves spawn or finish other
   // detached tasks, so loop rather than iterate. Newest first, so a late
   // frame referencing state owned by an earlier one unwinds before it.
-  while (!detached_frames_.empty()) {
-    auto it = std::prev(detached_frames_.end());
-    void* frame = it->second;
-    detached_frames_.erase(it);
-    std::coroutine_handle<>::from_address(frame).destroy();
+  while (detached_.prev != &detached_) {
+    auto& newest = *static_cast<internal::Promise<void>*>(detached_.prev);
+    newest.Unlink();
+    std::coroutine_handle<internal::Promise<void>>::from_promise(newest).destroy();
   }
   lv::Logger::Get().DetachClock();
   trace::Tracer::Get().DetachClock();
@@ -180,15 +180,8 @@ void Engine::Spawn(Co<void> task) {
   LV_CHECK_MSG(h != nullptr, "spawning an empty task");
   internal::Promise<void>& p = h.promise();
   p.detached = true;
-  p.reap = &Engine::ReapDetached;
-  p.reap_ctx = this;
-  p.reap_id = next_detached_id_++;
-  detached_frames_.emplace(p.reap_id, h.address());
+  p.LinkBefore(&detached_);
   h.resume();
-}
-
-void Engine::ReapDetached(void* ctx, uint64_t id) {
-  static_cast<Engine*>(ctx)->detached_frames_.erase(id);
 }
 
 Engine::Source Engine::Next() const {

@@ -6,7 +6,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -103,7 +102,8 @@ class Engine {
   EventHandle ScheduleAt(TimePoint when, std::coroutine_handle<> h);
 
   // Starts a detached coroutine task. It runs synchronously until its first
-  // suspension point; its frame is reclaimed automatically on completion.
+  // suspension point; its frame is reclaimed automatically on completion, or
+  // by ~Engine if it is still parked then.
   void Spawn(Co<void> task);
 
   // Awaitable that suspends the current coroutine for `d` of simulated time.
@@ -208,10 +208,6 @@ class Engine {
   // Rebuilds the heap and the lane without the cancelled entries.
   void Compact();
 
-  // Deregisters a detached frame that reached its final suspend (see
-  // PromiseBase::reap).
-  static void ReapDetached(void* ctx, uint64_t id);
-
   TimePoint now_;
   uint64_t next_seq_ = 0;
   uint64_t processed_ = 0;
@@ -238,11 +234,11 @@ class Engine {
   // order.
   std::vector<TimerEntry> timers_;
   lv::Rng rng_;
-  // Live detached frames by spawn order: a frame still parked on the queue
-  // when the engine dies is unreachable any other way, so ~Engine destroys
-  // the survivors (newest first).
-  std::map<uint64_t, void*> detached_frames_;
-  uint64_t next_detached_id_ = 0;
+  // Sentinel of the live detached frames' list, oldest first (see
+  // internal::DetachedLink): a frame still parked on the queue when the
+  // engine dies is unreachable any other way, so ~Engine destroys the
+  // survivors (newest first).
+  internal::DetachedLink detached_;
 };
 
 inline void Timer::Arm(Duration delay) { engine_->ArmTimer(*this, engine_->now() + delay); }

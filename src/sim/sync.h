@@ -124,9 +124,11 @@ class Channel {
   }
 
   void Send(T value) {
-    if (!receivers_.empty()) {
-      Awaiter* rx = receivers_.front();
-      receivers_.pop_front();
+    if (Awaiter* rx = rx_head_) {
+      rx_head_ = rx->next;
+      if (rx_head_ == nullptr) {
+        rx_tail_ = nullptr;
+      }
       rx->slot = std::move(value);
       rx->wakeup = engine_->Schedule(Duration(), rx->handle);
     } else {
@@ -142,6 +144,7 @@ class Channel {
     // destroyed while its wake-up is still in flight can cancel it instead of
     // letting the engine resume a dead coroutine.
     EventHandle wakeup;
+    Awaiter* next = nullptr;  // the receiver parked after this one
 
     ~Awaiter() {
       if (!handle) {
@@ -149,9 +152,13 @@ class Channel {
       }
       // Destroying a suspended receiver: deregister so a later Send() cannot
       // hand a value to a dead frame, and cancel any in-flight wake-up.
-      for (auto it = ch->receivers_.begin(); it != ch->receivers_.end(); ++it) {
-        if (*it == this) {
-          ch->receivers_.erase(it);
+      Awaiter* prev = nullptr;
+      for (Awaiter* rx = ch->rx_head_; rx != nullptr; prev = rx, rx = rx->next) {
+        if (rx == this) {
+          (prev == nullptr ? ch->rx_head_ : prev->next) = next;
+          if (ch->rx_tail_ == this) {
+            ch->rx_tail_ = prev;
+          }
           break;
         }
       }
@@ -168,7 +175,8 @@ class Channel {
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      ch->receivers_.push_back(this);
+      (ch->rx_tail_ == nullptr ? ch->rx_head_ : ch->rx_tail_->next) = this;
+      ch->rx_tail_ = this;
     }
     T await_resume() {
       LV_CHECK(slot.has_value());
@@ -180,11 +188,16 @@ class Channel {
  private:
   Engine* engine_;
   std::deque<T> queue_;
-  std::deque<Awaiter*> receivers_;
+  // Parked receivers in FIFO order, threaded through their awaiters (which
+  // live in the parked frames), so parking allocates nothing.
+  Awaiter* rx_head_ = nullptr;
+  Awaiter* rx_tail_ = nullptr;
 };
 
 // One-shot shared future: Set() once, any number of Get() waiters. The value
-// is copied to each waiter.
+// is copied to each waiter, and waiters wake in registration order. Copies
+// of a SharedFuture share one state. The first waiter is kept inline in it,
+// so a future with one waiter at a time allocates only that state.
 template <typename T>
 class SharedFuture {
  public:
@@ -202,17 +215,25 @@ class SharedFuture {
 
   void Set(T value) {
     LV_CHECK_MSG(!state_->value.has_value(), "SharedFuture set twice");
-    state_->value = std::move(value);
-    for (Awaiter* a : state_->waiters) {
-      a->wakeup = state_->engine->Schedule(Duration(), a->handle);
+    State& st = *state_;
+    st.value = std::move(value);
+    if (st.first != nullptr) {
+      st.first->wakeup = st.engine->Schedule(Duration(), st.first->handle);
+      st.first = nullptr;
     }
-    state_->waiters.clear();
+    for (Awaiter* a : st.rest) {
+      a->wakeup = st.engine->Schedule(Duration(), a->handle);
+    }
+    st.rest.clear();
   }
 
   struct State {
     Engine* engine = nullptr;
     std::optional<T> value;
-    std::vector<Awaiter*> waiters;
+    // Registration order is `first`, then `rest`: a waiter takes the inline
+    // slot only while both are empty.
+    Awaiter* first = nullptr;
+    std::vector<Awaiter*> rest;
   };
 
   struct Awaiter {
@@ -227,12 +248,10 @@ class SharedFuture {
       // Same contract as Channel::Awaiter: a destroyed waiter deregisters
       // itself and cancels any in-flight wake-up so the engine never resumes
       // a dead frame.
-      auto& w = state->waiters;
-      for (auto it = w.begin(); it != w.end(); ++it) {
-        if (*it == this) {
-          w.erase(it);
-          break;
-        }
+      if (state->first == this) {
+        state->first = nullptr;
+      } else {
+        std::erase(state->rest, this);
       }
       wakeup.Cancel();
     }
@@ -240,7 +259,11 @@ class SharedFuture {
     bool await_ready() const noexcept { return state->value.has_value(); }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      state->waiters.push_back(this);
+      if (state->first == nullptr && state->rest.empty()) {
+        state->first = this;
+      } else {
+        state->rest.push_back(this);
+      }
     }
     T await_resume() { return *state->value; }
   };

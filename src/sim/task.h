@@ -8,6 +8,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <type_traits>
@@ -22,18 +23,59 @@ class Co;
 
 namespace internal {
 
-struct PromiseBase {
+// Frame recycler (task.cc). Every Co frame is allocated through the
+// promise's operator new below: a frame of up to kMaxRecycledFrame bytes
+// comes from, and goes back to, a per-thread free list for its 64-byte size
+// class, so a warmed-up co_await calls no allocator. Larger frames, and a
+// frame freed after its thread's lists are gone, use ::operator new and
+// delete directly. So does every frame under AddressSanitizer, whose
+// quarantine then still catches a dead frame that is resumed or touched.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kRecycleFrames = false;
+#else
+inline constexpr bool kRecycleFrames = true;
+#endif
+inline constexpr std::size_t kMaxRecycledFrame = 4096;
+void* AllocateFrame(std::size_t size);
+void FreeFrame(void* frame, std::size_t size) noexcept;
+
+// Links of an engine's circular list of live detached frames, with the
+// engine's own sentinel as the head. Engine::Spawn links a frame in and the
+// frame unlinks itself at final suspend, so the frames still parked when
+// the engine dies are exactly the ones on the list (a detached frame has no
+// owner, so nobody else can destroy them).
+struct DetachedLink {
+  DetachedLink* prev = nullptr;
+  DetachedLink* next = nullptr;
+
+  // Inserts this link just before `at` (at the tail when `at` is the head).
+  void LinkBefore(DetachedLink* at) noexcept {
+    prev = at->prev;
+    next = at;
+    prev->next = this;
+    at->prev = this;
+  }
+  void Unlink() noexcept {
+    if (next != nullptr) {
+      prev->next = next;
+      next->prev = prev;
+      prev = next = nullptr;
+    }
+  }
+};
+
+struct PromiseBase : DetachedLink {
   std::coroutine_handle<> continuation = std::noop_coroutine();
+  // A detached frame destroys itself at final suspend. Engine::Spawn also
+  // links it into the engine's list; a frame detached mid-flight by its
+  // owner (see ~Guest) is not on any list.
   bool detached = false;
   std::exception_ptr exception;
-  // Set by Engine::Spawn: lets the engine track live detached frames so the
-  // ones still parked at engine teardown can be reclaimed (a detached frame
-  // has no owner, so nobody else can destroy it). Called from FinalAwaiter
-  // right before the frame destroys itself. A function pointer rather than
-  // an Engine method keeps task.h free of the engine header.
-  void (*reap)(void* ctx, uint64_t id) = nullptr;
-  void* reap_ctx = nullptr;
-  uint64_t reap_id = 0;
+
+  static void* operator new(std::size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FreeFrame(frame, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -46,9 +88,7 @@ struct PromiseBase {
       if (p.detached) {
         // A detached task has nobody to observe an exception.
         LV_CHECK_MSG(!p.exception, "unhandled exception in detached sim task");
-        if (p.reap != nullptr) {
-          p.reap(p.reap_ctx, p.reap_id);
-        }
+        p.Unlink();
         h.destroy();
       }
       return cont;

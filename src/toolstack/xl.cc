@@ -90,14 +90,10 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::BuildDomain(sim::ExecCtx ctx,
   t0 = env_.engine->now();
   phase = trace::Span(ctx.track, "create.toolstack");
   co_await ctx.Work(costs_.xl_state_keeping);
-  auto domains = co_await env_.hv->ListDomains(ctx);
-  if (!domains.ok()) {
-    co_return domains.error();
-  }
+  int64_t domains = co_await env_.hv->CountDomains(ctx);
   // libxl scans its own records per existing domain (name collisions,
   // /var/lib/xl state).
-  co_await ctx.Work(costs_.xl_per_domain_overhead *
-                    static_cast<double>(domains->size()));
+  co_await ctx.Work(costs_.xl_per_domain_overhead * static_cast<double>(domains));
   phase.End();
   bd.toolstack = env_.engine->now() - t0;
 

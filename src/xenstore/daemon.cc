@@ -171,7 +171,7 @@ void Daemon::Stop() {
   Submit(std::move(req));
   // Drain: step the engine until the loop frame completes, so no queued
   // event still references it. Resuming the frame after this daemon dies
-  // would touch freed members (the write-after-free ROADMAP item 6 names).
+  // would touch freed members (DESIGN §10, "Teardown discipline").
   // Bounded: the kStop just submitted leads the loop straight out once any
   // in-flight request finishes.
   while (!loop_.done() && engine_->Step()) {
@@ -190,7 +190,7 @@ void Daemon::InjectRestart(lv::Duration downtime) {
 
 void Daemon::Submit(Request req) {
   if (!running_) {
-    if (req.reply != nullptr) {
+    if (req.reply) {
       Response resp;
       resp.code = lv::ErrorCode::kUnavailable;
       resp.error_message = "xenstored not running";
@@ -243,7 +243,7 @@ sim::Co<void> Daemon::Restart(sim::ExecCtx ctx, Request req) {
     if (pending->op == OpType::kRestart) {
       continue;
     }
-    if (pending->reply != nullptr) {
+    if (pending->reply) {
       Response resp;
       resp.code = lv::ErrorCode::kUnavailable;
       resp.error_message = "xenstored restarting";
@@ -256,14 +256,14 @@ sim::Co<void> Daemon::Restart(sim::ExecCtx ctx, Request req) {
   std::vector<WatchHit> hits = store_.ReplayWatches();
   if (!hits.empty()) {
     co_await ctx.Work(costs_.per_watch_fire * static_cast<double>(hits.size()));
-    DeliverWatchHits(hits);
+    DeliverWatchHits(std::move(hits));
   }
   if (stop_pending) {
     Request stop;
     stop.op = OpType::kStop;
     Submit(std::move(stop));
   }
-  if (req.reply != nullptr) {
+  if (req.reply) {
     req.reply->Set(Response{});
   }
 }
@@ -277,14 +277,15 @@ lv::Duration Daemon::EffortCost() const {
          costs_.per_byte * static_cast<double>(e.value_bytes);
 }
 
-void Daemon::DeliverWatchHits(const std::vector<WatchHit>& hits) {
-  for (const WatchHit& hit : hits) {
+void Daemon::DeliverWatchHits(std::vector<WatchHit> hits) {
+  for (WatchHit& hit : hits) {
     auto it = clients_.find(hit.client);
     if (it == clients_.end()) {
       continue;  // Watcher died; drop the event like real xenstored.
     }
     watch_events_.Inc();
-    it->second->Send(WatchEvent{hit.watch_path, hit.token, hit.fired_path});
+    it->second->Send(WatchEvent{std::move(hit.watch_path), std::move(hit.token),
+                                std::move(hit.fired_path)});
   }
 }
 
@@ -312,7 +313,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
       auto r = store_.Read(req.path, req.txn);
       co_await ctx.Work(EffortCost());
       if (r.ok()) {
-        resp.value = *r;
+        resp.value = std::move(*r);
       } else {
         resp.code = r.error().code;
         resp.error_message = r.error().message;
@@ -352,7 +353,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
     case OpType::kWatch: {
       WatchHit hit = store_.AddWatch(req.client, req.path, req.token);
       co_await ctx.Work(EffortCost());
-      hits.push_back(hit);  // Watches fire once immediately on registration.
+      hits.push_back(std::move(hit));  // Watches fire once immediately on registration.
       break;
     }
     case OpType::kUnwatch: {
@@ -409,10 +410,10 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
   // Deliver fired watches (one message + interrupt per event).
   if (!hits.empty()) {
     co_await ctx.Work(costs_.per_watch_fire * static_cast<double>(hits.size()));
-    DeliverWatchHits(hits);
+    DeliverWatchHits(std::move(hits));
   }
 
-  if (req.reply != nullptr) {
+  if (req.reply) {
     req.reply->Set(std::move(resp));
   }
 }
@@ -431,12 +432,12 @@ sim::Co<Response> XsClient::Call(sim::ExecCtx ctx, Request req) {
   const Costs& costs = daemon_->costs();
   req.client = id_;
   req.domid = domid_;
-  req.reply = std::make_shared<sim::SharedFuture<Response>>(engine_);
+  sim::SharedFuture<Response> reply(engine_);
+  req.reply = reply;
   // Marshal + send interrupt on the caller's core.
   co_await ctx.Work(costs.client_marshal + costs.soft_interrupt);
-  auto reply = req.reply;
   daemon_->Submit(std::move(req));
-  Response resp = co_await reply->Get();
+  Response resp = co_await reply.Get();
   // Response-delivery interrupt(s) + unmarshal.
   co_await ctx.Work(costs.soft_interrupt *
                         static_cast<double>(costs.client_interrupts - 1) +
@@ -455,25 +456,25 @@ lv::Status ToStatus(const Response& resp) {
 
 }  // namespace
 
-sim::Co<lv::Result<std::string>> XsClient::Read(sim::ExecCtx ctx, const std::string& path,
+sim::Co<lv::Result<std::string>> XsClient::Read(sim::ExecCtx ctx, std::string path,
                                                 TxnId txn) {
   Request req;
   req.op = OpType::kRead;
-  req.path = path;
+  req.path = std::move(path);
   req.txn = txn;
   Response resp = co_await Call(ctx, std::move(req));
   if (!resp.ok()) {
     co_return lv::Err(resp.code, resp.error_message);
   }
-  co_return resp.value;
+  co_return std::move(resp.value);
 }
 
-sim::Co<lv::Status> XsClient::Write(sim::ExecCtx ctx, const std::string& path,
-                                    const std::string& value, TxnId txn) {
+sim::Co<lv::Status> XsClient::Write(sim::ExecCtx ctx, std::string path, std::string value,
+                                    TxnId txn) {
   Request req;
   req.op = OpType::kWrite;
-  req.path = path;
-  req.value = value;
+  req.path = std::move(path);
+  req.value = std::move(value);
   req.txn = txn;
   co_return ToStatus(co_await Call(ctx, std::move(req)));
 }
@@ -486,10 +487,10 @@ sim::Co<lv::Status> XsClient::Mkdir(sim::ExecCtx ctx, const std::string& path, T
   co_return ToStatus(co_await Call(ctx, std::move(req)));
 }
 
-sim::Co<lv::Status> XsClient::Rm(sim::ExecCtx ctx, const std::string& path, TxnId txn) {
+sim::Co<lv::Status> XsClient::Rm(sim::ExecCtx ctx, std::string path, TxnId txn) {
   Request req;
   req.op = OpType::kRm;
-  req.path = path;
+  req.path = std::move(path);
   req.txn = txn;
   co_return ToStatus(co_await Call(ctx, std::move(req)));
 }

@@ -6,7 +6,7 @@
 // itself a scalability bottleneck the paper measures.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +56,8 @@ struct Request {
   std::string token;
   TxnId txn = kNoTxn;
   lv::Duration downtime{};  // kRestart only: how long the daemon stays down
-  std::shared_ptr<sim::SharedFuture<Response>> reply;
+  // Shares its state with the caller's copy, which awaits the response.
+  std::optional<sim::SharedFuture<Response>> reply;
 };
 
 // A fired watch delivered to a client.
@@ -124,7 +125,8 @@ class Daemon {
   // The daemon-side cost of the store's last operation, from its effort
   // counters.
   lv::Duration EffortCost() const;
-  void DeliverWatchHits(const std::vector<WatchHit>& hits);
+  // Moves each hit into the watching client's event channel.
+  void DeliverWatchHits(std::vector<WatchHit> hits);
 
   sim::Engine* engine_;
   Costs costs_;
@@ -156,12 +158,14 @@ class XsClient {
   ClientId id() const { return id_; }
   hv::DomainId domid() const { return domid_; }
 
-  sim::Co<lv::Result<std::string>> Read(sim::ExecCtx ctx, const std::string& path,
+  // The hot verbs take their strings by value and move them into the
+  // request.
+  sim::Co<lv::Result<std::string>> Read(sim::ExecCtx ctx, std::string path,
                                         TxnId txn = kNoTxn);
-  sim::Co<lv::Status> Write(sim::ExecCtx ctx, const std::string& path,
-                            const std::string& value, TxnId txn = kNoTxn);
+  sim::Co<lv::Status> Write(sim::ExecCtx ctx, std::string path, std::string value,
+                            TxnId txn = kNoTxn);
   sim::Co<lv::Status> Mkdir(sim::ExecCtx ctx, const std::string& path, TxnId txn = kNoTxn);
-  sim::Co<lv::Status> Rm(sim::ExecCtx ctx, const std::string& path, TxnId txn = kNoTxn);
+  sim::Co<lv::Status> Rm(sim::ExecCtx ctx, std::string path, TxnId txn = kNoTxn);
   sim::Co<lv::Result<std::vector<std::string>>> Directory(sim::ExecCtx ctx,
                                                           const std::string& path,
                                                           TxnId txn = kNoTxn);

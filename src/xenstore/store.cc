@@ -40,22 +40,21 @@ bool Covers(std::string_view prefix, std::string_view path) {
 
 Store::Store(StorePolicy policy) : policy_(policy) {}
 
-std::string Store::Canon(const std::string& path) {
-  std::string canon;
-  canon.reserve(path.size());
+const std::string& Store::Canon(const std::string& path) {
+  canon_.clear();
   bool slash = false;  // a separator is owed before the next segment
   for (char c : path) {
     if (c == '/') {
-      slash = !canon.empty();
+      slash = !canon_.empty();
     } else {
       if (slash) {
-        canon.push_back('/');
+        canon_.push_back('/');
         slash = false;
       }
-      canon.push_back(c);
+      canon_.push_back(c);
     }
   }
-  return canon;
+  return canon_;
 }
 
 bool Store::MayMutate(hv::DomainId domid, const std::string& canon) {
@@ -246,7 +245,7 @@ void Store::MatchWatches(const std::string& canon, std::vector<WatchHit>* hits) 
 
 lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
   effort_.Reset();
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   // Set by a buffered write below the path: committing it would create the
   // path (empty, as Create makes ancestors) if nothing else does.
   bool recreated = false;
@@ -286,9 +285,9 @@ lv::Result<std::string> Store::Read(const std::string& path, TxnId txn) {
   return node->value;
 }
 
-lv::Status Store::ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
+lv::Status Store::ApplyWrite(const std::string& canon, const std::string* value,
                              std::vector<WatchHit>* hits) {
-  if (value.has_value()) {
+  if (value != nullptr) {
     bool created = false;
     Node* node = Create(canon, &created);
     // Legacy walks every segment; indexed probes the path once and walks
@@ -330,7 +329,7 @@ lv::Status Store::ApplyWrite(const std::string& canon, const std::optional<std::
 lv::Status Store::Write(const std::string& path, const std::string& value,
                         hv::DomainId owner, TxnId txn, std::vector<WatchHit>* hits) {
   effort_.Reset();
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   if (!MayMutate(owner, canon)) {
     return lv::Err(lv::ErrorCode::kPermissionDenied,
                    lv::StrFormat("dom%lld may not write %s", (long long)owner,
@@ -345,13 +344,13 @@ lv::Status Store::Write(const std::string& path, const std::string& value,
     effort_.value_bytes += static_cast<int64_t>(value.size());
     return lv::Status::Ok();
   }
-  return ApplyWrite(canon, value, hits);
+  return ApplyWrite(canon, &value, hits);
 }
 
 lv::Status Store::Rm(const std::string& path, TxnId txn, std::vector<WatchHit>* hits,
                      hv::DomainId requester) {
   effort_.Reset();
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   if (!MayMutate(requester, canon)) {
     return lv::Err(lv::ErrorCode::kPermissionDenied,
                    lv::StrFormat("dom%lld may not remove %s", (long long)requester,
@@ -365,12 +364,12 @@ lv::Status Store::Rm(const std::string& path, TxnId txn, std::vector<WatchHit>* 
     it->second.writes.push_back(TxnWrite{canon, std::nullopt});
     return lv::Status::Ok();
   }
-  return ApplyWrite(canon, std::nullopt, hits);
+  return ApplyWrite(canon, nullptr, hits);
 }
 
 lv::Result<std::vector<std::string>> Store::Directory(const std::string& path, TxnId txn) {
   effort_.Reset();
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   if (txn != kNoTxn) {
     auto it = txns_.find(txn);
     if (it != txns_.end()) {
@@ -474,13 +473,13 @@ lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
         MatchWatches(w.path, hits);
         continue;
       }
-      (void)ApplyWrite(w.path, w.value, hits);
+      (void)ApplyWrite(w.path, &*w.value, hits);
     }
   } else {
     for (const TxnWrite& w : t.writes) {
       // Removal of a non-existent path inside a txn is tolerated (mirrors
       // xenstore rm semantics when the whole subtree was created in-txn).
-      (void)ApplyWrite(w.path, w.value, hits);
+      (void)ApplyWrite(w.path, w.value ? &*w.value : nullptr, hits);
     }
   }
   return lv::Status::Ok();
@@ -490,7 +489,7 @@ lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
 
 WatchHit Store::AddWatch(ClientId client, const std::string& path, const std::string& token) {
   effort_.Reset();
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   WatchRef w = watches_.insert(watches_.end(), Watch{client, canon, token, watch_seq_++});
   watch_buckets_[canon].push_back(w);
   client_watches_[client].push_back(w);
@@ -513,7 +512,7 @@ void Store::RemoveWatch(ClientId client, const std::string& path, const std::str
   if (it == client_watches_.end()) {
     return;
   }
-  std::string canon = Canon(path);
+  const std::string& canon = Canon(path);
   std::vector<WatchRef>& mine = it->second;
   size_t kept = 0;
   for (WatchRef w : mine) {

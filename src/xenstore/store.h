@@ -188,8 +188,9 @@ class Store {
   using WatchRef = WatchList::iterator;
 
   // Canonicalizes a path in one pass: empty segments drop out and the rest
-  // are joined by single slashes ("/a//b/" -> "a/b").
-  static std::string Canon(const std::string& path);
+  // are joined by single slashes ("/a//b/" -> "a/b"). Writes into canon_
+  // and returns it, so the result lives until the next call.
+  const std::string& Canon(const std::string& path);
   // May `domid` mutate `canon`?
   static bool MayMutate(hv::DomainId domid, const std::string& canon);
   // Uncharged tree walk. Returns nullptr at the first missing segment; adds
@@ -207,7 +208,8 @@ class Store {
   // Appends the watches registered on `canon` or an ancestor, in
   // registration order, and charges the match per policy.
   void MatchWatches(const std::string& canon, std::vector<WatchHit>* hits);
-  lv::Status ApplyWrite(const std::string& canon, const std::optional<std::string>& value,
+  // Writes `*value` at `canon`, or removes `canon` when `value` is null.
+  lv::Status ApplyWrite(const std::string& canon, const std::string* value,
                         std::vector<WatchHit>* hits);
   // Conflict check and apply of a closed transaction.
   lv::Status Commit(const Txn& t, std::vector<WatchHit>* hits);
@@ -250,6 +252,7 @@ class Store {
   std::unordered_map<ClientId, std::vector<WatchRef>> client_watches_;
   int64_t watch_seq_ = 0;
   std::vector<const Watch*> matched_;  // MatchWatches scratch
+  std::string canon_;                  // Canon scratch
 
   // Refcounts the values of local/domain/<id>/name nodes.
   StringMap<int64_t> name_index_;

@@ -9,6 +9,7 @@
 #include "src/devices/sysctl.h"
 #include "src/net/switch.h"
 #include "src/sim/engine.h"
+#include "src/sim/run.h"
 #include "src/xenstore/daemon.h"
 
 namespace xdev {
@@ -122,6 +123,50 @@ TEST_F(DevicesTest, XenstorePathDestroyRemovesEverything) {
   EXPECT_FALSE(store_.store().Exists("/local/domain/0/backend/vif/9/0"));
   EXPECT_FALSE(store_.store().Exists("/local/domain/9/device/vif/0"));
   EXPECT_LT(hv_.event_channels().open_channels(), channels_before);
+}
+
+// Keeps `core` busy for `work`, sharing it with whatever else runs there.
+sim::Co<void> Hog(sim::CpuScheduler* cpu, int core, Duration work) {
+  co_await cpu->Run(core, work);
+}
+
+sim::Co<void> ConnectFrontend(BackendDriver* be, sim::ExecCtx ctx, xs::XsClient* client,
+                              hv::DomainId domid, bool* ok) {
+  *ok = (co_await be->XsFrontendConnect(ctx, client, domid)).ok();
+}
+
+sim::Co<void> DestroyDevice(BackendDriver* be, sim::ExecCtx ctx, xs::XsClient* client,
+                            hv::DomainId domid, HotplugRunner* hotplug, bool* ok) {
+  *ok = (co_await be->XsToolstackDestroy(ctx, client, domid, hotplug)).ok();
+}
+
+// The back-end's watcher sits on a core so busy that it handles the guest's
+// Connected event only after the toolstack has written Closing. Writing
+// Connected then would overwrite Closing, and the destroy would wait for a
+// close that never runs.
+TEST_F(DevicesTest, XenstoreCloseSurvivesAFrontendEventHandledLate) {
+  constexpr int kBackendCore = 3;
+  BackendDriver* netback = MakeBackend(hv::DeviceType::kNet);
+  netback->StartXsWatcher(&store_, sim::ExecCtx{&cpu_, kBackendCore});
+  hv::DomainId domid = 12;  // its guest runs on core 1
+  ASSERT_TRUE(
+      RunCo(netback->XsToolstackCreate(Dom0Ctx(), toolstack_client_.get(), domid, &bash_))
+          .ok());
+  for (int i = 0; i < 100; ++i) {
+    engine_.Spawn(Hog(&cpu_, kBackendCore, Duration::Seconds(1)));
+  }
+  xs::XsClient guest_client(&engine_, &store_, domid);
+  bool connected = false;
+  engine_.Spawn(ConnectFrontend(netback, GuestCtx(domid), &guest_client, domid, &connected));
+  ASSERT_TRUE(sim::RunUntilCondition(engine_, [&] { return connected; }));
+  ASSERT_FALSE(netback->IsConnected(domid));  // the watcher is still behind
+
+  bool destroyed = false;
+  engine_.Spawn(
+      DestroyDevice(netback, Dom0Ctx(), toolstack_client_.get(), domid, &bash_, &destroyed));
+  EXPECT_TRUE(sim::RunUntilCondition(engine_, [&] { return destroyed; }));
+  EXPECT_FALSE(netback->HasDevice(domid));
+  EXPECT_FALSE(store_.store().Exists("/local/domain/0/backend/vif/12/0"));
 }
 
 TEST_F(DevicesTest, NoxsPathFullHandshake) {

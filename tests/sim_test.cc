@@ -263,6 +263,170 @@ TEST(SharedFutureTest, MultipleGetters) {
   EXPECT_TRUE(fut.has_value());
 }
 
+// Waits on `fut`, then appends `id` to *order.
+Co<void> AwaitFuture(SharedFuture<int>* fut, std::vector<int>* order, int id) {
+  (void)co_await fut->Get();
+  order->push_back(id);
+}
+
+TEST(SharedFutureTest, WaitersAfterADeadInlineWaiterWakeInRegistrationOrder) {
+  Engine engine;
+  SharedFuture<int> fut(&engine);
+  std::vector<int> order;
+  // The first waiter takes the inline slot, and its owner destroys it
+  // before Set.
+  Co<void> first = AwaitFuture(&fut, &order, 1);
+  first.Start();
+  first = Co<void>();
+  engine.Spawn(AwaitFuture(&fut, &order, 2));
+  engine.Spawn(AwaitFuture(&fut, &order, 3));
+  fut.Set(5);
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+TEST(SharedFutureTest, WaitersQueueBehindOnesRegisteredBeforeTheInlineWaiterDied) {
+  Engine engine;
+  SharedFuture<int> fut(&engine);
+  std::vector<int> order;
+  Co<void> first = AwaitFuture(&fut, &order, 1);
+  first.Start();
+  engine.Spawn(AwaitFuture(&fut, &order, 2));
+  first = Co<void>();
+  // The inline slot is free again, but waiter 2 registered before these.
+  engine.Spawn(AwaitFuture(&fut, &order, 3));
+  engine.Spawn(AwaitFuture(&fut, &order, 4));
+  fut.Set(5);
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+// Receives one value from `ch` into *got.
+Co<void> ReceiveOne(Channel<int>* ch, std::vector<int>* got) {
+  got->push_back(co_await ch->Recv());
+}
+
+TEST(ChannelTest, DestroyedReceiversLeaveTheQueueInOrder) {
+  Engine engine;
+  Channel<int> ch(&engine);
+  std::vector<int> got[6];
+  std::vector<Co<void>> rx;
+  for (int i = 0; i < 6; ++i) {
+    rx.push_back(ReceiveOne(&ch, &got[i]));
+    if (i < 4) {
+      rx.back().Start();
+    }
+  }
+  // The head, a middle receiver and the tail die; the next receiver to park
+  // queues behind the survivors.
+  rx[0] = Co<void>();
+  rx[2] = Co<void>();
+  rx[3] = Co<void>();
+  rx[4].Start();
+  ch.Send(1);
+  ch.Send(2);
+  rx[5].Start();
+  ch.Send(3);
+  engine.Run();
+  EXPECT_EQ(got[1], (std::vector<int>{1}));
+  EXPECT_EQ(got[4], (std::vector<int>{2}));
+  EXPECT_EQ(got[5], (std::vector<int>{3}));
+  EXPECT_TRUE(got[0].empty() && got[2].empty() && got[3].empty());
+  EXPECT_TRUE(ch.empty());
+}
+
+// --- Detached frames at engine teardown ------------------------------------
+
+// Lives in a task's frame: records the task's id in *order when the frame
+// is destroyed. With `respawn` set it also spawns a parked task of that id.
+struct DestroyGuard {
+  Engine* engine;
+  OneShotEvent* never;
+  std::vector<int>* order;
+  int id;
+  int respawn;
+  ~DestroyGuard();
+};
+
+Co<void> ParkForever(Engine* engine, OneShotEvent* never, std::vector<int>* order, int id,
+                     int respawn) {
+  DestroyGuard guard{engine, never, order, id, respawn};
+  co_await never->Wait();
+}
+
+DestroyGuard::~DestroyGuard() {
+  order->push_back(id);
+  if (respawn != 0) {
+    engine->Spawn(ParkForever(engine, never, order, respawn, 0));
+  }
+}
+
+Co<void> SleepThenFinish(Engine* engine, std::vector<int>* order, int id) {
+  DestroyGuard guard{engine, nullptr, order, id, 0};
+  co_await engine->Sleep(Duration::Millis(1));
+}
+
+TEST(EngineTest, DestroysParkedDetachedFramesNewestFirst) {
+  std::vector<int> order;
+  auto engine = std::make_unique<Engine>();
+  OneShotEvent never(engine.get());
+  engine->Spawn(SleepThenFinish(engine.get(), &order, 1));
+  engine->Spawn(ParkForever(engine.get(), &never, &order, 2, 0));
+  engine->Spawn(ParkForever(engine.get(), &never, &order, 3, /*respawn=*/5));
+  engine->Spawn(ParkForever(engine.get(), &never, &order, 4, 0));
+  engine->Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  // Task 5, spawned while task 3's frame unwinds, is then the newest. Task
+  // 1's frame destroyed itself when it finished and is not destroyed again.
+  engine.reset();
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 3, 5, 2}));
+}
+
+// --- Frame recycler --------------------------------------------------------
+
+TEST(FrameRecyclerTest, FreedFrameIsReusedWithinItsSizeClass) {
+  if (!internal::kRecycleFrames) {
+    GTEST_SKIP() << "AddressSanitizer builds bypass the recycler";
+  }
+  void* frame = internal::AllocateFrame(100);
+  internal::FreeFrame(frame, 100);
+  void* again = internal::AllocateFrame(128);  // 65 to 128 bytes: one class
+  EXPECT_EQ(again, frame);
+  internal::FreeFrame(again, 128);
+}
+
+TEST(FrameRecyclerTest, SizesAcrossAClassBoundaryGetDifferentClasses) {
+  if (!internal::kRecycleFrames) {
+    GTEST_SKIP() << "AddressSanitizer builds bypass the recycler";
+  }
+  void* small = internal::AllocateFrame(64);
+  internal::FreeFrame(small, 64);
+  void* larger = internal::AllocateFrame(65);
+  EXPECT_NE(larger, small);
+  void* small_again = internal::AllocateFrame(64);
+  EXPECT_EQ(small_again, small);
+  internal::FreeFrame(larger, 65);
+  internal::FreeFrame(small_again, 64);
+}
+
+TEST(FrameRecyclerTest, FramesOverFourKiBBypassTheLists) {
+  if (!internal::kRecycleFrames) {
+    GTEST_SKIP() << "AddressSanitizer builds bypass the recycler";
+  }
+  constexpr size_t kMax = internal::kMaxRecycledFrame;
+  ASSERT_EQ(kMax, 4096u);
+  // `cached` heads the largest class's list. A bigger frame neither takes
+  // it nor goes back onto that list.
+  void* cached = internal::AllocateFrame(kMax);
+  internal::FreeFrame(cached, kMax);
+  void* big = internal::AllocateFrame(kMax + 1);
+  EXPECT_NE(big, cached);
+  internal::FreeFrame(big, kMax + 1);
+  void* again = internal::AllocateFrame(kMax);
+  EXPECT_EQ(again, cached);
+  internal::FreeFrame(again, kMax);
+}
+
 // --- CPU scheduler -------------------------------------------------------
 
 Co<void> Burn(Engine& engine, CpuScheduler& cpu, int core, Duration work, TimePoint* done,
