@@ -15,7 +15,7 @@ CpuScheduler::CpuScheduler(Engine* engine, int num_cores) : engine_(engine) {
   cores_.resize(static_cast<size_t>(num_cores));
   for (Core& core : cores_) {
     core.last_update = engine_->now();
-    core.next_completion = Timer(engine_, [this, &core] { OnCompletion(core); });
+    core.next_completion = Timer(engine_, [this, &core] { return OnCompletion(core); });
   }
   window_start_ = engine_->now();
 }
@@ -93,7 +93,7 @@ void CpuScheduler::Reschedule(Core& core) {
   core.next_completion.Arm(Duration::Nanos(static_cast<int64_t>(delay_ns)));
 }
 
-void CpuScheduler::OnCompletion(Core& core) {
+std::coroutine_handle<> CpuScheduler::OnCompletion(Core& core) {
   Advance(core);
   done_.clear();
   auto it = core.active.begin();
@@ -106,9 +106,15 @@ void CpuScheduler::OnCompletion(Core& core) {
     }
   }
   Reschedule(core);
+  // A lone finisher goes back to the engine, which wakes it once this
+  // callback has returned: the job may destroy this scheduler.
+  if (done_.size() == 1) {
+    return done_.front();
+  }
   for (std::coroutine_handle<> h : done_) {
     engine_->Schedule(Duration(), h);
   }
+  return nullptr;
 }
 
 void CpuScheduler::Submit(int core_idx, Duration work, CpuOwner owner,

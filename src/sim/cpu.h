@@ -89,7 +89,9 @@ class CpuScheduler {
   void Advance(Core& core);
   // Re-keys (or, when idle, disarms) the core's next-completion timer.
   void Reschedule(Core& core);
-  void OnCompletion(Core& core);
+  // Retires the core's finished jobs; returns the one to wake when exactly
+  // one finished, and schedules the wake-ups itself otherwise.
+  std::coroutine_handle<> OnCompletion(Core& core);
 
   Engine* engine_;
   // Sized once, so an armed completion timer never moves.

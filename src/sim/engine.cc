@@ -226,7 +226,7 @@ Engine::Entry Engine::Pop(Source s) {
   return top;
 }
 
-Engine::Source Engine::SkipCancelled() {
+Engine::Source Engine::SkipCancelled(TimePoint until) {
   for (;;) {
     Source s = Next();
     // A timer is never cancelled: Disarm takes it out.
@@ -234,7 +234,7 @@ Engine::Source Engine::SkipCancelled() {
       return s;
     }
     uint32_t slot = s == Source::kLane ? lane_[lane_head_].slot : heap_.front().slot;
-    if (!slots_[slot].cancelled) {
+    if (!slots_[slot].cancelled || When(s) > until) {
       return s;
     }
     Drop(Pop(s).slot);
@@ -248,7 +248,9 @@ void Engine::Dispatch(Source s) {
     Timer& timer = *timers_.front().timer;
     now_ = timers_.front().when;
     DisarmTimer(timer);
-    timer.fn_();
+    if (std::coroutine_handle<> h = timer.fn_()) {
+      WakeAfterTimer(h);
+    }
     return;
   }
   const Entry top = Pop(s);
@@ -263,6 +265,23 @@ void Engine::Dispatch(Source s) {
   fn.swap(slot.fn);
   Release(top.slot);
   fn();
+}
+
+void Engine::WakeAfterTimer(std::coroutine_handle<> h) {
+  // Queued, `h` would join the lane at now() with the highest seq so far,
+  // so every lane entry, heap entry due now and timer due now precedes it.
+  // The next Step would drop the cancelled ones among them, so drop them
+  // here too; if a live one is left, the wake-up queues behind it.
+  Source s = SkipCancelled(now_);
+  if (s != Source::kNone && When(s) == now_) {
+    Schedule(Duration(), h);
+    return;
+  }
+  // Nothing precedes it: it runs now, taking the seq and the count a queued
+  // wake-up would, but no slot and no Step.
+  ++next_seq_;
+  ++processed_;
+  h.resume();
 }
 
 bool Engine::Step() {

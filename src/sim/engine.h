@@ -52,14 +52,19 @@ class EventHandle {
 // place by Arm. Arm takes the next seq, exactly as cancelling an event and
 // scheduling a new one would, and Disarm takes none, so timers and queued
 // events dispatch in the one (when, seq) order. The callback runs with the
-// timer disarmed; it may re-arm the timer but must not destroy it. The
+// timer disarmed; it may re-arm the timer but must not destroy it. It
+// returns a coroutine to wake, or null: the engine wakes it once the
+// callback has returned, exactly as Schedule(Duration(), h) at that point
+// would, so the woken coroutine may destroy the timer's owner. The
 // destructor disarms. Like an EventHandle, a timer must not outlive its
 // engine. The engine holds its address while armed, so it moves only while
 // disarmed: a container of timers is sized before any is armed.
 class Timer {
  public:
+  using Callback = std::function<std::coroutine_handle<>()>;
+
   Timer() = default;
-  Timer(Engine* engine, std::function<void()> fn) : engine_(engine), fn_(std::move(fn)) {}
+  Timer(Engine* engine, Callback fn) : engine_(engine), fn_(std::move(fn)) {}
   ~Timer() { Disarm(); }
   Timer(Timer&& other) noexcept;
   Timer& operator=(Timer&& other) noexcept;
@@ -77,7 +82,7 @@ class Timer {
   friend class Engine;
   static constexpr uint32_t kDisarmed = UINT32_MAX;
   Engine* engine_ = nullptr;
-  std::function<void()> fn_;
+  Callback fn_;
   uint32_t index_ = kDisarmed;  // position in the engine's timer heap
 };
 
@@ -122,7 +127,9 @@ class Engine {
   // Processes events up to and including time t, then advances the clock to t.
   void RunUntil(TimePoint t);
   void RunFor(Duration d) { RunUntil(now_ + d); }
-  // Processes a single event. Returns false if the queue was empty.
+  // Processes the next event, and with a timer's firing the wake-up its
+  // callback returns when that is the next event too. Returns false if the
+  // queue was empty.
   bool Step();
 
   // Queue entries (heap and lane), cancelled ones included, plus armed
@@ -188,13 +195,16 @@ class Engine {
   TimePoint When(Source s) const;
   // Removes and returns the front entry of the heap or the lane.
   Entry Pop(Source s);
-  // Pops cancelled entries off the front and returns where the next live
-  // event sits.
-  Source SkipCancelled();
+  // Pops cancelled entries due at or before `until` off the front and
+  // returns where the next event sits: a live one, unless it is due later.
+  Source SkipCancelled(TimePoint until = TimePoint::Max());
   // Removes the next event and runs it. A queued callable leaves its slot,
   // and the slot is released, before it runs, and a timer is disarmed before
   // its callback runs, so the handler may schedule and arm freely.
   void Dispatch(Source s);
+  // Wakes the coroutine a timer callback returned: within this dispatch
+  // when that wake-up is the next event anyway, else through the lane.
+  void WakeAfterTimer(std::coroutine_handle<> h);
 
   // Timer heap: (re)keys `timer` at `when` with the next seq, or removes it.
   void ArmTimer(Timer& timer, TimePoint when);

@@ -118,7 +118,7 @@ void Store::UnregisterSubtree(std::string& path, const Node* node) {
     size_t len = path.size();
     path += '/';
     path += name;
-    UnregisterSubtree(path, child.get());
+    UnregisterSubtree(path, &child);
     path.resize(len);
   }
   --node_count_;
@@ -137,17 +137,55 @@ void Store::SetNodeValue(std::string_view canon, Node* node, const std::string& 
 
 // --- Tree access -------------------------------------------------------------
 
-Store::Node* Store::Find(std::string_view canon, int64_t* visited) {
-  Node* node = &root_;
-  for (size_t pos = 0; pos < canon.size();) {
+Store::Node* Store::Walk(std::string_view canon, int64_t* visited, bool* created) {
+  // The segments `canon` shares with the cursor: each slash the two paths
+  // reach together ends one, and so does the end of the shorter path where
+  // the other one ends or has a slash too ("local/domain/1" shares two
+  // segments with "local/domain/12", not three).
+  const size_t n = std::min(cursor_path_.size(), canon.size());
+  size_t i = 0;
+  size_t depth = 0;
+  size_t end = 0;  // where the shared segments end in `canon`
+  for (; i < n && cursor_path_[i] == canon[i]; ++i) {
+    if (canon[i] == '/') {
+      ++depth;
+      end = i;
+    }
+  }
+  if (i == n && n > 0 && (i == canon.size() || canon[i] == '/') &&
+      (i == cursor_path_.size() || cursor_path_[i] == '/')) {
+    ++depth;
+    end = i;
+  }
+  if (visited != nullptr) {
+    *visited += static_cast<int64_t>(depth);
+  }
+  Node* node = depth == 0 ? &root_ : cursor_nodes_[depth - 1];
+  if (end == canon.size()) {
+    return node;  // on the cursor, which stays as it is
+  }
+  cursor_nodes_.resize(depth);
+  cursor_path_.resize(end);
+  for (size_t pos = depth == 0 ? 0 : end + 1; pos < canon.size();) {
     if (visited != nullptr) {
       ++*visited;
     }
-    auto it = node->children.find(NextSegment(canon, pos));
-    if (it == node->children.end()) {
-      return nullptr;
+    std::string_view seg = NextSegment(canon, pos);
+    auto it = node->children.lower_bound(seg);
+    if (it == node->children.end() || it->first != seg) {
+      if (created == nullptr) {
+        return nullptr;
+      }
+      it = node->children.try_emplace(it, std::string(seg));
+      RegisterNode(canon.substr(0, pos - 1), &it->second);
+      *created = true;
     }
-    node = it->second.get();
+    node = &it->second;
+    cursor_nodes_.push_back(node);
+    if (!cursor_path_.empty()) {
+      cursor_path_ += '/';
+    }
+    cursor_path_ += seg;
   }
   return node;
 }
@@ -159,22 +197,6 @@ Store::Node* Store::Lookup(std::string_view canon) {
     walked = canon.empty() ? 0 : 1;
   }
   effort_.nodes_visited += walked;
-  return node;
-}
-
-Store::Node* Store::Create(std::string_view canon, bool* created) {
-  *created = false;
-  Node* node = &root_;
-  for (size_t pos = 0; pos < canon.size();) {
-    std::string_view seg = NextSegment(canon, pos);
-    auto it = node->children.lower_bound(seg);
-    if (it == node->children.end() || it->first != seg) {
-      it = node->children.emplace_hint(it, std::string(seg), std::make_unique<Node>());
-      RegisterNode(canon.substr(0, pos - 1), it->second.get());
-      *created = true;
-    }
-    node = it->second.get();
-  }
   return node;
 }
 
@@ -289,7 +311,7 @@ lv::Status Store::ApplyWrite(const std::string& canon, const std::string* value,
                              std::vector<WatchHit>* hits) {
   if (value != nullptr) {
     bool created = false;
-    Node* node = Create(canon, &created);
+    Node* node = Walk(canon, nullptr, &created);
     // Legacy walks every segment; indexed probes the path once and walks
     // only to create it.
     int64_t segments = SegmentCount(canon);
@@ -318,8 +340,10 @@ lv::Status Store::ApplyWrite(const std::string& canon, const std::string* value,
     }
     auto child = parent->children.find(leaf);
     std::string subtree = canon;
-    UnregisterSubtree(subtree, child->second.get());
+    UnregisterSubtree(subtree, &child->second);
     parent->children.erase(child);
+    cursor_path_.clear();
+    cursor_nodes_.clear();
   }
   BumpGen(canon);
   MatchWatches(canon, hits);
@@ -567,8 +591,8 @@ lv::Status Store::CheckUniqueName(const std::string& name) {
     } else {
       for (const auto& [id, node] : domains->children) {
         ++effort_.names_compared;
-        auto it = node->children.find("name");
-        if (it != node->children.end() && it->second->value == name) {
+        auto it = node.children.find("name");
+        if (it != node.children.end() && it->second.value == name) {
           break;
         }
       }

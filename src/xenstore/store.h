@@ -28,7 +28,6 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,6 +71,9 @@ class Store {
   // widening any signature on that path.
   Store() : Store(CurrentStorePolicy()) {}
   explicit Store(StorePolicy policy);
+  // The walk cursor points into this store's own tree.
+  Store(const Store&) = delete;
+  Store& operator=(const Store&) = delete;
 
   StorePolicy policy() const { return policy_; }
 
@@ -157,9 +159,12 @@ class Store {
   template <typename V>
   using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
+  // Children sit by value in their parent's map, whose nodes never move,
+  // so a Node* stays valid until its node is erased. A map of the
+  // still-incomplete Node is a libstdc++ guarantee, not the standard's.
   struct Node {
     std::string value;
-    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
+    std::map<std::string, Node, std::less<>> children;
   };
 
   // One buffered transaction mutation; nullopt value = removal.
@@ -195,13 +200,18 @@ class Store {
   static bool MayMutate(hv::DomainId domid, const std::string& canon);
   // Uncharged tree walk. Returns nullptr at the first missing segment; adds
   // the segments looked at, that one included, to *visited if non-null.
-  Node* Find(std::string_view canon, int64_t* visited = nullptr);
+  Node* Find(std::string_view canon, int64_t* visited = nullptr) {
+    return Walk(canon, visited, nullptr);
+  }
   // Policy-charged lookup of an existing node: legacy charges the segments
   // walked, indexed one probe.
   Node* Lookup(std::string_view canon);
-  // Finds or creates `canon`, creating missing ancestors with empty values.
-  // Sets *created when `canon` itself did not exist.
-  Node* Create(std::string_view canon, bool* created);
+  // Find, or with `created` set, find or create `canon`: missing segments
+  // become nodes with empty values and set *created. The walk starts from
+  // the deepest cursor node on `canon`'s path, counting the segments that
+  // node stands for as looked at. A walk past the cursor's end moves the
+  // cursor to the last node it reached; one that ends on it leaves it be.
+  Node* Walk(std::string_view canon, int64_t* visited, bool* created);
   void BumpGen(std::string_view canon);
   void RecordGen(std::string_view path);
   uint64_t PathGen(std::string_view canon) const;
@@ -230,6 +240,12 @@ class Store {
 
   StorePolicy policy_;
   Node root_;
+  // The walk cursor: a canonical path to an existing node, and the node
+  // of each of its segments, cursor_nodes_[i] standing for the first i + 1.
+  // Inserts move no node, so only a removal could leave it dangling, and
+  // every removal clears it.
+  std::string cursor_path_;
+  std::vector<Node*> cursor_nodes_;
   uint64_t gen_ = 1;
   // Last-modified generation per path, for the commit-time conflict check.
   // Exact pruning: an entry at or below the oldest open transaction's start

@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/hv/types.h"
 #include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
 #include "src/xenstore/daemon.h"
+#include "src/xenstore/store.h"
 
 namespace {
 
@@ -121,6 +123,23 @@ TEST_P(XsRoundTripTest, ExistingPathCostsAtMostTwoCalls) {
   for (size_t i = 0; i < calls.size(); ++i) {
     EXPECT_LE(calls[i], sim::internal::kRecycleFrames ? 2 : 5) << "round trip " << i;
   }
+}
+
+// A write that creates one node under an existing parent makes one call:
+// the map node that holds the child, whose short name and value stay in
+// their strings' inline buffers. A child held through a unique_ptr took
+// two.
+TEST(AllocTest, WriteCreatingOneNodeMakesOneCall) {
+  xs::Store store;
+  // Fills the store's scratch buffers and its walk cursor at this depth.
+  ASSERT_TRUE(store.Write(kPath, "1", hv::kDom0).ok());
+  for (int i = 0; i < 16; ++i) {
+    std::string path = lv::StrFormat("/local/domain/12/device/vif/0/k%d", i);
+    int64_t before = g_news;
+    ASSERT_TRUE(store.Write(path, "4", hv::kDom0).ok());
+    EXPECT_EQ(g_news - before, 1) << path;
+  }
+  EXPECT_EQ(store.num_nodes(), 7 + 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(ReadAndWrite, XsRoundTripTest, ::testing::Bool(),

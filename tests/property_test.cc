@@ -501,6 +501,41 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
       op.kind = StoreOp::kOpReplay;
     }
     ops.push_back(std::move(op));
+
+    // Walks a store that resumes from its last walked path must not take
+    // a wrong turn on: below an ancestor of that path just removed, and to
+    // a sibling of a segment just found missing. Both follow a walk of a
+    // path at least two segments deep.
+    const StoreOp& last = ops.back();
+    bool walked = last.kind == StoreOp::kOpWrite || last.kind == StoreOp::kOpRead ||
+                  last.kind == StoreOp::kOpDir || last.kind == StoreOp::kOpExists;
+    std::vector<std::string> segs = lv::Split(last.path, '/');
+    if (!walked || segs.size() < 2 || !rng.Chance(0.25)) {
+      continue;
+    }
+    std::string below = last.path;
+    size_t keep = static_cast<size_t>(rng.Uniform(1, static_cast<int64_t>(segs.size()) - 1));
+    segs.resize(keep + 1);
+    std::string sibling = segs.back();
+    segs.pop_back();
+    std::string ancestor = lv::Join(segs, '/');
+    StoreOp first;
+    StoreOp then;
+    if (rng.Chance(0.5)) {
+      first.kind = StoreOp::kOpRm;
+      first.path = ancestor;
+      then.kind = StoreOp::kOpWrite;
+      then.path = below;
+      then.value = lv::StrFormat("r%d", i);
+    } else {
+      first.kind = StoreOp::kOpRead;
+      first.path = ancestor + "/absent";
+      then.kind = rng.Chance(0.5) ? StoreOp::kOpWrite : StoreOp::kOpRead;
+      then.path = ancestor + "/" + sibling;
+      then.value = lv::StrFormat("s%d", i);
+    }
+    ops.push_back(std::move(first));
+    ops.push_back(std::move(then));
   }
   return ops;
 }

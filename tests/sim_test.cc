@@ -563,6 +563,31 @@ TEST(CpuTest, DestroyedWithJobsInFlightWhileTheEngineSteps) {
   EXPECT_EQ(engine.pending_events(), 0u);
 }
 
+// A job that is the only one its core's completion finishes wakes in that
+// completion's dispatch, once the scheduler's callback has returned, so it
+// may destroy the scheduler whose timer fired; the other core's timer goes
+// with it.
+TEST(CpuTest, JobWokenByItsCompletionMayDestroyTheScheduler) {
+  Engine engine;
+  auto cpu = std::make_unique<CpuScheduler>(&engine, 2);
+  TimePoint never;
+  bool destroyed = false;
+  engine.Spawn(Burn(engine, *cpu, 1, Duration::Millis(20), &never));
+  engine.Spawn([](std::unique_ptr<CpuScheduler>* owner, bool* done) -> Co<void> {
+    co_await (*owner)->Run(0, Duration::Millis(10));
+    owner->reset();
+    *done = true;
+  }(&cpu, &destroyed));
+  EXPECT_EQ(engine.pending_events(), 2u);
+  EXPECT_TRUE(engine.Step());  // core 0's completion, then the wake-up
+  EXPECT_TRUE(destroyed);
+  EXPECT_EQ(engine.processed_events(), 2u);
+  EXPECT_EQ(engine.now().ms(), 10.0);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_FALSE(engine.Step());
+  EXPECT_EQ(never, TimePoint());
+}
+
 TEST(CorePlacerTest, RoundRobinGuestCores) {
   CorePlacer placer(4, 1);
   EXPECT_EQ(placer.NextGuestCore(), 1);
@@ -724,7 +749,10 @@ TEST(EngineTest, RunningEventsOwnHandleIsInert) {
 TEST(EngineTest, TimerIsOnePendingEventReKeyedInPlace) {
   Engine engine;
   std::vector<int> order;
-  Timer timer(&engine, [&order] { order.push_back(0); });
+  Timer timer(&engine, [&order] {
+    order.push_back(0);
+    return std::coroutine_handle<>();
+  });
   engine.Schedule(Duration::Millis(2), [&order] { order.push_back(1); });
   timer.Arm(Duration::Millis(2));  // ties with the closure, on a later seq
   timer.Arm(Duration::Millis(1));
@@ -757,6 +785,12 @@ struct Park {
 Co<void> RecordWhenResumed(int id, std::vector<int>* fired, std::coroutine_handle<>* out) {
   co_await Park{out};
   fired->push_back(id);
+}
+
+// Parks, then hands its id to *on_wake once resumed.
+Co<void> WakeAs(int id, std::coroutine_handle<>* out, const std::function<void(int)>* on_wake) {
+  co_await Park{out};
+  (*on_wake)(id);
 }
 
 // Reference for the differential test: the engine's semantics as a sorted
@@ -811,6 +845,15 @@ struct ReferenceQueue {
       n += item.cancelled ? 0 : 1;
     }
     return n;
+  }
+  // The next live entry's id; -1 if none.
+  int Peek() const {
+    for (const auto& [key, item] : items) {
+      if (!item.cancelled) {
+        return item.id;
+      }
+    }
+    return -1;
   }
 };
 
@@ -993,11 +1036,21 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
 // their own and each other's callbacks and from inside closures. Delays are
 // short, so firings tie at one `when` with heap entries, lane entries and
 // each other, and RunUntil horizons fall between them; cancelled bursts
-// compact the queue while timers are armed.
+// compact the queue while timers are armed. Half the timer firings end by
+// returning a parked coroutine, whose wake-up the reference schedules as
+// Schedule(Duration(), h) after the callback's own actions. Step runs that
+// wake-up with the firing when it is the next live event, so Step pops it
+// too in the reference then; otherwise a live lane entry, heap entry or
+// timer due now is ahead of it, and each case occurs.
 TEST(EngineTest, TimersMatchReferenceQueue) {
   constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
   constexpr int kTimers = 12;
   uint64_t compactions_while_armed = 0;
+  // What a timer's wake-up found when its callback returned, over all seeds.
+  int64_t woken_at_once = 0;
+  int64_t behind_lane = 0;
+  int64_t behind_heap = 0;
+  int64_t behind_timer = 0;
   // What firing an event does: arm `timer` at `delay` as event `id`, disarm
   // `timer` (delay < 0), or schedule closure `id` at `delay` (timer < 0).
   struct Action {
@@ -1007,16 +1060,23 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
   };
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     lv::Rng rng(seed);
+    std::vector<Co<void>> frames;  // the parked coroutines timers wake
     Engine engine;
     ReferenceQueue ref;
     std::vector<int> fired;
     std::vector<int> ref_fired;
     // By event id: the closure's handle, the timer it fires (-1 for a
-    // closure), and its actions, drawn when the reference fires it (the
-    // reference always runs ahead of the engine).
+    // closure or a wake-up), its actions, drawn when the reference fires it
+    // (the reference always runs ahead of the engine), the wake-up a timer
+    // firing ends with (-1 for none), a wake-up's parked coroutine, and
+    // whether it was queued at the instant it was scheduled (the engine's
+    // lane).
     std::vector<EventHandle> handles;
     std::vector<int> timer_of;
     std::vector<std::vector<Action>> plan;
+    std::vector<int> wake_of;
+    std::vector<std::coroutine_handle<>> parked;
+    std::vector<bool> due_at_once;
     // By timer: the id of its pending firing, or -1; one copy per side.
     std::vector<int> armed(kTimers, -1);
     std::vector<int> ref_armed(kTimers, -1);
@@ -1025,6 +1085,9 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
       handles.emplace_back();
       timer_of.push_back(timer);
       plan.emplace_back();
+      wake_of.push_back(-1);
+      parked.emplace_back();
+      due_at_once.push_back(false);
       return static_cast<int>(plan.size()) - 1;
     };
     std::vector<Timer> timers(kTimers);
@@ -1048,19 +1111,27 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
         }
       }
     };
+    const std::function<void(int)> woken = [&](int id) {
+      fired.push_back(id);
+      carry_out(id);
+    };
     for (int k = 0; k < kTimers; ++k) {
       timers[k] = Timer(&engine, [&, k] {
         int id = std::exchange(armed[k], -1);
         fired.push_back(id);
-        if (id >= 0) {
-          carry_out(id);
+        if (id < 0) {
+          return std::coroutine_handle<>();
         }
+        carry_out(id);
+        int wake = wake_of[id];
+        return wake >= 0 ? parked[wake] : std::coroutine_handle<>();
       });
     }
 
     auto ref_apply = [&](const Action& a) {
       if (a.timer < 0) {
         ref.Schedule(ref.now + a.delay, a.id);
+        due_at_once[a.id] = a.delay == 0;
         return;
       }
       if (ref_armed[a.timer] >= 0) {
@@ -1099,6 +1170,24 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
         ref_apply(actions.back());
       }
       plan[id] = std::move(actions);
+      if (own < 0 || rng.Chance(0.5)) {
+        return;
+      }
+      // The callback returns a parked coroutine, woken after its actions.
+      int wake = new_id(-1);
+      frames.push_back(WakeAs(wake, &parked[wake], &woken));
+      frames.back().Start();
+      wake_of[id] = wake;
+      ref.Schedule(ref.now, wake);
+      due_at_once[wake] = true;
+      int ahead = ref.Peek();
+      if (ahead == wake) {
+        ++woken_at_once;
+      } else if (timer_of[ahead] >= 0) {
+        ++behind_timer;
+      } else {
+        ++(due_at_once[ahead] ? behind_lane : behind_heap);
+      }
     };
 
     for (int op = 0; op < 400; ++op) {
@@ -1124,6 +1213,10 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
         int id = ref.Pop(kForever);
         if (id >= 0) {
           ref_fire(id);
+          // A wake-up with nothing live ahead of it runs in the same Step.
+          if (int wake = wake_of[id]; wake >= 0 && ref.Peek() == wake) {
+            ref_fire(ref.Pop(kForever));
+          }
         }
         ASSERT_EQ(engine.Step(), id >= 0) << "seed " << seed << " op " << op;
       } else {
@@ -1176,8 +1269,15 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
     ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed;
     ASSERT_EQ(engine.pending_events(), 0u) << "seed " << seed;
     ASSERT_EQ(armed, ref_armed) << "seed " << seed;
+    for (const Co<void>& frame : frames) {
+      ASSERT_TRUE(frame.done()) << "seed " << seed;
+    }
   }
   EXPECT_GT(compactions_while_armed, 0u);
+  EXPECT_GT(woken_at_once, 0);
+  EXPECT_GT(behind_lane, 0);
+  EXPECT_GT(behind_heap, 0);
+  EXPECT_GT(behind_timer, 0);
 }
 
 }  // namespace
