@@ -7,9 +7,9 @@ nest properly per track, that timestamps are monotonically non-decreasing
 and that flow events (causal operation arcs) are well-formed: every flow id
 starts with exactly one "s", ends with exactly one "f", has only "t" steps in
 between, and never dangles (a flow id with a start but no finish, or vice
-versa, would render as a broken arrow in Perfetto). The trace carries spans,
-instants and flows only: a counter ("C") event fails the check, because
-counts live in the metrics registry, not in the trace.
+versa, would render as a broken arrow in Perfetto). The trace carries spans
+and flows only: any other phase, a counter ("C") event included, fails the
+check, because counts live in the metrics registry, not in the trace.
 
 Usage:
   check_trace_json.py trace.json ...        validate existing file(s)
@@ -53,7 +53,7 @@ def validate(path, min_flows=0):
     per_track_prev = {}
     open_spans = {}  # tid -> stack of (name, ts)
     flows = {}  # flow id -> list of phases in file order
-    counts = {"B": 0, "E": 0, "i": 0, "M": 0, "s": 0, "t": 0, "f": 0}
+    counts = {"B": 0, "E": 0, "M": 0, "s": 0, "t": 0, "f": 0}
 
     for i, ev in enumerate(events):
         ph = ev.get("ph")
@@ -130,8 +130,8 @@ def validate(path, min_flows=0):
              "propagation is broken somewhere in the control plane" %
              (path, len(flows), min_flows))
 
-    print("OK: %s (%d events: %d spans, %d instants, %d flows)" %
-          (path, len(events), counts["B"], counts["i"], len(flows)))
+    print("OK: %s (%d events: %d spans, %d flows)" %
+          (path, len(events), counts["B"], len(flows)))
 
 
 def main():

@@ -81,18 +81,6 @@ sim::Co<lv::Result<int64_t>> DockerRuntime::Run(sim::ExecCtx ctx, ContainerImage
   co_return id;
 }
 
-sim::Co<lv::Status> DockerRuntime::Stop(sim::ExecCtx ctx, int64_t id) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "no such container");
-  }
-  co_await ctx.Work(costs_.daemon_base / 2.0);
-  host_memory_->Release(it->second.reserved_pages);
-  containers_.erase(it);
-  ++stats_.stopped;
-  co_return lv::Status::Ok();
-}
-
 lv::Bytes DockerRuntime::MemoryUsed() const {
   int64_t pages = arena_pages_;
   for (const auto& [id, record] : containers_) {
@@ -114,16 +102,6 @@ sim::Co<lv::Result<int64_t>> ProcessRuntime::ForkExec(sim::ExecCtx ctx) {
   }
   ++count_;
   co_return next_pid_++;
-}
-
-sim::Co<lv::Status> ProcessRuntime::Kill(int64_t pid) {
-  (void)pid;
-  if (count_ <= 0) {
-    co_return lv::Err(lv::ErrorCode::kNotFound, "no processes");
-  }
-  host_memory_->Release(lv::PagesFor(costs_.process_memory));
-  --count_;
-  co_return lv::Status::Ok();
 }
 
 lv::Bytes ProcessRuntime::MemoryUsed() const {

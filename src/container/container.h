@@ -68,7 +68,6 @@ class DockerRuntime {
  public:
   struct Stats {
     int64_t started = 0;
-    int64_t stopped = 0;
     int64_t oom_failures = 0;
     int64_t arena_growths = 0;
   };
@@ -77,7 +76,6 @@ class DockerRuntime {
 
   // Creates and starts a container ("docker run"); returns its id.
   sim::Co<lv::Result<int64_t>> Run(sim::ExecCtx ctx, ContainerImage image);
-  sim::Co<lv::Status> Stop(sim::ExecCtx ctx, int64_t id);
 
   int64_t count() const { return static_cast<int64_t>(containers_.size()); }
   // Containers' resident memory + the daemon arena.
@@ -108,7 +106,6 @@ class ProcessRuntime {
   ProcessRuntime(sim::Engine* engine, hv::MemoryPool* host_memory, Costs costs = Costs());
 
   sim::Co<lv::Result<int64_t>> ForkExec(sim::ExecCtx ctx);
-  sim::Co<lv::Status> Kill(int64_t pid);
 
   int64_t count() const { return count_; }
   lv::Bytes MemoryUsed() const;

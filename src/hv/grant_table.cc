@@ -56,14 +56,4 @@ lv::Status GrantTable::Revoke(GrantRef ref) {
   return lv::Status::Ok();
 }
 
-int64_t GrantTable::GrantsOwnedBy(DomainId owner) const {
-  int64_t n = 0;
-  for (const auto& [ref, entry] : grants_) {
-    if (entry.owner == owner) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 }  // namespace hv

@@ -29,7 +29,6 @@ class GrantTable {
     return it != grants_.end() && it->second.mapped;
   }
   int64_t active_grants() const { return static_cast<int64_t>(grants_.size()); }
-  int64_t GrantsOwnedBy(DomainId owner) const;
 
  private:
   struct Entry {

@@ -98,27 +98,6 @@ double Histogram::Quantile(double q) const {
   return max_;  // unreachable if counts_ is consistent with count_
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (counts_.empty()) {
-    counts_.assign(kTotalBuckets, 0);
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int i = 0; i < kTotalBuckets; ++i) {
-    counts_[static_cast<size_t>(i)] += other.counts_[static_cast<size_t>(i)];
-  }
-}
-
 void Histogram::Reset() {
   count_ = 0;
   sum_ = 0.0;

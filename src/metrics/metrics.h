@@ -118,9 +118,6 @@ class Histogram {
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
 
-  // Adds all of `other`'s samples to this histogram (bucket-wise; exact).
-  void Merge(const Histogram& other);
-
   void Reset();
 
   // Non-empty buckets in ascending value order, for exporters. The

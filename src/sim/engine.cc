@@ -145,36 +145,6 @@ void Engine::SiftTimer(size_t i) {
   place(i, moving);
 }
 
-void Engine::NoteCancelled() {
-  ++cancelled_pending_;
-  // Lazy compaction: once dead entries dominate, the heap mostly shuffles
-  // garbage — rebuild it. The floor keeps tiny queues (where pops drain the
-  // dead entries for free) from compacting on every other Cancel.
-  if (queued() >= 64 && cancelled_pending_ * 2 > queued()) {
-    Compact();
-  }
-}
-
-void Engine::Compact() {
-  auto live = [this](const Entry& e) { return !slots_[e.slot].cancelled; };
-  auto dead = std::partition(heap_.begin(), heap_.end(), live);
-  for (auto it = dead; it != heap_.end(); ++it) {
-    Drop(it->slot);
-  }
-  heap_.erase(dead, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  // The lane keeps its FIFO order.
-  lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
-  lane_head_ = 0;
-  dead = std::stable_partition(lane_.begin(), lane_.end(), live);
-  for (auto it = dead; it != lane_.end(); ++it) {
-    Drop(it->slot);
-  }
-  lane_.erase(dead, lane_.end());
-  cancelled_pending_ = 0;
-  ++compactions_;
-}
-
 void Engine::Spawn(Co<void> task) {
   auto h = task.Release();
   LV_CHECK_MSG(h != nullptr, "spawning an empty task");

@@ -33,8 +33,8 @@ class Engine;
 class EventHandle {
  public:
   EventHandle() = default;
-  // Defined after Engine: a first-time Cancel tells the owning engine so it
-  // can compact the queue once dead entries dominate.
+  // Defined after Engine. Marks the entry cancelled; it stays queued until
+  // it reaches the front.
   inline void Cancel();
   inline bool valid() const;
 
@@ -138,11 +138,9 @@ class Engine {
   uint64_t processed_events() const { return processed_; }
 
   // Cancelled entries still sitting in the queue. EventHandle::Cancel only
-  // marks; the entry stays until popped or until lazy compaction rebuilds
-  // the heap (triggered when dead entries exceed half the queue; timers are
-  // never dead and do not count).
+  // marks; the entry stays until it reaches the front and is popped
+  // (timers are never dead and do not count).
   size_t cancelled_pending() const { return cancelled_pending_; }
-  uint64_t compactions() const { return compactions_; }
 
  private:
   friend class EventHandle;
@@ -212,17 +210,10 @@ class Engine {
   // Moves the entry at `i` up or down to its place.
   void SiftTimer(size_t i);
 
-  // First-time Cancel of a queued event; compacts when dead entries exceed
-  // half the queue (and the queue is big enough for the rebuild to pay off).
-  void NoteCancelled();
-  // Rebuilds the heap and the lane without the cancelled entries.
-  void Compact();
-
   TimePoint now_;
   uint64_t next_seq_ = 0;
   uint64_t processed_ = 0;
   size_t cancelled_pending_ = 0;
-  uint64_t compactions_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;
   // Min-heap on (when, seq) via std::push_heap/pop_heap under Later, for
@@ -270,7 +261,7 @@ inline void EventHandle::Cancel() {
   Engine::Slot& slot = engine_->slots_[slot_];
   if (!slot.cancelled) {
     slot.cancelled = true;
-    engine_->NoteCancelled();
+    ++engine_->cancelled_pending_;
   }
 }
 

@@ -80,11 +80,6 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
                              "\"name\":\"%s\"}",
                              ev.track, ToUs(ev.ts), JsonEscape(ev.name).c_str());
         break;
-      case EventType::kInstant:
-        out << lv::StrFormat(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
-                             "\"name\":\"%s\",\"s\":\"t\"}",
-                             ev.track, ToUs(ev.ts), JsonEscape(ev.name).c_str());
-        break;
       case EventType::kFlow: {
         int64_t total = flow_counts[ev.flow];
         if (total < 2) {

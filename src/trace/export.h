@@ -1,11 +1,10 @@
 // Chrome trace_event JSON exporter for the tracing layer
 // (src/trace/trace.h), loadable in chrome://tracing or
 // https://ui.perfetto.dev. Tracks become threads of one "lightvm" process,
-// spans become B/E duration events, instants become "i" marks and flows
-// become s/t/f arcs. Timestamps are the simulated clock converted to
-// microseconds (the format's native unit). The trace carries no counts:
-// those live in the metrics registry (src/metrics), which the same run
-// writes with --json or --metrics-out.
+// spans become B/E duration events and flows become s/t/f arcs. Timestamps
+// are the simulated clock converted to microseconds (the format's native
+// unit). The trace carries no counts: those live in the metrics registry
+// (src/metrics), which the same run writes with --json or --metrics-out.
 //
 // Clock/threading assumptions match the Tracer's: single-threaded
 // simulation, simulated timestamps, events already in non-decreasing time

@@ -41,16 +41,6 @@ void Tracer::EndSpan(TrackId track) {
       Event{EventType::kEnd, track, Now(), events_[begin_index].name});
 }
 
-void Tracer::Instant(TrackId track, std::string name) {
-  if (!enabled_) {
-    return;
-  }
-  if (track < 0 || static_cast<size_t>(track) >= open_.size()) {
-    track = kHostTrack;
-  }
-  events_.push_back(Event{EventType::kInstant, track, Now(), std::move(name)});
-}
-
 void Tracer::Flow(TrackId track, std::string name, int64_t id) {
   if (!enabled_ || id == 0) {
     return;

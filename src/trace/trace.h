@@ -1,9 +1,9 @@
-// Cross-layer boot tracing: spans, instants and flows keyed to simulated
-// time. The control plane (engine, hypervisor, XenStore, toolstacks)
-// records onto a process-wide Tracer; src/trace/export.h turns the buffer
-// into a Chrome trace_event JSON file (chrome://tracing, Perfetto), and the
-// Figure 5 breakdown is derived from the recorded spans rather than
-// hand-placed timers.
+// Cross-layer boot tracing: spans and flows keyed to simulated time. The
+// control plane (engine, hypervisor, XenStore, toolstacks) records onto a
+// process-wide Tracer; src/trace/export.h turns the buffer into a Chrome
+// trace_event JSON file (chrome://tracing, Perfetto), and the Figure 5
+// breakdown is derived from the recorded spans rather than hand-placed
+// timers.
 //
 // The trace records *when* things happened, not *how many*: counts
 // (hypercalls, pages populated, store ops) live only in the always-on
@@ -54,10 +54,10 @@ namespace trace {
 using TrackId = int32_t;
 inline constexpr TrackId kHostTrack = 0;
 
-enum class EventType : uint8_t { kBegin, kEnd, kInstant, kFlow };
+enum class EventType : uint8_t { kBegin, kEnd, kFlow };
 
 struct Event {
-  EventType type = EventType::kInstant;
+  EventType type = EventType::kBegin;
   TrackId track = kHostTrack;
   lv::TimePoint ts;
   std::string name;
@@ -113,7 +113,6 @@ class Tracer {
   // Closes the innermost open span on `track`. Records even while disabled
   // so RAII guards opened before Disable() stay balanced.
   void EndSpan(TrackId track);
-  void Instant(TrackId track, std::string name);
   // Records a step of flow `id` on `track`. Events sharing an id are
   // exported as one Chrome trace_event flow (a connected arc across
   // tracks); src/obs uses the causal root OpId as the id, so one cluster

@@ -10,7 +10,9 @@
 // interrupts (send + response delivery), two daemon-side interrupts, base
 // daemon processing, access logging to 20 files (rotated every 13,215 lines,
 // producing the spikes in Figures 4 and 9), plus effort-proportional terms
-// for watch-list scans, unique-name comparisons and directory listings.
+// for tree walks, watch-list scans, unique-name comparisons and payload
+// bytes. No create path lists a directory, so XS_DIRECTORY's O(#children)
+// listing has no term.
 #pragma once
 
 #include "src/base/time.h"
@@ -36,8 +38,6 @@ struct Costs {
   lv::Duration per_watch_fire = lv::Duration::Micros(10);
   // Per existing-guest-name comparison during unique-name admission.
   lv::Duration per_name_check = lv::Duration::Micros(30);
-  // Per child entry returned by XS_DIRECTORY.
-  lv::Duration per_child = lv::Duration::Micros(1);
   // Per payload byte (copy in/out of the ring).
   lv::Duration per_byte = lv::Duration::Nanos(10);
   // Extra bookkeeping for transaction begin/commit.

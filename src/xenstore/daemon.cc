@@ -21,12 +21,8 @@ const char* ClientSpanName(OpType op) {
       return "xs.read";
     case OpType::kWrite:
       return "xs.write";
-    case OpType::kMkdir:
-      return "xs.mkdir";
     case OpType::kRm:
       return "xs.rm";
-    case OpType::kDirectory:
-      return "xs.directory";
     case OpType::kWatch:
       return "xs.watch";
     case OpType::kUnwatch:
@@ -55,12 +51,8 @@ const char* DaemonSpanName(OpType op) {
       return "xsd.read";
     case OpType::kWrite:
       return "xsd.write";
-    case OpType::kMkdir:
-      return "xsd.mkdir";
     case OpType::kRm:
       return "xsd.rm";
-    case OpType::kDirectory:
-      return "xsd.directory";
     case OpType::kWatch:
       return "xsd.watch";
     case OpType::kUnwatch:
@@ -95,16 +87,8 @@ metrics::Counter& OpCounter(OpType op) {
       static metrics::Counter& c = metrics::GetCounter("xenstore.daemon.ops.write");
       return c;
     }
-    case OpType::kMkdir: {
-      static metrics::Counter& c = metrics::GetCounter("xenstore.daemon.ops.mkdir");
-      return c;
-    }
     case OpType::kRm: {
       static metrics::Counter& c = metrics::GetCounter("xenstore.daemon.ops.rm");
-      return c;
-    }
-    case OpType::kDirectory: {
-      static metrics::Counter& c = metrics::GetCounter("xenstore.daemon.ops.directory");
       return c;
     }
     case OpType::kWatch: {
@@ -273,7 +257,6 @@ lv::Duration Daemon::EffortCost() const {
   return costs_.per_node * static_cast<double>(e.nodes_visited) +
          costs_.per_watch_check * static_cast<double>(e.watch_checks) +
          costs_.per_name_check * static_cast<double>(e.names_compared) +
-         costs_.per_child * static_cast<double>(e.children_listed) +
          costs_.per_byte * static_cast<double>(e.value_bytes);
 }
 
@@ -320,8 +303,7 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
       }
       break;
     }
-    case OpType::kWrite:
-    case OpType::kMkdir: {
+    case OpType::kWrite: {
       lv::Status s = store_.Write(req.path, req.value, req.domid, req.txn, &hits);
       co_await ctx.Work(EffortCost());
       if (!s.ok()) {
@@ -336,17 +318,6 @@ sim::Co<void> Daemon::Process(sim::ExecCtx ctx, Request req) {
       if (!s.ok()) {
         resp.code = s.error().code;
         resp.error_message = s.error().message;
-      }
-      break;
-    }
-    case OpType::kDirectory: {
-      auto r = store_.Directory(req.path, req.txn);
-      co_await ctx.Work(EffortCost());
-      if (r.ok()) {
-        resp.entries = std::move(*r);
-      } else {
-        resp.code = r.error().code;
-        resp.error_message = r.error().message;
       }
       break;
     }
@@ -479,34 +450,12 @@ sim::Co<lv::Status> XsClient::Write(sim::ExecCtx ctx, std::string path, std::str
   co_return ToStatus(co_await Call(ctx, std::move(req)));
 }
 
-sim::Co<lv::Status> XsClient::Mkdir(sim::ExecCtx ctx, const std::string& path, TxnId txn) {
-  Request req;
-  req.op = OpType::kMkdir;
-  req.path = path;
-  req.txn = txn;
-  co_return ToStatus(co_await Call(ctx, std::move(req)));
-}
-
 sim::Co<lv::Status> XsClient::Rm(sim::ExecCtx ctx, std::string path, TxnId txn) {
   Request req;
   req.op = OpType::kRm;
   req.path = std::move(path);
   req.txn = txn;
   co_return ToStatus(co_await Call(ctx, std::move(req)));
-}
-
-sim::Co<lv::Result<std::vector<std::string>>> XsClient::Directory(sim::ExecCtx ctx,
-                                                                  const std::string& path,
-                                                                  TxnId txn) {
-  Request req;
-  req.op = OpType::kDirectory;
-  req.path = path;
-  req.txn = txn;
-  Response resp = co_await Call(ctx, std::move(req));
-  if (!resp.ok()) {
-    co_return lv::Err(resp.code, resp.error_message);
-  }
-  co_return std::move(resp.entries);
 }
 
 sim::Co<lv::Status> XsClient::Watch(sim::ExecCtx ctx, const std::string& path,

@@ -24,9 +24,7 @@ namespace xs {
 enum class OpType {
   kRead,
   kWrite,
-  kMkdir,
   kRm,
-  kDirectory,
   kWatch,
   kUnwatch,
   kTxBegin,
@@ -41,8 +39,7 @@ enum class OpType {
 struct Response {
   lv::ErrorCode code = lv::ErrorCode::kOk;
   std::string error_message;
-  std::string value;                 // read result / txn id as decimal
-  std::vector<std::string> entries;  // directory result
+  std::string value;  // read result / txn id as decimal
 
   bool ok() const { return code == lv::ErrorCode::kOk; }
 };
@@ -164,11 +161,7 @@ class XsClient {
                                         TxnId txn = kNoTxn);
   sim::Co<lv::Status> Write(sim::ExecCtx ctx, std::string path, std::string value,
                             TxnId txn = kNoTxn);
-  sim::Co<lv::Status> Mkdir(sim::ExecCtx ctx, const std::string& path, TxnId txn = kNoTxn);
   sim::Co<lv::Status> Rm(sim::ExecCtx ctx, std::string path, TxnId txn = kNoTxn);
-  sim::Co<lv::Result<std::vector<std::string>>> Directory(sim::ExecCtx ctx,
-                                                          const std::string& path,
-                                                          TxnId txn = kNoTxn);
   sim::Co<lv::Status> Watch(sim::ExecCtx ctx, const std::string& path,
                             const std::string& token);
   sim::Co<lv::Status> Unwatch(sim::ExecCtx ctx, const std::string& path,

@@ -3,8 +3,8 @@
 // kLegacy is the faithful oxenstored model — O(#watches) match scans,
 // O(#domains) unique-name checks — whose superlinear cost curve figures 4
 // and 9 reproduce. kIndexed is the fast path (hash path lookup, per-prefix
-// sharded watch fanout, O(1) name index, batched transaction commit) for
-// fleet-scale runs. Both policies are observably equivalent:
+// sharded watch fanout, O(1) name index) for fleet-scale runs. Both
+// policies are observably equivalent:
 // identical read results, watch-hit sets and order, error codes and node /
 // watch counts — only the *effort counters* (and hence simulated CPU cost)
 // differ. tests/property_test.cc holds them to that contract with a

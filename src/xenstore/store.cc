@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <unordered_set>
 
 #include "src/base/strings.h"
 
@@ -391,28 +390,6 @@ lv::Status Store::Rm(const std::string& path, TxnId txn, std::vector<WatchHit>* 
   return ApplyWrite(canon, nullptr, hits);
 }
 
-lv::Result<std::vector<std::string>> Store::Directory(const std::string& path, TxnId txn) {
-  effort_.Reset();
-  const std::string& canon = Canon(path);
-  if (txn != kNoTxn) {
-    auto it = txns_.find(txn);
-    if (it != txns_.end()) {
-      it->second.reads.push_back(canon);
-    }
-  }
-  Node* node = Lookup(canon);
-  if (node == nullptr) {
-    return lv::Err(lv::ErrorCode::kNotFound, path);
-  }
-  std::vector<std::string> out;
-  out.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
-    out.push_back(name);
-  }
-  effort_.children_listed += static_cast<int64_t>(out.size());
-  return out;
-}
-
 bool Store::Exists(const std::string& path) {
   effort_.Reset();
   return Lookup(Canon(path)) != nullptr;
@@ -448,15 +425,9 @@ lv::Status Store::TxCommit(TxnId txn, bool abort, std::vector<WatchHit>* hits) {
 
 lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
   // Conflict detection: anything we read or wrote that someone else touched
-  // since the transaction began forces a retry (EAGAIN in real Xen). Legacy
-  // charges every buffered entry; indexed checks each distinct path once.
-  // The predicate is per path, so the first conflicting path — and thus the
-  // error — is the same either way.
-  std::unordered_set<std::string_view> checked;
+  // since the transaction began forces a retry (EAGAIN in real Xen). Both
+  // policies charge one check per buffered entry.
   auto conflicts = [&](const std::string& p) {
-    if (policy_ == StorePolicy::kIndexed && !checked.insert(p).second) {
-      return false;
-    }
     ++effort_.nodes_visited;
     return PathGen(p) > t.start_gen;
   };
@@ -470,41 +441,10 @@ lv::Status Store::Commit(const Txn& t, std::vector<WatchHit>* hits) {
       return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + w.path);
     }
   }
-  // Batched commit (indexed, pure-write transactions): a path written more
-  // than once mutates the tree only at its last occurrence; shadowed writes
-  // still bump the generation and fire watches in buffered order, so the
-  // observable hit sequence and conflict structure are identical to legacy —
-  // only the redundant tree walks and value copies are skipped. Any removal
-  // disables batching: rm erases a whole subtree, so write/rm/write to the
-  // same path is not last-write-wins.
-  bool batch = policy_ == StorePolicy::kIndexed &&
-               std::all_of(t.writes.begin(), t.writes.end(),
-                           [](const TxnWrite& w) { return w.value.has_value(); });
-  if (batch) {
-    std::unordered_map<std::string_view, size_t> last;
-    for (size_t i = 0; i < t.writes.size(); ++i) {
-      last[t.writes[i].path] = i;
-    }
-    for (size_t i = 0; i < t.writes.size(); ++i) {
-      const TxnWrite& w = t.writes[i];
-      // A shadowed write to an *existing* node only sets a value the last
-      // write overwrites anyway: keep its generation bump and watch hits,
-      // skip the tree walk and value copy. Writes that create nodes are
-      // never skipped, so creation happens at exactly the same write as the
-      // unbatched apply.
-      if (last[w.path] != i && !w.path.empty() && Find(w.path) != nullptr) {
-        BumpGen(w.path);
-        MatchWatches(w.path, hits);
-        continue;
-      }
-      (void)ApplyWrite(w.path, &*w.value, hits);
-    }
-  } else {
-    for (const TxnWrite& w : t.writes) {
-      // Removal of a non-existent path inside a txn is tolerated (mirrors
-      // xenstore rm semantics when the whole subtree was created in-txn).
-      (void)ApplyWrite(w.path, w.value ? &*w.value : nullptr, hits);
-    }
+  for (const TxnWrite& w : t.writes) {
+    // Removal of a non-existent path inside a txn is tolerated (mirrors
+    // xenstore rm semantics when the whole subtree was created in-txn).
+    (void)ApplyWrite(w.path, w.value ? &*w.value : nullptr, hits);
   }
   return lv::Status::Ok();
 }

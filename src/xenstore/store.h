@@ -3,25 +3,26 @@
 //
 // This class is pure data structure — no simulated time. Every operation
 // reports effort counters (nodes visited, watches checked, names compared,
-// children listed) which the Daemon translates into simulated CPU cost. The
-// O(#watches) match scan, the O(#domains) unique-name check and the
-// O(#children) directory listing are the mechanisms behind the paper's
-// superlinear VM-creation times (§4.2).
+// value bytes) which the Daemon translates into simulated CPU cost. The
+// O(#watches) match scan and the O(#domains) unique-name check are the
+// mechanisms behind the paper's superlinear VM-creation times (§4.2).
+// oxenstored's O(#children) directory listing is not modelled: no create
+// path lists a directory.
 //
 // StorePolicy (policy.h) is a charge schedule, not an implementation: both
 // policies run on the same host structures and differ only in the effort
 // they report. kLegacy charges what oxenstored does — one node per path
 // segment walked, every registered watch per mutation, every guest name per
 // admission check. kIndexed charges what an indexed store would — one probe
-// per path lookup, one bucket probe per ancestor prefix, one name probe —
-// and batches shadowed writes at transaction commit. The host side is the
-// cheapest for either: one tree of ordered child maps probed by string_view
-// segment, watches stored once in registration order with a bucket per
-// registered path and a list per client, and a refcounted name index. The
-// legacy O(n) charges are counts read off those structures, so the host
-// runs none of the scans it charges for (a unique-name check that fails
-// still walks to the holder); tests/property_test.cc holds the charges, op
-// by op, to a test-only store that does run them.
+// per path lookup, one bucket probe per ancestor prefix, one name probe.
+// Both charge one conflict check per buffered transaction entry. The host
+// side is the cheapest for either: one tree of ordered child maps probed by
+// string_view segment, watches stored once in registration order with a
+// bucket per registered path and a list per client, and a refcounted name
+// index. The legacy O(n) charges are counts read off those structures, so
+// the host runs none of the scans it charges for (a unique-name check that
+// fails still walks to the holder); tests/property_test.cc holds the
+// charges, op by op, to a test-only store that does run them.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,6 @@ struct OpEffort {
   int64_t nodes_visited = 0;
   int64_t watch_checks = 0;
   int64_t watches_fired = 0;
-  int64_t children_listed = 0;
   int64_t names_compared = 0;
   int64_t value_bytes = 0;
 
@@ -102,10 +102,6 @@ class Store {
   lv::Status Rm(const std::string& path, TxnId txn = kNoTxn,
                 std::vector<WatchHit>* hits = nullptr,
                 hv::DomainId requester = hv::kDom0);
-
-  // Lists a node's children (costs O(#children), like XS_DIRECTORY).
-  lv::Result<std::vector<std::string>> Directory(const std::string& path,
-                                                 TxnId txn = kNoTxn);
 
   bool Exists(const std::string& path);
 

@@ -99,16 +99,6 @@ TEST_F(ContainerTest, OutOfMemoryStopsNewContainers) {
   EXPECT_GT(docker.stats().oom_failures, 0);
 }
 
-TEST_F(ContainerTest, StopReleasesMemory) {
-  auto id = Run(docker_.Run(Ctx(), MicropythonContainer()));
-  ASSERT_TRUE(id.ok());
-  Bytes used = docker_.MemoryUsed();
-  ASSERT_TRUE(Run(docker_.Stop(Ctx(), *id)).ok());
-  EXPECT_LT(docker_.MemoryUsed().count(), used.count());
-  EXPECT_EQ(docker_.count(), 0);
-  EXPECT_EQ(Run(docker_.Stop(Ctx(), *id)).code(), lv::ErrorCode::kNotFound);
-}
-
 TEST_F(ContainerTest, MemoryPerContainerMatchesPaper) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(Run(docker_.Run(Ctx(), MicropythonContainer())).ok());
@@ -149,15 +139,6 @@ TEST_F(ContainerTest, ForkExecIndependentOfProcessCount) {
     }
   }
   EXPECT_NEAR(first.mean(), last.mean(), first.mean() * 0.35);
-}
-
-TEST_F(ContainerTest, ProcessKillReleasesMemory) {
-  ProcessRuntime procs(&engine_, &memory_);
-  auto pid = Run(procs.ForkExec(Ctx()));
-  ASSERT_TRUE(pid.ok());
-  EXPECT_GT(procs.MemoryUsed().count(), 0);
-  ASSERT_TRUE(Run(procs.Kill(*pid)).ok());
-  EXPECT_EQ(procs.MemoryUsed().count(), 0);
 }
 
 }  // namespace

@@ -255,16 +255,6 @@ TEST_F(HvTest, GrantMapUnmapRevoke) {
   EXPECT_FALSE(gt.IsActive(ref));
 }
 
-TEST_F(HvTest, GrantsOwnedByCountsPerDomain) {
-  GrantTable& gt = hv_.grant_table();
-  gt.Grant(5, kDom0);
-  gt.Grant(5, kDom0);
-  gt.Grant(6, kDom0);
-  EXPECT_EQ(gt.GrantsOwnedBy(5), 2);
-  EXPECT_EQ(gt.GrantsOwnedBy(6), 1);
-  EXPECT_EQ(gt.GrantsOwnedBy(7), 0);
-}
-
 // --- §9 extension: page sharing ----------------------------------------------
 
 TEST_F(HvTest, SharedPopulateReservesTemplateOnce) {

@@ -156,29 +156,6 @@ TEST(HistogramTest, QuantileRelativeErrorBound) {
   EXPECT_LE(h.Quantile(1.0), exact.back());
 }
 
-TEST(HistogramTest, MergeMatchesCombinedRecording) {
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<double> u(0.1, 100.0);
-  metrics::Histogram a;
-  metrics::Histogram b;
-  metrics::Histogram combined;
-  for (int i = 0; i < 2000; ++i) {
-    double x = u(rng);
-    (i % 2 == 0 ? a : b).Record(x);
-    combined.Record(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  // Summation order differs between the two recording paths.
-  EXPECT_NEAR(a.sum(), combined.sum(), combined.sum() * 1e-12);
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  // Bucket-wise identical, so quantiles agree exactly.
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_EQ(a.Quantile(q), combined.Quantile(q)) << "q=" << q;
-  }
-}
-
 TEST(HistogramTest, ResetClearsValuesButStaysUsable) {
   metrics::Histogram h;
   h.Record(5.0);

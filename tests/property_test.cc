@@ -20,9 +20,9 @@ using lv::Duration;
 
 // --- Store vs. reference model ------------------------------------------------
 
-// Random write/rm/read/directory sequences applied to both the Store and a
-// plain std::map reference; every read and listing must agree, and every
-// mutation must fire exactly the watches whose prefix matches.
+// Random write/rm/read/exists sequences applied to both the Store and a
+// plain std::map reference; every read and existence check must agree, and
+// every mutation must fire exactly the watches whose prefix matches.
 class StoreModelTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StoreModelTest, RandomOpsAgreeWithReferenceModel) {
@@ -91,23 +91,8 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithReferenceModel) {
         ASSERT_TRUE(r.ok()) << canon;
         EXPECT_EQ(*r, it->second);
       }
-    } else {  // directory of a parent
-      std::string parent = path.substr(0, path.rfind('/'));
-      auto dir = store.Directory(parent);
-      if (dir.ok()) {
-        // Every model key under this parent must be listed.
-        std::set<std::string> listed(dir->begin(), dir->end());
-        std::string parent_canon = parent.substr(1);
-        for (const auto& [key, value] : model) {
-          if (key.size() > parent_canon.size() && key.compare(0, parent_canon.size(),
-                                                              parent_canon) == 0 &&
-              key[parent_canon.size()] == '/') {
-            std::string child = key.substr(parent_canon.size() + 1);
-            child = child.substr(0, child.find('/'));
-            EXPECT_TRUE(listed.contains(child)) << key;
-          }
-        }
-      }
+    } else {  // exists: every path is a leaf, so it exists iff written
+      EXPECT_EQ(store.Exists(path), model.contains(canon)) << canon;
     }
   }
 }
@@ -379,7 +364,6 @@ struct StoreOp {
     kOpWrite,
     kOpRm,
     kOpRead,
-    kOpDir,
     kOpExists,
     kOpTxBegin,
     kOpTxCommit,
@@ -467,9 +451,6 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
       op.kind = StoreOp::kOpRead;
       op.path = pick_path();
       op.in_txn = rng.Chance(0.3);
-    } else if (r < 64) {
-      op.kind = StoreOp::kOpDir;
-      op.path = pick_path();
     } else if (r < 68) {
       op.kind = StoreOp::kOpExists;
       op.path = pick_path();
@@ -508,7 +489,7 @@ std::vector<StoreOp> GenStoreOps(uint64_t seed, int steps) {
     // path at least two segments deep.
     const StoreOp& last = ops.back();
     bool walked = last.kind == StoreOp::kOpWrite || last.kind == StoreOp::kOpRead ||
-                  last.kind == StoreOp::kOpDir || last.kind == StoreOp::kOpExists;
+                  last.kind == StoreOp::kOpExists;
     std::vector<std::string> segs = lv::Split(last.path, '/');
     if (!walked || segs.size() < 2 || !rng.Chance(0.25)) {
       continue;
@@ -549,7 +530,7 @@ void RecordStatus(std::string* out, const lv::Status& s) {
 }
 
 // Drives `store` (xs::Store or the scanning reference) through `ops`. With
-// `efforts`, each line also records the op's six OpEffort fields.
+// `efforts`, each line also records the op's five OpEffort fields.
 template <typename StoreT>
 std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool efforts) {
   std::vector<xs::TxnId> open;
@@ -578,18 +559,6 @@ std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool effo
         } else {
           out += lv::StrFormat(" %s '%s'", lv::ErrorCodeName(r.code()),
                                r.error().message.c_str());
-        }
-        break;
-      }
-      case StoreOp::kOpDir: {
-        out += "dir " + op.path + " ->";
-        auto d = store.Directory(op.path);
-        if (d.ok()) {
-          for (const std::string& child : *d) {
-            out += " " + child;
-          }
-        } else {
-          out += lv::StrFormat(" %s", lv::ErrorCodeName(d.code()));
         }
         break;
       }
@@ -652,11 +621,10 @@ std::string Transcript(StoreT& store, const std::vector<StoreOp>& ops, bool effo
                          (unsigned long long)store.generation());
     if (efforts) {
       const xs::OpEffort& e = store.last_effort();
-      out += lv::StrFormat(" | nodes=%lld checks=%lld fired=%lld children=%lld names=%lld "
-                           "bytes=%lld",
+      out += lv::StrFormat(" | nodes=%lld checks=%lld fired=%lld names=%lld bytes=%lld",
                            (long long)e.nodes_visited, (long long)e.watch_checks,
-                           (long long)e.watches_fired, (long long)e.children_listed,
-                           (long long)e.names_compared, (long long)e.value_bytes);
+                           (long long)e.watches_fired, (long long)e.names_compared,
+                           (long long)e.value_bytes);
     }
     out += "\n";
   }
@@ -719,7 +687,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StorePolicyDifferentialTest, ::testing::Range(1,
 // removal sweep, derives node counts by walking the tree, never prunes its
 // generation table and answers transactional reads by replaying the buffer
 // onto a copy. On the same op streams, every transcript line — outcome,
-// hits, counts and all six OpEffort fields — must match, under each policy.
+// hits, counts and all five OpEffort fields — must match, under each policy.
 
 class StoreEffortOracleTest : public ::testing::TestWithParam<int> {};
 

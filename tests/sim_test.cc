@@ -610,7 +610,7 @@ TEST(CorePlacerTest, MultipleDom0Cores) {
   EXPECT_EQ(placer.num_guest_cores(), 60);
 }
 
-// --- Cancelled-event compaction ---------------------------------------------
+// --- Cancelled events ---------------------------------------------------------
 
 TEST(EngineTest, CancelTracksPendingCount) {
   Engine engine;
@@ -634,27 +634,6 @@ TEST(EngineTest, CancelTracksPendingCount) {
   EXPECT_EQ(engine.cancelled_pending(), 2u);
   engine.Run();
   EXPECT_EQ(engine.pending_events(), 0u);
-  EXPECT_EQ(engine.cancelled_pending(), 0u);
-}
-
-TEST(EngineTest, CompactionReclaimsCancelledBacklog) {
-  Engine engine;
-  std::vector<EventHandle> handles;
-  int ran = 0;
-  for (int i = 0; i < 256; ++i) {
-    handles.push_back(
-        engine.Schedule(Duration::Millis(i + 1), [&ran] { ++ran; }));
-  }
-  // Cancel well past the half-dead threshold; compaction must trigger
-  // without the engine running at all. A handful of dead entries may remain
-  // once the queue shrinks below the compaction floor.
-  for (int i = 0; i < 200; ++i) {
-    handles[i].Cancel();
-  }
-  EXPECT_GE(engine.compactions(), 1u);
-  EXPECT_LT(engine.cancelled_pending(), 64u);
-  engine.Run();
-  EXPECT_EQ(ran, 56);
   EXPECT_EQ(engine.cancelled_pending(), 0u);
 }
 
@@ -861,11 +840,10 @@ struct ReferenceQueue {
 // inside a running handler), cancels of live, fired and already-cancelled
 // events, Step and RunUntil, checked op by op against ReferenceQueue.
 // Same-instant bursts, mostly cancelled again, are issued both from outside
-// and from inside running handlers, so every seed compacts the queue while
-// dead entries sit in the engine's lane of events due now.
+// and from inside running handlers, so dead entries pile up in the engine's
+// lane of events due now as well as in its heap.
 TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
   constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
-  uint64_t total_compactions = 0;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     lv::Rng rng(seed);
     std::vector<Co<void>> frames;
@@ -881,8 +859,6 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
     // burst[id] lists the zero-delay events closure `id` schedules when it
     // runs, each with whether the closure then cancels it.
     std::vector<std::vector<std::pair<int, bool>>> burst;
-    // Compactions a same-instant burst's cancels set off.
-    uint64_t lane_compactions = 0;
 
     auto new_id = [&] {
       handles.emplace_back();
@@ -913,13 +889,11 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
         for (auto [kid, cancel] : burst[id]) {
           handles[kid] = engine.Schedule(Duration(), [&fired, kid] { fired.push_back(kid); });
         }
-        uint64_t before = engine.compactions();
         for (auto [kid, cancel] : burst[id]) {
           if (cancel) {
             handles[kid].Cancel();
           }
         }
-        lane_compactions += engine.compactions() - before;
       });
       ref.Schedule(ref.now + d, id);
     };
@@ -951,8 +925,7 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
         handles[id] = engine.Schedule(Duration::Nanos(d), parked);
         ref.Schedule(ref.now + d, id);
       } else if (roll < 53) {
-        // A burst deep enough to cross the compaction floor, mostly
-        // cancelled again.
+        // A deep burst, mostly cancelled again.
         int first = static_cast<int>(handles.size());
         for (int i = 0; i < 80; ++i) {
           schedule_closure(rng.Uniform(0, 200));
@@ -969,14 +942,12 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
         for (int i = 0; i < 100; ++i) {
           schedule_closure(0);
         }
-        uint64_t before = engine.compactions();
         for (int id = first; id < static_cast<int>(handles.size()); ++id) {
           if (rng.Chance(0.9)) {
             handles[id].Cancel();
             ref.Cancel(id);
           }
         }
-        lane_compactions += engine.compactions() - before;
       } else if (roll < 75 && !handles.empty()) {
         int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
         handles[id].Cancel();
@@ -1001,17 +972,12 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
       ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed << " op " << op;
       ASSERT_EQ(engine.pending_events() - engine.cancelled_pending(), ref.live())
           << "seed " << seed << " op " << op;
-      // A handle is valid while its entry is queued; compaction may drop a
-      // cancelled entry before the reference pops it, so only live entries
-      // pin valid() to true.
+      // A handle is valid exactly while its entry, live or cancelled, is
+      // queued.
       if (!handles.empty()) {
         int id = static_cast<int>(rng.Uniform(0, static_cast<int64_t>(handles.size()) - 1));
-        auto q = ref.queued.find(id);
-        if (q == ref.queued.end()) {
-          ASSERT_FALSE(handles[id].valid()) << "seed " << seed << " id " << id;
-        } else if (!ref.items.at(q->second).cancelled) {
-          ASSERT_TRUE(handles[id].valid()) << "seed " << seed << " id " << id;
-        }
+        ASSERT_EQ(handles[id].valid(), ref.queued.contains(id))
+            << "seed " << seed << " id " << id;
       }
     }
     for (int id; (id = ref.Pop(kForever)) >= 0;) {
@@ -1023,11 +989,7 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
     ASSERT_EQ(engine.processed_events(), ref.processed) << "seed " << seed;
     ASSERT_EQ(engine.pending_events(), 0u) << "seed " << seed;
     ASSERT_EQ(engine.cancelled_pending(), 0u) << "seed " << seed;
-    EXPECT_GT(lane_compactions, 0u) << "seed " << seed;
-    total_compactions += engine.compactions();
   }
-  // The bursts must have driven the lazy compaction path too.
-  EXPECT_GT(total_compactions, 0u);
 }
 
 // Timers checked op by op against ReferenceQueue, where arming is a Cancel
@@ -1036,7 +998,7 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
 // their own and each other's callbacks and from inside closures. Delays are
 // short, so firings tie at one `when` with heap entries, lane entries and
 // each other, and RunUntil horizons fall between them; cancelled bursts
-// compact the queue while timers are armed. Half the timer firings end by
+// pile dead entries up in the queue while timers are armed. Half the timer firings end by
 // returning a parked coroutine, whose wake-up the reference schedules as
 // Schedule(Duration(), h) after the callback's own actions. Step runs that
 // wake-up with the firing when it is the next live event, so Step pops it
@@ -1045,7 +1007,6 @@ TEST(EngineTest, MatchesReferenceQueueUnderRandomCancels) {
 TEST(EngineTest, TimersMatchReferenceQueue) {
   constexpr int64_t kForever = std::numeric_limits<int64_t>::max();
   constexpr int kTimers = 12;
-  uint64_t compactions_while_armed = 0;
   // What a timer's wake-up found when its callback returned, over all seeds.
   int64_t woken_at_once = 0;
   int64_t behind_lane = 0;
@@ -1198,8 +1159,7 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
       } else if (roll < 43) {
         outside.push_back(draw_closure());
       } else if (roll < 47) {
-        // A burst deep enough to cross the compaction floor, mostly
-        // cancelled again.
+        // A deep burst, mostly cancelled again below.
         for (int i = 0; i < 80; ++i) {
           outside.push_back(draw_closure());
         }
@@ -1237,15 +1197,11 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
         plan[id] = std::move(outside);
         carry_out(id);
         if (plan[id].size() > 1) {
-          uint64_t before = engine.compactions();
           for (const Action& a : plan[id]) {
             if (rng.Chance(0.7)) {
               handles[a.id].Cancel();
               ref.Cancel(a.id);
             }
-          }
-          if (std::any_of(armed.begin(), armed.end(), [](int pending) { return pending >= 0; })) {
-            compactions_while_armed += engine.compactions() - before;
           }
         }
       }
@@ -1273,7 +1229,6 @@ TEST(EngineTest, TimersMatchReferenceQueue) {
       ASSERT_TRUE(frame.done()) << "seed " << seed;
     }
   }
-  EXPECT_GT(compactions_while_armed, 0u);
   EXPECT_GT(woken_at_once, 0);
   EXPECT_GT(behind_lane, 0);
   EXPECT_GT(behind_heap, 0);

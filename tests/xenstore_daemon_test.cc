@@ -203,15 +203,6 @@ TEST_F(DaemonTest, DisablingLoggingRemovesRotation) {
   EXPECT_EQ(daemon_->stats().rotations, 0);
 }
 
-TEST_F(DaemonTest, MkdirAndDirectory) {
-  StartDaemon();
-  EXPECT_TRUE(RunCo(client_->Mkdir(Ctx(), "/backend/vif/3/0")).ok());
-  EXPECT_TRUE(RunCo(client_->Write(Ctx(), "/backend/vif/3/1", "x")).ok());
-  auto dir = RunCo(client_->Directory(Ctx(), "/backend/vif/3"));
-  ASSERT_TRUE(dir.ok());
-  EXPECT_EQ(*dir, (std::vector<std::string>{"0", "1"}));
-}
-
 TEST_F(DaemonTest, RmAndReadMissing) {
   StartDaemon();
   EXPECT_TRUE(RunCo(client_->Write(Ctx(), "/gone", "x")).ok());

@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -119,20 +118,6 @@ class ScanStore {
     return ApplyWrite(canon, std::nullopt, hits);
   }
 
-  lv::Result<std::vector<std::string>> Directory(const std::string& path) {
-    effort_.Reset();
-    Node* node = Lookup(Canon(path));
-    if (node == nullptr) {
-      return lv::Err(lv::ErrorCode::kNotFound, path);
-    }
-    std::vector<std::string> out;
-    for (const auto& [name, child] : node->children) {
-      ++effort_.children_listed;
-      out.push_back(name);
-    }
-    return out;
-  }
-
   bool Exists(const std::string& path) {
     effort_.Reset();
     return Lookup(Canon(path)) != nullptr;
@@ -156,40 +141,19 @@ class ScanStore {
     if (abort) {
       return lv::Status::Ok();
     }
-    // Legacy checks every entry; indexed each distinct path once.
-    std::set<std::string> checked;
+    // Both policies check every entry.
     std::vector<std::string> touched = t.reads;
     for (const TxnWrite& w : t.writes) {
       touched.push_back(w.path);
     }
     for (const std::string& p : touched) {
-      if (policy_ == xs::StorePolicy::kIndexed && !checked.insert(p).second) {
-        continue;
-      }
       ++effort_.nodes_visited;
       auto gen = path_gen_.find(p);
       if (gen != path_gen_.end() && gen->second > t.start_gen) {
         return lv::Err(lv::ErrorCode::kConflict, "transaction conflict on " + p);
       }
     }
-    // Indexed, pure-write transactions skip the walk of a shadowed write to
-    // an existing node but keep its generation bump and watch hits.
-    bool batch = policy_ == xs::StorePolicy::kIndexed;
     for (const TxnWrite& w : t.writes) {
-      batch = batch && w.value.has_value();
-    }
-    for (size_t i = 0; i < t.writes.size(); ++i) {
-      const TxnWrite& w = t.writes[i];
-      bool shadowed = false;
-      for (size_t j = i + 1; j < t.writes.size(); ++j) {
-        shadowed = shadowed || t.writes[j].path == w.path;
-      }
-      if (batch && shadowed && !w.path.empty() &&
-          Walk(&root_, w.path, false, false) != nullptr) {
-        BumpGen(w.path);
-        MatchWatches(w.path, hits);
-        continue;
-      }
       (void)ApplyWrite(w.path, w.value, hits);
     }
     return lv::Status::Ok();

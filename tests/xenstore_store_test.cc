@@ -45,17 +45,6 @@ TEST(StoreTest, RmRemovesSubtree) {
   EXPECT_EQ(store.Rm("/a/b").code(), ErrorCode::kNotFound);
 }
 
-TEST(StoreTest, DirectoryListsChildrenSorted) {
-  Store store;
-  (void)store.Write("/dir/b", "", hv::kDom0);
-  (void)store.Write("/dir/a", "", hv::kDom0);
-  (void)store.Write("/dir/c/nested", "", hv::kDom0);
-  auto r = store.Directory("/dir");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(store.last_effort().children_listed, 3);
-}
-
 TEST(StoreTest, OverwriteUpdatesValue) {
   Store store;
   (void)store.Write("/k", "v1", hv::kDom0);
@@ -296,8 +285,7 @@ TEST_P(StorePolicyTest, TxnCommitFiresShadowedWritesInOrder) {
   (void)store_.Write("/t/a", "3", hv::kDom0, txn);  // shadows the first write
   std::vector<WatchHit> hits;
   ASSERT_TRUE(store_.TxCommit(txn, false, &hits).ok());
-  // Even when the indexed path batches the shadowed write, its watch hit and
-  // generation bump survive: a, b, a — exactly the unbatched sequence.
+  // Every buffered write applies in order, the shadowed one included.
   ASSERT_EQ(hits.size(), 3u);
   EXPECT_EQ(hits[0].fired_path, "t/a");
   EXPECT_EQ(hits[1].fired_path, "t/b");
