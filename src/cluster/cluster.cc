@@ -213,8 +213,8 @@ sim::Co<lv::Status> Cluster::Retire(VmHandle handle, obs::OpRef parent) {
   if (handle.node < 0 || handle.node >= spec_.num_nodes) {
     co_return lv::Err(lv::ErrorCode::kInvalidArgument, "bad node index");
   }
-  auto it = placements_.find(Key(handle));
-  if (it == placements_.end()) {
+  Placement* placed = placements_.Find(Key(handle));
+  if (placed == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM handle");
   }
   obs::OpRef op = obs::NewOp(parent);
@@ -223,8 +223,8 @@ sim::Co<lv::Status> Cluster::Retire(VmHandle handle, obs::OpRef parent) {
   trace::Tracer::Get().Flow(trace::kHostTrack, "cluster.retire", op.root);
   // Claim the placement before the first suspension point, so a concurrent
   // evacuation of a dying node cannot resurrect a VM its owner is retiring.
-  Placement placement = std::move(it->second);
-  placements_.erase(it);
+  Placement placement = std::move(*placed);
+  placements_.Erase(Key(handle));
   Node& node = nodes_[handle.node];
   const int64_t gen = node.generation;
   lv::Status destroyed =
@@ -255,11 +255,11 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
   if (target_node == handle.node) {
     co_return lv::Err(lv::ErrorCode::kInvalidArgument, "VM already on target node");
   }
-  auto it = placements_.find(Key(handle));
-  if (it == placements_.end()) {
+  const Placement* placed = placements_.Find(Key(handle));
+  if (placed == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM handle");
   }
-  Placement placement = it->second;
+  Placement placement = *placed;
   Node& src = nodes_[handle.node];
   Node& dst = nodes_[target_node];
   // Admission on the target, committed up front like Deploy. The source
@@ -293,7 +293,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
     }
     co_return moved.error();
   }
-  if (placements_.find(Key(handle)) == placements_.end()) {
+  if (!placements_.Contains(Key(handle))) {
     // The source died mid-migration and the health monitor already evacuated
     // this VM to a fresh home; the migrated copy is a duplicate. Retire it
     // and report the migration as failed.
@@ -305,7 +305,7 @@ sim::Co<lv::Result<VmHandle>> Cluster::Migrate(VmHandle handle, int target_node,
     co_return lv::Err(lv::ErrorCode::kUnavailable,
                       "VM was evacuated while migrating");
   }
-  placements_.erase(Key(handle));
+  placements_.Erase(Key(handle));
   if (src.generation == src_gen) {
     src.memory_committed -= placement.memory;
     src.vcpus_committed -= placement.vcpus;
@@ -398,19 +398,22 @@ std::vector<std::pair<hv::DomainId, Cluster::Placement>> Cluster::WriteOffNode(
   n.memory_committed = lv::Bytes();
   n.vcpus_committed = 0;
   n.active_creates = 0;
-  std::vector<std::pair<hv::DomainId, Placement>> lost;
-  for (auto it = placements_.begin(); it != placements_.end();) {
-    if (static_cast<int>(it->first >> 32) == node) {
-      lost.emplace_back(static_cast<hv::DomainId>(it->first & 0xffffffffll),
-                        std::move(it->second));
-      it = placements_.erase(it);
-    } else {
-      ++it;
+  std::vector<int64_t> keys;
+  placements_.ForEach([&](int64_t key, const Placement&) {
+    if (static_cast<int>(key >> 32) == node) {
+      keys.push_back(key);
     }
+  });
+  // Deterministic evacuation order regardless of the table's slot order: a
+  // node's keys sort by domid.
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::pair<hv::DomainId, Placement>> lost;
+  lost.reserve(keys.size());
+  for (int64_t key : keys) {
+    lost.emplace_back(static_cast<hv::DomainId>(key & 0xffffffffll),
+                      std::move(*placements_.Find(key)));
+    placements_.Erase(key);
   }
-  // Deterministic evacuation order regardless of hash-map iteration.
-  std::sort(lost.begin(), lost.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return lost;
 }
 
@@ -507,11 +510,11 @@ sim::Co<void> Cluster::RecoveryLoop() {
 Cluster::Drift Cluster::AdmissionDrift() const {
   std::vector<lv::Bytes> memory(nodes_.size());
   std::vector<int64_t> vcpus(nodes_.size(), 0);
-  for (const auto& [key, placement] : placements_) {
+  placements_.ForEach([&](int64_t key, const Placement& placement) {
     size_t node = static_cast<size_t>(key >> 32);
     memory[node] += placement.memory;
     vcpus[node] += placement.vcpus;
-  }
+  });
   Drift drift;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     lv::Bytes mem_diff = nodes_[i].memory_committed > memory[i]

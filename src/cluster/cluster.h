@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/cluster/placement.h"
 #include "src/core/host.h"
 #include "src/metrics/metrics.h"
@@ -193,7 +194,7 @@ class Cluster {
   std::unique_ptr<PlacementPolicy> policy_;
   std::vector<Node> nodes_;
   std::unordered_map<int64_t, std::unique_ptr<xnet::Link>> links_;
-  std::unordered_map<int64_t, Placement> placements_;
+  lv::IdTable<Placement> placements_;
   metrics::Tally vms_deployed_{"cluster.vms_deployed"};
   int64_t deploy_failures_ = 0;
   metrics::Tally admission_rejects_{"cluster.admission_rejects"};

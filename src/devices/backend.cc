@@ -34,7 +34,12 @@ std::string XenbusStateValue(XenbusState s) {
 }
 
 std::string VifName(hv::DomainId domid, int devid) {
-  return lv::StrFormat("vif%lld.%d", (long long)domid, devid);
+  char digits[24];
+  std::string name = "vif";
+  name.append(digits, std::to_chars(digits, std::end(digits), domid).ptr);
+  name += '.';
+  name.append(digits, std::to_chars(digits, std::end(digits), devid).ptr);
+  return name;
 }
 
 BackendDriver::BackendDriver(sim::Engine* engine, hv::Hypervisor* hv, hv::DeviceType type,
@@ -60,22 +65,19 @@ std::string BackendDriver::FrontendDir(hv::DomainId domid) const {
 }
 
 BackendDriver::Instance& BackendDriver::GetOrCreate(hv::DomainId domid) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
-    Instance inst;
-    inst.domid = domid;
-    inst.ready = std::make_unique<sim::OneShotEvent>(engine_);
-    inst.closed = std::make_unique<sim::OneShotEvent>(engine_);
-    it = instances_.emplace(domid, std::move(inst)).first;
+  auto [inst, inserted] = instances_.TryEmplace(domid);
+  if (inserted) {
+    inst->domid = domid;
+    inst->ready = std::make_unique<sim::OneShotEvent>(engine_);
+    inst->closed = std::make_unique<sim::OneShotEvent>(engine_);
   }
-  return it->second;
+  return *inst;
 }
 
 bool BackendDriver::IsConnected(hv::DomainId domid) const {
-  auto it = instances_.find(domid);
-  return it != instances_.end() &&
-         it->second.backend_state == XenbusState::kConnected &&
-         it->second.frontend_state == XenbusState::kConnected;
+  const Instance* inst = instances_.Find(domid);
+  return inst != nullptr && inst->backend_state == XenbusState::kConnected &&
+         inst->frontend_state == XenbusState::kConnected;
 }
 
 void BackendDriver::SetGuestRx(hv::DomainId domid,
@@ -91,9 +93,9 @@ sim::Co<void> BackendDriver::DoHotplug(sim::ExecCtx ctx, HotplugRunner* runner,
   if (type_ == hv::DeviceType::kNet && switch_ != nullptr) {
     co_await ctx.Work(switch_->costs().port_update);
     (void)switch_->AddPort(VifName(domid, inst.devid), [this, domid](const xnet::Packet& p) {
-      auto it = instances_.find(domid);
-      if (it != instances_.end() && it->second.guest_rx) {
-        it->second.guest_rx(p);
+      Instance* target = instances_.Find(domid);
+      if (target != nullptr && target->guest_rx) {
+        target->guest_rx(p);
       }
     });
   }
@@ -192,8 +194,7 @@ sim::Co<void> BackendDriver::XsWatcherLoop(sim::ExecCtx ctx) {
       }
     } else if (lv::HasPrefix(ev.token, kFrontendTokenPrefix)) {
       hv::DomainId domid = std::atoll(ev.token.c_str() + strlen(kFrontendTokenPrefix));
-      auto it = instances_.find(domid);
-      if (it == instances_.end()) {
+      if (!instances_.Contains(domid)) {
         continue;
       }
       auto state = co_await xs_client_->Read(ctx, ev.fired_path);
@@ -251,11 +252,11 @@ sim::Co<void> BackendDriver::XsBackendOnFrontendConnected(sim::ExecCtx ctx,
 }
 
 sim::Co<void> BackendDriver::XsBackendClose(sim::ExecCtx ctx, hv::DomainId domid) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* found = instances_.Find(domid);
+  if (found == nullptr) {
     co_return;
   }
-  Instance& inst = it->second;
+  Instance& inst = *found;
   if (inst.backend_state == XenbusState::kClosed) {
     co_return;
   }
@@ -340,11 +341,11 @@ sim::Co<lv::Status> BackendDriver::XsFrontendConnect(sim::ExecCtx guest_ctx,
   if (!ring.ok()) {
     co_return ring.error();
   }
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* found = instances_.Find(domid);
+  if (found == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no backend instance");
   }
-  Instance& inst = it->second;
+  Instance& inst = *found;
   lv::Status mapped = hv_->grant_table().Map(domid, inst.grant_ref);
   if (!mapped.ok()) {
     co_return mapped;
@@ -358,13 +359,13 @@ sim::Co<lv::Status> BackendDriver::XsFrontendConnect(sim::ExecCtx guest_ctx,
 sim::Co<lv::Status> BackendDriver::XsToolstackDestroy(sim::ExecCtx ctx, xs::XsClient* client,
                                                       hv::DomainId domid,
                                                       HotplugRunner* inline_hotplug) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* found = instances_.Find(domid);
+  if (found == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no device for domain");
   }
-  // References into instances_ survive rehashing, iterators do not — a
-  // concurrent create can insert (and rehash) while we are suspended below.
-  Instance& inst = it->second;
+  // Instances never move, so this reference survives the inserts (and the
+  // table growth) of a concurrent create while we are suspended below.
+  Instance& inst = *found;
   // Ask the back-end to close, then remove the store entries.
   inst.closing = true;
   lv::Status s = co_await client->Write(ctx, BackendDir(domid) + "/state",
@@ -379,7 +380,7 @@ sim::Co<lv::Status> BackendDriver::XsToolstackDestroy(sim::ExecCtx ctx, xs::XsCl
   }
   (void)co_await client->Rm(ctx, FrontendDir(domid));
   (void)co_await client->Rm(ctx, BackendDir(domid));
-  instances_.erase(domid);
+  instances_.Erase(domid);
   co_return lv::Status::Ok();
 }
 
@@ -405,11 +406,11 @@ sim::Co<lv::Result<hv::DeviceInfo>> BackendDriver::NoxsCreate(sim::ExecCtx ctx,
   // flips its control-page state and notifies.
   (void)hv_->event_channels().Bind(
       inst.event_channel, hv::kDom0, [this, domid] {
-        auto it = instances_.find(domid);
-        if (it == instances_.end() || !it->second.page) {
+        Instance* found = instances_.Find(domid);
+        if (found == nullptr || !found->page) {
           return;
         }
-        Instance& inst2 = it->second;
+        Instance& inst2 = *found;
         if (inst2.page->frontend_state == XenbusState::kConnected &&
             inst2.backend_state != XenbusState::kConnected) {
           inst2.frontend_state = XenbusState::kConnected;
@@ -455,20 +456,20 @@ sim::Co<lv::Status> BackendDriver::NoxsFrontendConnect(sim::ExecCtx guest_ctx,
 }
 
 sim::Co<lv::Status> BackendDriver::NoxsDestroy(sim::ExecCtx ctx, hv::DomainId domid) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* found = instances_.Find(domid);
+  if (found == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no device for domain");
   }
-  // References into instances_ survive rehashing, iterators do not — a
-  // concurrent create can insert (and rehash) while we are suspended below.
-  Instance& inst = it->second;
+  // Instances never move, so this reference survives the inserts (and the
+  // table growth) of a concurrent create while we are suspended below.
+  Instance& inst = *found;
   co_await ctx.Work(costs_->ioctl + costs_->noxs_teardown_extra);
   if (udev_hotplug_ != nullptr) {
     co_await UndoHotplug(ctx, udev_hotplug_, domid);
   }
   co_await ReleaseResources(ctx, inst);
   inst.closed->Trigger();
-  instances_.erase(domid);
+  instances_.Erase(domid);
   co_return lv::Status::Ok();
 }
 

@@ -15,8 +15,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/devices/costs.h"
 #include "src/devices/hotplug.h"
@@ -76,7 +76,7 @@ class BackendDriver {
 
   // --- Common ------------------------------------------------------------------
 
-  bool HasDevice(hv::DomainId domid) const { return instances_.contains(domid); }
+  bool HasDevice(hv::DomainId domid) const { return instances_.Contains(domid); }
   bool IsConnected(hv::DomainId domid) const;
   int64_t num_devices() const { return static_cast<int64_t>(instances_.size()); }
 
@@ -129,7 +129,7 @@ class BackendDriver {
   std::unique_ptr<xs::XsClient> xs_client_;
   sim::ExecCtx backend_ctx_;
   bool watcher_running_ = false;
-  std::unordered_map<hv::DomainId, Instance> instances_;
+  lv::IdTable<Instance> instances_;
   // Owner-held watcher frame (own-and-drain, DESIGN §10 "Teardown
   // discipline"). Declared last so the frame dies before the client/channel
   // it may be parked on.

@@ -21,9 +21,9 @@ sim::Co<lv::Result<hv::DeviceInfo>> SysctlBackend::Create(sim::ExecCtx ctx,
   // Back-end side: the guest notifying us means the ack flag was set.
   hv::Port chan = inst.event_channel;
   (void)hv_->event_channels().Bind(chan, hv::kDom0, [this, domid] {
-    auto it = instances_.find(domid);
-    if (it != instances_.end() && it->second.page->acked) {
-      it->second.acked->Trigger();
+    Instance* found = instances_.Find(domid);
+    if (found != nullptr && found->page->acked) {
+      found->acked->Trigger();
     }
   });
   hv::DeviceInfo info;
@@ -31,7 +31,7 @@ sim::Co<lv::Result<hv::DeviceInfo>> SysctlBackend::Create(sim::ExecCtx ctx,
   info.backend_domid = hv::kDom0;
   info.event_channel = inst.event_channel;
   info.grant_ref = inst.grant_ref;
-  instances_.emplace(domid, std::move(inst));
+  instances_.TryEmplace(domid, std::move(inst));
   co_return info;
 }
 
@@ -44,78 +44,77 @@ sim::Co<lv::Status> SysctlBackend::FrontendConnect(sim::ExecCtx guest_ctx,
   if (!mapped.ok()) {
     co_return mapped;
   }
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* inst = instances_.Find(domid);
+  if (inst == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no sysctl backend instance");
   }
-  it->second.handler = std::move(on_power_request);
+  inst->handler = std::move(on_power_request);
   // Front-end side of the channel: Dom0 notifying us means a power request
   // is pending in the shared page.
   (void)hv_->event_channels().Bind(info.event_channel, domid, [this, domid] {
-    auto it2 = instances_.find(domid);
-    if (it2 == instances_.end() || !it2->second.handler) {
+    Instance* bound = instances_.Find(domid);
+    if (bound == nullptr || !bound->handler) {
       return;
     }
-    hv::ShutdownReason reason = it2->second.page->request;
-    if (reason != hv::ShutdownReason::kNone && !it2->second.page->acked) {
-      engine_->Spawn(it2->second.handler(reason));
+    hv::ShutdownReason reason = bound->page->request;
+    if (reason != hv::ShutdownReason::kNone && !bound->page->acked) {
+      engine_->Spawn(bound->handler(reason));
     }
   });
   // The page is level-triggered: a request may already be pending from
   // before the front-end bound (e.g. suspend racing a resumed guest's boot).
-  if (it->second.page->request != hv::ShutdownReason::kNone && !it->second.page->acked) {
-    engine_->Spawn(it->second.handler(it->second.page->request));
+  if (inst->page->request != hv::ShutdownReason::kNone && !inst->page->acked) {
+    engine_->Spawn(inst->handler(inst->page->request));
   }
   co_return lv::Status::Ok();
 }
 
 sim::Co<lv::Status> SysctlBackend::RequestShutdown(sim::ExecCtx ctx, hv::DomainId domid,
                                                    hv::ShutdownReason reason) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* inst = instances_.Find(domid);
+  if (inst == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no sysctl device for domain");
   }
   // chaos issues an ioctl to the sysctl back-end, which sets a field in the
   // shared page to denote the shutdown reason and triggers the channel.
   co_await ctx.Work(costs_->ioctl + costs_->control_page_op);
-  it->second.page->request = reason;
+  inst->page->request = reason;
   lv::Status notified =
-      co_await hv_->event_channels().Notify(ctx, it->second.event_channel, hv::kDom0);
+      co_await hv_->event_channels().Notify(ctx, inst->event_channel, hv::kDom0);
   if (!notified.ok()) {
     co_return notified;
   }
-  co_await it->second.acked->Wait();
+  co_await inst->acked->Wait();
   // Re-arm for a future request (after resume).
-  it->second.page->request = hv::ShutdownReason::kNone;
-  it->second.page->acked = false;
-  it->second.acked = std::make_unique<sim::OneShotEvent>(engine_);
+  inst->page->request = hv::ShutdownReason::kNone;
+  inst->page->acked = false;
+  inst->acked = std::make_unique<sim::OneShotEvent>(engine_);
   co_return lv::Status::Ok();
 }
 
 sim::Co<void> SysctlBackend::Ack(sim::ExecCtx guest_ctx, hv::DomainId domid) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* inst = instances_.Find(domid);
+  if (inst == nullptr) {
     co_return;
   }
   co_await guest_ctx.Work(costs_->control_page_op);
-  it->second.page->acked = true;
-  (void)co_await hv_->event_channels().Notify(guest_ctx, it->second.event_channel, domid);
+  inst->page->acked = true;
+  (void)co_await hv_->event_channels().Notify(guest_ctx, inst->event_channel, domid);
 }
 
 sim::Co<lv::Status> SysctlBackend::Destroy(sim::ExecCtx ctx, hv::DomainId domid) {
-  auto it = instances_.find(domid);
-  if (it == instances_.end()) {
+  Instance* inst = instances_.Find(domid);
+  if (inst == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no sysctl device for domain");
   }
   co_await ctx.Work(costs_->backend_teardown);
-  Instance& inst = it->second;
-  (void)hv_->event_channels().Close(inst.event_channel);
-  if (hv_->grant_table().IsMapped(inst.grant_ref)) {
-    (void)hv_->grant_table().Unmap(domid, inst.grant_ref);
+  (void)hv_->event_channels().Close(inst->event_channel);
+  if (hv_->grant_table().IsMapped(inst->grant_ref)) {
+    (void)hv_->grant_table().Unmap(domid, inst->grant_ref);
   }
-  (void)hv_->grant_table().Revoke(inst.grant_ref);
-  control_pages_->Remove(inst.grant_ref);
-  instances_.erase(it);
+  (void)hv_->grant_table().Revoke(inst->grant_ref);
+  control_pages_->Remove(inst->grant_ref);
+  instances_.Erase(domid);
   co_return lv::Status::Ok();
 }
 

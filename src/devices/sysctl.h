@@ -13,8 +13,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/devices/costs.h"
 #include "src/devices/types.h"
@@ -48,7 +48,7 @@ class SysctlBackend {
   // Called by the guest's power handler once its state is saved.
   sim::Co<void> Ack(sim::ExecCtx guest_ctx, hv::DomainId domid);
 
-  bool HasDevice(hv::DomainId domid) const { return instances_.contains(domid); }
+  bool HasDevice(hv::DomainId domid) const { return instances_.Contains(domid); }
 
  private:
   struct Instance {
@@ -64,7 +64,7 @@ class SysctlBackend {
   hv::Hypervisor* hv_;
   ControlPages* control_pages_;
   const Costs* costs_;
-  std::unordered_map<hv::DomainId, Instance> instances_;
+  lv::IdTable<Instance> instances_;
 };
 
 }  // namespace xdev

@@ -9,8 +9,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "src/base/id_table.h"
 #include "src/base/units.h"
 #include "src/hv/types.h"
 
@@ -57,12 +57,12 @@ class ControlPages {
     sysctl_pages_[ref] = std::move(page);
   }
   std::shared_ptr<DeviceControlPage> FindDevice(hv::GrantRef ref) const {
-    auto it = device_pages_.find(ref);
-    return it == device_pages_.end() ? nullptr : it->second;
+    const std::shared_ptr<DeviceControlPage>* page = device_pages_.Find(ref);
+    return page == nullptr ? nullptr : *page;
   }
   void Remove(hv::GrantRef ref) {
-    device_pages_.erase(ref);
-    sysctl_pages_.erase(ref);
+    device_pages_.Erase(ref);
+    sysctl_pages_.Erase(ref);
   }
 
   // Registered pages of either kind (leak invariant: returns to baseline
@@ -72,8 +72,8 @@ class ControlPages {
   }
 
  private:
-  std::unordered_map<hv::GrantRef, std::shared_ptr<DeviceControlPage>> device_pages_;
-  std::unordered_map<hv::GrantRef, std::shared_ptr<SysctlControlPage>> sysctl_pages_;
+  lv::IdTable<std::shared_ptr<DeviceControlPage>> device_pages_;
+  lv::IdTable<std::shared_ptr<SysctlControlPage>> sysctl_pages_;
 };
 
 // Canonical interface name for a guest's virtual NIC ("vif<domid>.<devid>").

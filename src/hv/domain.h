@@ -29,7 +29,6 @@ class Domain {
 
   DomainId id() const { return id_; }
   DomainState state() const { return state_; }
-  void set_state(DomainState s) { state_ = s; }
   lv::TimePoint created_at() const { return created_at_; }
 
   // --- Memory -------------------------------------------------------------
@@ -66,6 +65,11 @@ class Domain {
   void mark_started() { started_ = true; }
 
  private:
+  // Only the hypervisor moves a domain between states, so that its
+  // per-state counts stay exact.
+  friend class Hypervisor;
+  void set_state(DomainState s) { state_ = s; }
+
   DomainId id_;
   lv::TimePoint created_at_;
   DomainState state_ = DomainState::kBuilding;
@@ -76,6 +80,8 @@ class Domain {
   StartFn start_fn_;
   std::string shared_template_;
   bool started_ = false;
+  // A destroy is scrubbing the domain and will remove it.
+  bool dying_ = false;
 };
 
 }  // namespace hv

@@ -7,19 +7,18 @@ namespace hv {
 
 Port EventChannelTable::Alloc(DomainId side_a, DomainId side_b) {
   Port port = next_port_++;
-  Channel ch;
+  Channel& ch = *channels_.TryEmplace(port).first;
   ch.a = side_a;
   ch.b = side_b;
-  channels_.emplace(port, std::move(ch));
   return port;
 }
 
 lv::Status EventChannelTable::Bind(Port port, DomainId side, std::function<void()> handler) {
-  auto it = channels_.find(port);
-  if (it == channels_.end()) {
+  Channel* found = channels_.Find(port);
+  if (found == nullptr) {
     return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("port %lld", (long long)port));
   }
-  Channel& ch = it->second;
+  Channel& ch = *found;
   if (side == ch.a) {
     ch.handler_a = std::move(handler);
   } else if (side == ch.b) {
@@ -34,12 +33,12 @@ lv::Status EventChannelTable::Bind(Port port, DomainId side, std::function<void(
 
 sim::Co<lv::Status> EventChannelTable::Notify(sim::ExecCtx ctx, Port port, DomainId from) {
   co_await ctx.Work(costs_->event_channel_op);
-  auto it = channels_.find(port);
-  if (it == channels_.end()) {
+  Channel* found = channels_.Find(port);
+  if (found == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound,
                       lv::StrFormat("port %lld", (long long)port));
   }
-  Channel& ch = it->second;
+  Channel& ch = *found;
   std::function<void()>* handler = nullptr;
   if (from == ch.a) {
     handler = &ch.handler_b;
@@ -63,7 +62,7 @@ sim::Co<lv::Status> EventChannelTable::Notify(sim::ExecCtx ctx, Port port, Domai
 }
 
 lv::Status EventChannelTable::Close(Port port) {
-  if (channels_.erase(port) == 0) {
+  if (!channels_.Erase(port)) {
     return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("port %lld", (long long)port));
   }
   return lv::Status::Ok();

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/hv/costs.h"
 #include "src/hv/types.h"
@@ -34,7 +34,7 @@ class EventChannelTable {
 
   lv::Status Close(Port port);
 
-  bool IsOpen(Port port) const { return channels_.contains(port); }
+  bool IsOpen(Port port) const { return channels_.Contains(port); }
   int64_t open_channels() const { return static_cast<int64_t>(channels_.size()); }
   int64_t notifications_sent() const { return notifications_; }
 
@@ -50,7 +50,7 @@ class EventChannelTable {
   const Costs* costs_;
   Port next_port_ = 1;
   int64_t notifications_ = 0;
-  std::unordered_map<Port, Channel> channels_;
+  lv::IdTable<Channel> channels_;
 };
 
 }  // namespace hv

@@ -7,52 +7,52 @@ namespace hv {
 
 GrantRef GrantTable::Grant(DomainId owner, DomainId grantee) {
   GrantRef ref = next_ref_++;
-  grants_.emplace(ref, Entry{owner, grantee, false});
+  grants_.TryEmplace(ref, Entry{owner, grantee, false});
   return ref;
 }
 
 lv::Status GrantTable::Map(DomainId mapper, GrantRef ref) {
-  auto it = grants_.find(ref);
-  if (it == grants_.end()) {
+  Entry* entry = grants_.Find(ref);
+  if (entry == nullptr) {
     return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("grant %lld", (long long)ref));
   }
-  if (it->second.grantee != mapper) {
+  if (entry->grantee != mapper) {
     return lv::Err(lv::ErrorCode::kPermissionDenied,
                    lv::StrFormat("dom%lld is not the grantee of grant %lld",
                                  (long long)mapper, (long long)ref));
   }
-  if (it->second.mapped) {
+  if (entry->mapped) {
     return lv::Err(lv::ErrorCode::kAlreadyExists, "grant already mapped");
   }
-  it->second.mapped = true;
+  entry->mapped = true;
   static metrics::Counter& maps = metrics::GetCounter("hv.grant_table.maps");
   maps.Inc();
   return lv::Status::Ok();
 }
 
 lv::Status GrantTable::Unmap(DomainId mapper, GrantRef ref) {
-  auto it = grants_.find(ref);
-  if (it == grants_.end()) {
+  Entry* entry = grants_.Find(ref);
+  if (entry == nullptr) {
     return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("grant %lld", (long long)ref));
   }
-  if (it->second.grantee != mapper || !it->second.mapped) {
+  if (entry->grantee != mapper || !entry->mapped) {
     return lv::Err(lv::ErrorCode::kInvalidArgument, "not mapped by this domain");
   }
-  it->second.mapped = false;
+  entry->mapped = false;
   static metrics::Counter& unmaps = metrics::GetCounter("hv.grant_table.unmaps");
   unmaps.Inc();
   return lv::Status::Ok();
 }
 
 lv::Status GrantTable::Revoke(GrantRef ref) {
-  auto it = grants_.find(ref);
-  if (it == grants_.end()) {
+  Entry* entry = grants_.Find(ref);
+  if (entry == nullptr) {
     return lv::Err(lv::ErrorCode::kNotFound, lv::StrFormat("grant %lld", (long long)ref));
   }
-  if (it->second.mapped) {
+  if (entry->mapped) {
     return lv::Err(lv::ErrorCode::kUnavailable, "grant still mapped");
   }
-  grants_.erase(it);
+  grants_.Erase(ref);
   return lv::Status::Ok();
 }
 

@@ -4,8 +4,7 @@
 // XenStore-based and the noxs connection paths.
 #pragma once
 
-#include <unordered_map>
-
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/hv/types.h"
 
@@ -23,10 +22,10 @@ class GrantTable {
   // Revokes the grant entirely (owner teardown). Fails if still mapped.
   lv::Status Revoke(GrantRef ref);
 
-  bool IsActive(GrantRef ref) const { return grants_.contains(ref); }
+  bool IsActive(GrantRef ref) const { return grants_.Contains(ref); }
   bool IsMapped(GrantRef ref) const {
-    auto it = grants_.find(ref);
-    return it != grants_.end() && it->second.mapped;
+    const Entry* entry = grants_.Find(ref);
+    return entry != nullptr && entry->mapped;
   }
   int64_t active_grants() const { return static_cast<int64_t>(grants_.size()); }
 
@@ -37,7 +36,7 @@ class GrantTable {
     bool mapped = false;
   };
   GrantRef next_ref_ = 1;
-  std::unordered_map<GrantRef, Entry> grants_;
+  lv::IdTable<Entry> grants_;
 };
 
 }  // namespace hv

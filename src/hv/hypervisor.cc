@@ -41,19 +41,12 @@ Hypervisor::Hypervisor(sim::Engine* engine, lv::Bytes total_memory, Costs costs)
       memory_(total_memory),
       event_channels_(engine, &costs_) {}
 
-Domain* Hypervisor::FindDomain(DomainId id) {
-  auto it = domains_.find(id);
-  return it == domains_.end() ? nullptr : it->second.get();
-}
+Domain* Hypervisor::FindDomain(DomainId id) { return domains_.Find(id); }
 
-int64_t Hypervisor::NumDomainsInState(DomainState state) const {
-  int64_t n = 0;
-  for (const auto& [id, dom] : domains_) {
-    if (dom->state() == state) {
-      ++n;
-    }
-  }
-  return n;
+void Hypervisor::SetState(Domain& dom, DomainState state) {
+  --state_counts_[static_cast<size_t>(dom.state())];
+  ++state_counts_[static_cast<size_t>(state)];
+  dom.set_state(state);
 }
 
 sim::Co<void> Hypervisor::HypercallEntry(sim::ExecCtx ctx) {
@@ -79,7 +72,8 @@ sim::Co<lv::Result<DomainId>> Hypervisor::DomainCreate(sim::ExecCtx ctx) {
   co_await HypercallEntry(ctx);
   co_await ctx.Work(costs_.domain_create);
   DomainId id = next_id_++;
-  domains_.emplace(id, std::make_unique<Domain>(id, engine_->now()));
+  domains_.TryEmplace(id, id, engine_->now());
+  ++state_counts_[static_cast<size_t>(DomainState::kBuilding)];
   domains_created_.Inc();
   LV_DEBUG(kMod, "created dom%lld", (long long)id);
   co_return id;
@@ -233,7 +227,7 @@ sim::Co<lv::Status> Hypervisor::DomainFinishBuild(sim::ExecCtx ctx, DomainId id)
     co_return lv::Err(lv::ErrorCode::kInvalidArgument,
                       lv::StrFormat("dom%lld not building", (long long)id));
   }
-  (*dom)->set_state(DomainState::kPaused);
+  SetState(**dom, DomainState::kPaused);
   co_return lv::Status::Ok();
 }
 
@@ -248,7 +242,7 @@ sim::Co<lv::Status> Hypervisor::DomainPause(sim::ExecCtx ctx, DomainId id) {
   if ((*dom)->state() != DomainState::kRunning) {
     co_return lv::Err(lv::ErrorCode::kInvalidArgument, "domain not running");
   }
-  (*dom)->set_state(DomainState::kPaused);
+  SetState(**dom, DomainState::kPaused);
   co_return lv::Status::Ok();
 }
 
@@ -267,7 +261,7 @@ sim::Co<lv::Status> Hypervisor::DomainUnpause(sim::ExecCtx ctx, DomainId id) {
                       lv::StrFormat("dom%lld is %s, not paused", (long long)id,
                                     DomainStateName(dom->state())));
   }
-  dom->set_state(DomainState::kRunning);
+  SetState(*dom, DomainState::kRunning);
   if (!dom->started() && dom->start_fn()) {
     dom->mark_started();
     // The guest entry point begins executing on its own vCPU.
@@ -285,8 +279,8 @@ sim::Co<lv::Status> Hypervisor::DomainShutdown(sim::ExecCtx ctx, DomainId id,
   if (!dom.ok()) {
     co_return dom.error();
   }
-  (*dom)->set_state(reason == ShutdownReason::kSuspend ? DomainState::kSuspended
-                                                       : DomainState::kShutdown);
+  SetState(**dom, reason == ShutdownReason::kSuspend ? DomainState::kSuspended
+                                                     : DomainState::kShutdown);
   co_return lv::Status::Ok();
 }
 
@@ -301,7 +295,15 @@ sim::Co<lv::Status> Hypervisor::DomainDestroy(sim::ExecCtx ctx, DomainId id) {
     co_return dom_r.error();
   }
   Domain* dom = *dom_r;
-  dom->set_state(DomainState::kDead);
+  if (dom->dying_) {
+    // The first destroy releases the pages and removes the domain; a second
+    // one would release them again and touch the domain after its removal.
+    domains_destroyed_.Inc(0);
+    co_return lv::Err(lv::ErrorCode::kNotFound,
+                      lv::StrFormat("dom%lld is being destroyed", (long long)id));
+  }
+  dom->dying_ = true;
+  SetState(*dom, DomainState::kDead);
   int64_t pages = dom->reserved_pages();
   co_await ctx.Work(costs_.per_page_scrub * static_cast<double>(pages));
   memory_.Release(pages);
@@ -313,7 +315,9 @@ sim::Co<lv::Status> Hypervisor::DomainDestroy(sim::ExecCtx ctx, DomainId id) {
       templates_.erase(tmpl);
     }
   }
-  domains_.erase(id);
+  // A shutdown may have moved the domain on while its pages were scrubbed.
+  --state_counts_[static_cast<size_t>(dom->state())];
+  domains_.Erase(id);
   domains_destroyed_.Inc();
   LV_DEBUG(kMod, "destroyed dom%lld", (long long)id);
   co_return lv::Status::Ok();

@@ -7,10 +7,11 @@
 // owner in the CPU accounting (Figures 5 and 15).
 #pragma once
 
-#include <map>
-#include <memory>
+#include <array>
+#include <string>
 #include <unordered_map>
 
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/hv/costs.h"
 #include "src/hv/domain.h"
@@ -60,7 +61,9 @@ class Hypervisor {
   // Non-hypercall accessors (used by infrastructure/tests, free of cost).
   Domain* FindDomain(DomainId id);
   int64_t NumDomains() const { return static_cast<int64_t>(domains_.size()); }
-  int64_t NumDomainsInState(DomainState state) const;
+  int64_t NumDomainsInState(DomainState state) const {
+    return state_counts_[static_cast<size_t>(state)];
+  }
 
   // --- Hypercalls -----------------------------------------------------------
 
@@ -125,6 +128,8 @@ class Hypervisor {
   // Every hypercall pays the base trap cost and bumps the counter.
   sim::Co<void> HypercallEntry(sim::ExecCtx ctx);
   lv::Result<Domain*> Lookup(DomainId id);
+  // Moves `dom` to `state`, keeping the per-state counts.
+  void SetState(Domain& dom, DomainState state);
 
   sim::Engine* engine_;
   Costs costs_;
@@ -137,9 +142,9 @@ class Hypervisor {
   int64_t device_page_writes_ = 0;
   int64_t device_page_reads_ = 0;
   DomainId next_id_ = 1;
-  // Ordered by id, so a walk visits domains in creation order, as Xen's
-  // domain list does.
-  std::map<DomainId, std::unique_ptr<Domain>> domains_;
+  lv::IdTable<Domain> domains_;
+  // Live domains per DomainState (kDead is the last state).
+  std::array<int64_t, static_cast<size_t>(DomainState::kDead) + 1> state_counts_{};
   // §9 extension: shared page templates (key -> pages + refcount).
   struct SharedTemplate {
     int64_t pages = 0;

@@ -220,19 +220,19 @@ sim::Co<lv::Result<hv::DomainId>> ChaosToolstack::PrepareIncoming(sim::ExecCtx c
     co_return shell.error();
   }
   // Record the pending shell; FinishIncoming completes it.
-  pending_incoming_.emplace(shell->domid, *shell);
+  pending_incoming_.TryEmplace(shell->domid, *shell);
   co_return shell->domid;
 }
 
 sim::Co<lv::Status> ChaosToolstack::FinishIncoming(sim::ExecCtx ctx, hv::DomainId domid,
                                                    const Snapshot& snap) {
   trace::Span span(ctx.track, "vm.finish_incoming");
-  auto it = pending_incoming_.find(domid);
-  if (it == pending_incoming_.end()) {
+  const Shell* pending = pending_incoming_.Find(domid);
+  if (pending == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no pending incoming domain");
   }
-  Shell shell = it->second;
-  pending_incoming_.erase(it);
+  Shell shell = *pending;
+  pending_incoming_.Erase(domid);
   // Restores accumulate onto the previous breakdown (matching the historical
   // behavior of writing into the member directly).
   CreateBreakdown bd = breakdown_;
@@ -250,11 +250,11 @@ sim::Co<lv::Status> ChaosToolstack::FinishIncoming(sim::ExecCtx ctx, hv::DomainI
 
 sim::Co<lv::Status> ChaosToolstack::TeardownAfterMigration(sim::ExecCtx ctx,
                                                            hv::DomainId domid) {
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
+  const VmConfig* tracked = config_of(domid);
+  if (tracked == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
   }
-  (void)co_await DestroyDevices(ctx, domid, it->second.config);
+  (void)co_await DestroyDevices(ctx, domid, *tracked);
   lv::Status destroyed = co_await env_.hv->DomainDestroy(ctx, domid);
   UntrackVm(domid);
   co_return destroyed;

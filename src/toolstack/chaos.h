@@ -52,7 +52,7 @@ class ChaosToolstack : public Toolstack {
   bool use_noxs_;
   ChaosDaemon* daemon_;
   std::unique_ptr<xs::XsClient> client_;  // XS mode only
-  std::unordered_map<hv::DomainId, Shell> pending_incoming_;
+  lv::IdTable<Shell> pending_incoming_;
 };
 
 }  // namespace toolstack

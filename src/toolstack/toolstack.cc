@@ -81,12 +81,12 @@ sim::Co<lv::Result<hv::DomainId>> Toolstack::Create(sim::ExecCtx ctx, VmConfig c
 sim::Co<lv::Status> Toolstack::Destroy(sim::ExecCtx ctx, hv::DomainId domid) {
   trace::Span span(ctx.track, "vm.destroy");
   trace::Tracer::Get().Flow(ctx.track, "vm.destroy", ctx.op_root);
-  if (!vms_.contains(domid)) {
+  if (!vms_.Contains(domid)) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
   }
   co_await ctx.Work(state_keeping_);
-  // Look the VM up again: while the work ran, a concurrent create may have
-  // rehashed vms_ and a concurrent teardown may have removed the VM.
+  // Look the VM up again: while the work ran, a concurrent teardown may have
+  // removed it.
   guests::Guest* stopping = guest(domid);
   if (stopping == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
@@ -187,19 +187,19 @@ int64_t Toolstack::PeersOnCore(int core) const {
 
 void Toolstack::TrackVm(hv::DomainId domid, VmRecord record) {
   ++core_population_[record.core];
-  vms_.emplace(domid, std::move(record));
+  vms_.TryEmplace(domid, std::move(record));
 }
 
 void Toolstack::UntrackVm(hv::DomainId domid) {
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
+  const VmRecord* vm = vms_.Find(domid);
+  if (vm == nullptr) {
     return;
   }
-  auto pop = core_population_.find(it->second.core);
+  auto pop = core_population_.find(vm->core);
   if (pop != core_population_.end() && pop->second > 0) {
     --pop->second;
   }
-  vms_.erase(it);
+  vms_.Erase(domid);
 }
 
 void Toolstack::RecordLatency(metrics::Histogram*& histogram, const char* verb,

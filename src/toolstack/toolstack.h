@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/base/result.h"
 #include "src/guests/guest.h"
 #include "src/metrics/metrics.h"
@@ -109,21 +110,19 @@ class Toolstack {
   const CreateBreakdown& last_breakdown() const { return breakdown_; }
 
   guests::Guest* guest(hv::DomainId domid) {
-    auto it = vms_.find(domid);
-    return it == vms_.end() ? nullptr : it->second.guest.get();
+    VmRecord* vm = vms_.Find(domid);
+    return vm == nullptr ? nullptr : vm->guest.get();
   }
   const VmConfig* config_of(hv::DomainId domid) const {
-    auto it = vms_.find(domid);
-    return it == vms_.end() ? nullptr : &it->second.config;
+    const VmRecord* vm = vms_.Find(domid);
+    return vm == nullptr ? nullptr : &vm->config;
   }
   int64_t num_vms() const { return static_cast<int64_t>(vms_.size()); }
   // All tracked domains, sorted (deterministic teardown/evacuation order).
   std::vector<hv::DomainId> TrackedDomains() const {
     std::vector<hv::DomainId> ids;
     ids.reserve(vms_.size());
-    for (const auto& [domid, record] : vms_) {
-      ids.push_back(domid);
-    }
+    vms_.ForEach([&](hv::DomainId domid, const VmRecord&) { ids.push_back(domid); });
     std::sort(ids.begin(), ids.end());
     return ids;
   }
@@ -157,7 +156,7 @@ class Toolstack {
   HostEnv env_;
   Costs costs_;
   CreateBreakdown breakdown_;
-  std::unordered_map<hv::DomainId, VmRecord> vms_;
+  lv::IdTable<VmRecord> vms_;
 
  private:
   // Builds the guest's boot environment for a given core.

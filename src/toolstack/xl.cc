@@ -182,19 +182,19 @@ sim::Co<lv::Result<hv::DomainId>> XlToolstack::PrepareIncoming(sim::ExecCtx ctx,
     (void)co_await env_.blkback->XsToolstackCreate(ctx, client_.get(), domid,
                                                    env_.bash_hotplug);
   }
-  pending_incoming_.emplace(domid, PendingIncoming{std::move(config), reserved->core});
+  pending_incoming_.TryEmplace(domid, PendingIncoming{std::move(config), reserved->core});
   co_return domid;
 }
 
 sim::Co<lv::Status> XlToolstack::FinishIncoming(sim::ExecCtx ctx, hv::DomainId domid,
                                                 const Snapshot& snap) {
   trace::Span span(ctx.track, "vm.finish_incoming");
-  auto it = pending_incoming_.find(domid);
-  if (it == pending_incoming_.end()) {
+  PendingIncoming* found = pending_incoming_.Find(domid);
+  if (found == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "no pending incoming domain");
   }
-  PendingIncoming pending = std::move(it->second);
-  pending_incoming_.erase(it);
+  PendingIncoming pending = std::move(*found);
+  pending_incoming_.Erase(domid);
   // Stream the memory image back in.
   co_await ctx.Work(costs_.snapshot_file_overhead);
   (void)co_await env_.hv->CopyToDomain(ctx, domid, snap.memory);
@@ -210,11 +210,11 @@ sim::Co<lv::Status> XlToolstack::SuspendForMigration(sim::ExecCtx ctx, hv::Domai
 // xl's one device-teardown path: Destroy and Save end here too.
 sim::Co<lv::Status> XlToolstack::TeardownAfterMigration(sim::ExecCtx ctx,
                                                         hv::DomainId domid) {
-  auto it = vms_.find(domid);
-  if (it == vms_.end()) {
+  const VmConfig* tracked = config_of(domid);
+  if (tracked == nullptr) {
     co_return lv::Err(lv::ErrorCode::kNotFound, "unknown VM");
   }
-  VmConfig config = it->second.config;
+  VmConfig config = *tracked;
   if (config.image.wants_net && env_.netback != nullptr && env_.netback->HasDevice(domid)) {
     (void)co_await env_.netback->XsToolstackDestroy(ctx, client_.get(), domid,
                                                     env_.bash_hotplug);

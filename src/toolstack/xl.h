@@ -39,7 +39,7 @@ class XlToolstack : public Toolstack {
   sim::Co<lv::Status> RemoveGuestRecords(sim::ExecCtx ctx, hv::DomainId domid);
 
   std::unique_ptr<xs::XsClient> client_;
-  std::unordered_map<hv::DomainId, PendingIncoming> pending_incoming_;
+  lv::IdTable<PendingIncoming> pending_incoming_;
 };
 
 }  // namespace toolstack

@@ -1,6 +1,13 @@
-// Unit tests for src/base: time, units, result, rng, stats, strings, logging.
+// Unit tests for src/base: time, units, result, rng, stats, strings, logging,
+// and the id-keyed table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "src/base/id_table.h"
 #include "src/base/log.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
@@ -223,6 +230,173 @@ TEST(LoggerTest, LinesCarryTheAttachedClockAndRespectTheLevel) {
   EXPECT_EQ(err,
             "[    2.500000ms] INFO  clocktest  hello 7\n"
             "WARN  clocktest  plain\n");
+}
+
+
+// --- IdTable ------------------------------------------------------------------
+
+// Applies a stream of finds, inserts and erases to an IdTable and to
+// std::unordered_map, and after every operation compares the size and every
+// id the stream has touched; every 64 operations ForEach must visit exactly
+// the reference's entries, each once.
+class IdTableDifferential {
+ public:
+  void Insert(int64_t id, int value) {
+    auto [got, inserted] = table_.TryEmplace(id, value);
+    auto [want, want_inserted] = reference_.try_emplace(id, value);
+    ASSERT_EQ(inserted, want_inserted) << "id " << id;
+    ASSERT_EQ(*got, want->second) << "id " << id;
+    Touch(id);
+  }
+  void Erase(int64_t id) {
+    ASSERT_EQ(table_.Erase(id), reference_.erase(id) == 1) << "id " << id;
+    Touch(id);
+  }
+  void Find(int64_t id) {
+    Touch(id);
+  }
+  bool Has(int64_t id) const { return reference_.contains(id); }
+  size_t size() const { return reference_.size(); }
+
+ private:
+  void Touch(int64_t id) {
+    if (seen_.try_emplace(id, true).second) {
+      touched_.push_back(id);
+    }
+    ASSERT_EQ(table_.size(), reference_.size());
+    for (int64_t t : touched_) {
+      auto it = reference_.find(t);
+      const int* got = table_.Find(t);
+      if (it == reference_.end()) {
+        ASSERT_EQ(got, nullptr) << "id " << t;
+      } else {
+        ASSERT_NE(got, nullptr) << "id " << t;
+        ASSERT_EQ(*got, it->second) << "id " << t;
+      }
+    }
+    if (++ops_ % 64 == 0) {
+      std::vector<std::pair<int64_t, int>> visited;
+      table_.ForEach([&](int64_t k, const int& v) { visited.emplace_back(k, v); });
+      std::vector<std::pair<int64_t, int>> want(reference_.begin(), reference_.end());
+      std::sort(visited.begin(), visited.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(visited, want);
+    }
+  }
+
+  IdTable<int> table_;
+  std::unordered_map<int64_t, int> reference_;
+  std::unordered_map<int64_t, bool> seen_;
+  std::vector<int64_t> touched_;
+  int64_t ops_ = 0;
+};
+
+// The simulator's pattern: ids issued in increasing order, erased in random
+// order, with lookups of live, erased and never-issued ids.
+TEST(IdTableTest, MatchesUnorderedMapOnIncreasingIdsErasedAtRandom) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    IdTableDifferential diff;
+    std::vector<int64_t> live;
+    int64_t next_id = 1;
+    for (int op = 0; op < 1500; ++op) {
+      int64_t dice = rng.Uniform(0, 9);
+      if (dice < 5 || live.empty()) {
+        live.push_back(next_id);
+        diff.Insert(next_id++, static_cast<int>(rng.Uniform(0, 1000)));
+      } else if (dice < 9) {
+        size_t pick = static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+        diff.Erase(live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        diff.Find(rng.Uniform(0, next_id + 5));
+      }
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Arbitrary 64-bit ids, negative ones included, with repeated inserts and
+// erases of ids already present or absent.
+TEST(IdTableTest, MatchesUnorderedMapOnRandom64BitIds) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    IdTableDifferential diff;
+    std::vector<int64_t> used;
+    for (int op = 0; op < 1500; ++op) {
+      int64_t id = !used.empty() && rng.Chance(0.4)
+                       ? used[static_cast<size_t>(
+                             rng.Uniform(0, static_cast<int64_t>(used.size()) - 1))]
+                       : static_cast<int64_t>(rng.engine()());
+      used.push_back(id);
+      int64_t dice = rng.Uniform(0, 2);
+      if (dice == 0) {
+        diff.Insert(id, static_cast<int>(rng.Uniform(0, 1000)));
+      } else if (dice == 1) {
+        diff.Erase(id);
+      } else {
+        diff.Find(id);
+      }
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Every id here hashes to the last slot of any table up to 1024 slots, so
+// the probe run starts at the end of the slot array and wraps to its front:
+// lookups, growth and the backward shift of an erase all cross the wrap.
+TEST(IdTableTest, MatchesUnorderedMapWhenProbeRunsWrap) {
+  // id * kMultiplier == h (mod 2^64) for id = h * inverse.
+  uint64_t inverse = IdTable<int>::kMultiplier;
+  for (int i = 0; i < 6; ++i) {
+    inverse *= 2 - IdTable<int>::kMultiplier * inverse;
+  }
+  ASSERT_EQ(inverse * IdTable<int>::kMultiplier, 1u);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    IdTableDifferential diff;
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 300; ++i) {
+      uint64_t top_slot = (uint64_t{0x3ff} << 54) | (rng.engine()() >> 10);
+      ids.push_back(static_cast<int64_t>(top_slot * inverse));
+    }
+    for (int op = 0; op < 1500; ++op) {
+      int64_t id = ids[static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(ids.size()) - 1))];
+      if (rng.Chance(0.55)) {
+        diff.Insert(id, op);
+      } else {
+        diff.Erase(id);
+      }
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// A value's address survives growth and the erasure of its neighbours.
+TEST(IdTableTest, ValuesStayPutThroughGrowthAndErasure) {
+  IdTable<std::vector<int>> table;
+  std::vector<int>* held = table.TryEmplace(7, std::vector<int>{1, 2, 3}).first;
+  for (int64_t id = 8; id < 2000; ++id) {
+    table[id].push_back(static_cast<int>(id));
+  }
+  for (int64_t id = 8; id < 2000; id += 2) {
+    ASSERT_TRUE(table.Erase(id));
+  }
+  for (int64_t id = 2000; id < 3000; ++id) {
+    table[id].push_back(static_cast<int>(id));
+  }
+  EXPECT_EQ(table.Find(7), held);
+  EXPECT_EQ(*held, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(table.size(), 1u + 996u + 1000u);
+  EXPECT_FALSE(table.TryEmplace(7, std::vector<int>{9}).second);
+  EXPECT_EQ(*held, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // grant tables, domain lifecycle and the noxs device page.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/hv/hypervisor.h"
 #include "src/sim/engine.h"
 
@@ -34,6 +37,92 @@ class HvTest : public ::testing::Test {
   sim::CpuScheduler cpu_;
   Hypervisor hv_;
 };
+
+// One random lifecycle hypercall of the per-state count sweep below.
+sim::Co<void> RandomLifecycleCall(Hypervisor& hv, sim::ExecCtx ctx, int64_t op, DomainId id,
+                                  std::vector<DomainId>* created) {
+  switch (op) {
+    case 0: {
+      auto domid = co_await hv.DomainCreate(ctx);
+      if (domid.ok()) {
+        created->push_back(*domid);
+        // Pages to scrub, so a destroy suspends and other calls interleave.
+        (void)co_await hv.PopulatePhysmap(ctx, *domid, Bytes::MiB(4));
+      }
+      break;
+    }
+    case 1:
+      (void)co_await hv.DomainFinishBuild(ctx, id);
+      break;
+    case 2:
+      (void)co_await hv.DomainPause(ctx, id);
+      break;
+    case 3:
+      (void)co_await hv.DomainUnpause(ctx, id);
+      break;
+    case 4:
+      (void)co_await hv.DomainShutdown(ctx, id, ShutdownReason::kSuspend);
+      break;
+    case 5:
+      (void)co_await hv.DomainShutdown(ctx, id, ShutdownReason::kPoweroff);
+      break;
+    default:
+      (void)co_await hv.DomainDestroy(ctx, id);
+      break;
+  }
+}
+
+// NumDomainsInState is kept as a count per state. After every step of seeded
+// random create / finish-build / pause / unpause / shutdown / destroy
+// sequences it must equal a count over FindDomain of every id ever created.
+// A step runs one to three calls at once, so a shutdown or a second destroy
+// can land while a destroy scrubs its domain's pages, and calls on destroyed
+// or wrong-state domains fail.
+TEST_F(HvTest, PerStateCountsMatchAScanOfEveryDomain) {
+  const DomainState kStates[] = {DomainState::kBuilding,  DomainState::kPaused,
+                                 DomainState::kRunning,   DomainState::kSuspended,
+                                 DomainState::kShutdown,  DomainState::kDead};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Engine engine;
+    sim::CpuScheduler cpu(&engine, 2);
+    Hypervisor hv(&engine, Bytes::GiB(1));
+    lv::Rng rng(seed);
+    std::vector<DomainId> created;
+    for (int step = 0; step < 150; ++step) {
+      const int64_t calls = rng.Uniform(1, 3);
+      for (int64_t c = 0; c < calls; ++c) {
+        const int64_t op = created.empty() ? 0 : rng.Uniform(0, 6);
+        const DomainId id =
+            created.empty()
+                ? kInvalidDomain
+                : created[static_cast<size_t>(
+                      rng.Uniform(0, static_cast<int64_t>(created.size()) - 1))];
+        engine.Spawn(RandomLifecycleCall(hv, sim::ExecCtx{&cpu, static_cast<int>(c % 2)}, op,
+                                         id, &created));
+      }
+      engine.Run();
+      int64_t counted = 0;
+      int64_t reserved = 0;
+      for (DomainId id : created) {
+        const Domain* dom = hv.FindDomain(id);
+        reserved += dom != nullptr ? dom->reserved_pages() : 0;
+      }
+      // No page is released twice, even by destroys that overlap.
+      ASSERT_EQ(hv.memory().used_pages(), reserved) << "seed " << seed << " step " << step;
+      for (DomainState state : kStates) {
+        int64_t scanned = 0;
+        for (DomainId id : created) {
+          const Domain* dom = hv.FindDomain(id);
+          scanned += dom != nullptr && dom->state() == state;
+        }
+        ASSERT_EQ(hv.NumDomainsInState(state), scanned)
+            << "seed " << seed << " step " << step << " state " << DomainStateName(state);
+        counted += scanned;
+      }
+      ASSERT_EQ(counted, hv.NumDomains()) << "seed " << seed << " step " << step;
+    }
+  }
+}
 
 TEST_F(HvTest, MemoryPoolReserveRelease) {
   MemoryPool pool(Bytes::MiB(1));  // 256 pages

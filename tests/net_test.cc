@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "src/net/link.h"
 #include "src/net/switch.h"
@@ -79,6 +81,22 @@ TEST_F(NetTest, BroadcastReachesAllButIngress) {
   EXPECT_EQ(got_b, 1);
   EXPECT_EQ(got_c, 1);
   EXPECT_EQ(switch_.stats().broadcasts, 1);
+}
+
+// A broadcast reaches the other ports in name order: neither the order they
+// were added in nor the numeric order of their domids.
+TEST_F(NetTest, BroadcastDeliversInPortNameOrder) {
+  std::vector<std::string> delivered;
+  for (const char* name : {"vif2.0", "vif10.0", "vif1.0", "vif11.0"}) {
+    std::string port = name;
+    (void)switch_.AddPort(port, [&delivered, port](const Packet&) { delivered.push_back(port); });
+  }
+  Packet p;
+  p.kind = PacketKind::kArp;
+  p.src = "vif2.0";
+  p.dst = "";  // broadcast
+  Forward(p);
+  EXPECT_EQ(delivered, (std::vector<std::string>{"vif1.0", "vif10.0", "vif11.0"}));
 }
 
 TEST_F(NetTest, OverloadCausesDrops) {
