@@ -30,7 +30,7 @@ sim::Co<void> ClientLoop(guests::TlsServer* server, LoopState* state) {
 // Tinyx (the Linux stack is the common denominator).
 sim::Co<void> ProcessLoop(sim::CpuScheduler* cpu, int core, LoopState* state) {
   while (!state->stop) {
-    co_await cpu->Run(core, guests::TinyxTls().tls_handshake_cpu, -1);
+    co_await cpu->Run(core, guests::TinyxTls().tls_handshake_cpu);
     ++state->served;
   }
 }
